@@ -749,15 +749,19 @@ def load_cache(directory: str | Path) -> bool:
     if not target.exists():
         return False
     payload = json.loads(target.read_text())
-    if payload.get("format") != CACHE_FORMAT or payload.get("version") != CACHE_VERSION:
-        raise ValueError(f"unrecognized cache file {target}")
-    with _TRI_LOCK, _V_LOCK:
-        for key, row in payload["trinomial_rows"].items():
-            n = int(key)
-            if len(row) != 2 * n + 1:
-                raise ValueError(f"corrupt trinomial row {n} in {target}")
-            _TRI_ROWS.setdefault(n, tuple(int(c) for c in row))
+    try:
+        if payload.get("format") != CACHE_FORMAT or payload.get("version") != CACHE_VERSION:
+            raise ValueError(f"unrecognized cache file {target}")
+        rows = {int(k): tuple(int(c) for c in row) for k, row in payload["trinomial_rows"].items()}
         prefix = [int(c) for c in payload["v_prefix"]]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed cache file {target}: {exc!r}") from None
+    for n, row in rows.items():
+        if len(row) != 2 * n + 1:
+            raise ValueError(f"corrupt trinomial row {n} in {target}")
+    with _TRI_LOCK, _V_LOCK:
+        for n, row in rows.items():
+            _TRI_ROWS.setdefault(n, row)
         if len(prefix) > len(_V_PREFIX):
             if prefix[: len(_V_PREFIX)] != _V_PREFIX:
                 raise ValueError(f"cache v-prefix disagrees with computed values in {target}")

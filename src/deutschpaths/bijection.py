@@ -13,13 +13,16 @@ level d-1).  The image is
 
 and the inverse recomputes the down-step size as d = 1 + end level of the
 recovered inner path, which is the only place level arithmetic enters.
-Step increments are unaffected by re-basing, so the recursion works on
-increment tuples directly.
+
+Both directions unroll the recursion into one left-to-right scan.  An
+up-step from level b is matched by the first later down-step that lands on
+b, and then maps to U and that down-step to D; an up-step no down-step
+lands back on maps to F.  The inverse keeps the base level of every open
+Motzkin U and turns each D into a down-step to that base.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .paths import (
@@ -98,60 +101,57 @@ def to_motzkin(w) -> MotzkinPath:
 
 
 def _to_motzkin_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
-    if not steps:
-        return ()
-    level = 0
-    first_return = None
-    for t, s in enumerate(steps, start=1):
-        level += s
-        if level == 0:
-            first_return = t
-            break
-    if first_return is None:
-        return (0,) + _to_motzkin_steps(steps[1:])
-    inner = _to_motzkin_steps(steps[1 : first_return - 1])
-    return (1,) + inner + (-1,) + _to_motzkin_steps(steps[first_return:])
+    out = [0] * len(steps)
+    pending: list[int] = []  # pending[b]: index of the open up-step from level b
+    for t, s in enumerate(steps):
+        if s == 1:
+            pending.append(t)
+        else:
+            base = len(pending) + s
+            out[pending[base]] = 1
+            out[t] = -1
+            del pending[base:]
+    return tuple(out)
 
 
 def from_motzkin(m) -> DeutschPath:
     """Inverse map; recomputes each down-step size from the inner end level."""
     m = _ensure(m, MotzkinPath, "motzkin")
-    steps, end = _from_motzkin_steps(m.steps)
-    return DeutschPath(steps)
+    return DeutschPath(_from_motzkin_steps(m.steps))
 
 
-def _from_motzkin_steps(steps: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    # returns (deutsch increments, end level)
-    if not steps:
-        return (), 0
-    if steps[0] == 0:
-        tail, end = _from_motzkin_steps(steps[1:])
-        return (1,) + tail, end + 1
+def _from_motzkin_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
+    out = []
     level = 0
-    first_return = None
-    for t, s in enumerate(steps, start=1):
-        level += s
-        if level == 0:
-            first_return = t
-            break
-    inner, inner_end = _from_motzkin_steps(steps[1 : first_return - 1])
-    d = 1 + inner_end
-    rest, rest_end = _from_motzkin_steps(steps[first_return:])
-    return (1,) + inner + (-d,) + rest, rest_end
+    bases: list[int] = []  # the level each open Motzkin up-step started from
+    for s in steps:
+        if s == -1:
+            base = bases.pop()
+            out.append(base - level)
+            level = base
+        else:
+            if s == 1:
+                bases.append(level)
+            out.append(1)
+            level += 1
+    return tuple(out)
 
 
 def returns_count(w) -> int:
     """Number of returns-decompositions in w's recursion tree."""
-    w = _ensure(w, DeutschPath, "deutsch")
-    d = decompose(w)
-    if d.kind == "empty":
-        return 0
-    if d.kind == "no_return":
-        return returns_count(d.tail)
-    return 1 + returns_count(d.inner) + returns_count(d.remainder)
+    total = 0
+    work = [_ensure(w, DeutschPath, "deutsch")]
+    while work:
+        d = decompose(work.pop())
+        if d.kind == "no_return":
+            work.append(d.tail)
+        elif d.kind == "returns":
+            total += 1
+            work += [d.inner, d.remainder]
+    return total
 
 
-def certify(n_max: int = 10, threads: int = 1) -> VerificationReport:
+def certify(n_max: int = 10) -> VerificationReport:
     """Exhaustively certify bijectivity and round trips for all n <= n_max.
 
     Also records (without asserting any correspondence) the joint
@@ -162,50 +162,33 @@ def certify(n_max: int = 10, threads: int = 1) -> VerificationReport:
     counts = []
     joint: dict[tuple[int, int], int] = {}
 
-    def certify_n(n: int):
-        rows = []
+    for n in range(n_max + 1):
+        dim = f"n={n}"
         domain = enumerate_paths(PathFamilyQuery("deutsch", n))
         codomain = enumerate_paths(PathFamilyQuery("motzkin", n))
         images = [to_motzkin(w) for w in domain]
         lengths_ok = all(len(img) == len(w) for img, w in zip(images, domain))
-        rows.append(("length preserved", f"n={n}", lengths_ok, ""))
-        injective = len(set(images)) == len(images)
-        rows.append(("injective", f"n={n}", injective, ""))
-        onto = set(images) == set(codomain)
-        rows.append(("image is every Motzkin path", f"n={n}", onto, ""))
+        report.add("length preserved", dim, lengths_ok)
+        report.add("injective", dim, len(set(images)) == len(images))
+        report.add("image is every Motzkin path", dim, set(images) == set(codomain))
         back_ok = all(from_motzkin(img) == w for img, w in zip(images, domain))
-        rows.append(("from_motzkin(to_motzkin(w)) = w", f"n={n}", back_ok, ""))
+        report.add("from_motzkin(to_motzkin(w)) = w", dim, back_ok)
         fwd_ok = all(to_motzkin(from_motzkin(m)) == m for m in codomain)
-        rows.append(("to_motzkin(from_motzkin(m)) = m", f"n={n}", fwd_ok, ""))
+        report.add("to_motzkin(from_motzkin(m)) = m", dim, fwd_ok)
         counts_ok = len(domain) == len(codomain)
-        rows.append((
-            "|open Deutsch| = |Motzkin|", f"n={n}", counts_ok,
+        report.add(
+            "|open Deutsch| = |Motzkin|", dim, counts_ok,
             "" if counts_ok else f"{len(domain)} vs {len(codomain)}",
-        ))
+        )
         ups_ok = all(
             sum(1 for s in img.steps if s == 1) == returns_count(w)
             for img, w in zip(images, domain)
         )
-        rows.append(("image up-steps = returns in recursion tree", f"n={n}", ups_ok, ""))
-        local_joint: dict[tuple[int, int], int] = {}
+        report.add("image up-steps = returns in recursion tree", dim, ups_ok)
+        counts.append(len(domain))
         for w, img in zip(domain, images):
-            flats = sum(1 for s in img.steps if s == 0)
-            key = (w.end_level, flats)
-            local_joint[key] = local_joint.get(key, 0) + 1
-        return n, rows, len(domain), local_joint
-
-    ns = range(n_max + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(certify_n, ns))
-    else:
-        results = [certify_n(n) for n in ns]
-    for n, rows, size, local_joint in results:
-        for name, dim, passed, witness in rows:
-            report.add(name, dim, passed, witness)
-        counts.append(size)
-        for key, c in local_joint.items():
-            joint[key] = joint.get(key, 0) + c
+            key = (w.end_level, sum(1 for s in img.steps if s == 0))
+            joint[key] = joint.get(key, 0) + 1
     report.data["counts"] = counts
     report.data["end_level_vs_flats"] = {f"{e},{f}": c for (e, f), c in sorted(joint.items())}
     report.raise_if_failed()

@@ -182,7 +182,7 @@ def _cmd_biject(args, config) -> dict:
 _VERIFY_TARGETS = ("det", "recursion", "cramer", "lu", "oracle", "bijection", "product", "all")
 
 
-def _run_verify(target: str, max_n: int | None, threads: int) -> VerificationReport:
+def _run_verify(target: str, max_n: int | None) -> VerificationReport:
     if target == "det":
         return verify_determinant(max_n or 12)
     if target == "recursion":
@@ -193,12 +193,12 @@ def _run_verify(target: str, max_n: int | None, threads: int) -> VerificationRep
         return verify_lu(max_n or 12)
     if target == "oracle":
         dp_max = max_n or 30
-        return oracle_check(enum_max=min(8, dp_max), dp_max=dp_max, h_max=4, threads=threads)
+        return oracle_check(enum_max=min(8, dp_max), dp_max=dp_max, h_max=4)
     if target == "bijection":
-        return certify(max_n or 8, threads=threads)
+        return certify(max_n or 8)
     if target == "product":
         return adjudicate_det_product(max_n or 3)
-    return run_selftest(threads=threads)
+    return run_selftest()
 
 
 def _report_payload(report: VerificationReport) -> dict:
@@ -209,7 +209,7 @@ def _report_payload(report: VerificationReport) -> dict:
 
 
 def _cmd_verify(args, config) -> dict:
-    report = _run_verify(args.target, args.max_n, args.threads)
+    report = _run_verify(args.target, args.max_n)
     return _report_payload(report)
 
 
@@ -240,7 +240,7 @@ def _cmd_stats(args, config) -> dict:
 
 
 def _cmd_selftest(args, config) -> dict:
-    report = run_selftest(threads=args.threads)
+    report = run_selftest()
     return _report_payload(report)
 
 
@@ -346,7 +346,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
     fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for verification runs")
     p.add_argument("--cache-dir", help=f"series/trinomial cache directory (or ${CACHE_ENV_VAR})")
     p.add_argument("--config", help="JSON config file; flags override its values")
 

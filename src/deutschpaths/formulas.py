@@ -32,8 +32,8 @@ from the oracle battery.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .algebra import (
     KERNEL,
@@ -46,7 +46,7 @@ from .algebra import (
     expand_in_z,
     trinomial,
 )
-from .paths import PathFamilyQuery, count_dp, enumerate_paths, total_area_dp, total_height_dp
+from .paths import PathFamilyQuery, _prefix, enumerate_paths
 from .reporting import VerificationReport
 
 
@@ -319,94 +319,64 @@ def combinatorial_ids(h_max: int, series_order: int) -> list[FormulaId]:
     return ids
 
 
-def _dp_value(fid: FormulaId, n: int) -> int:
-    name, args = fid.name, fid.args
-    if name == "motzkin_M":
-        return count_dp(PathFamilyQuery("motzkin", n))
-    if name == "phi0_limit":
-        return count_dp(PathFamilyQuery("deutsch", n, end_level=0))
-    if name == "open_sum_limit":
-        return count_dp(PathFamilyQuery("deutsch", n))
-    if name == "phi":
-        h, i = args
-        return count_dp(PathFamilyQuery("deutsch", n, end_level=i, max_height=h))
-    if name == "phi0_bounded":
-        return count_dp(PathFamilyQuery("deutsch", n, end_level=0, max_height=args[0]))
-    if name == "closed_height_ge":
-        h = args[0]
-        total = count_dp(PathFamilyQuery("deutsch", n, end_level=0))
-        capped = count_dp(PathFamilyQuery("deutsch", n, end_level=0, max_height=h - 1))
-        return total - capped
-    if name == "open_sum":
-        return count_dp(PathFamilyQuery("deutsch", n, max_height=args[0]))
-    if name == "psi0":
-        return count_dp(PathFamilyQuery("reversed", n, end_level=0, max_height=args[0]))
-    if name == "psi":
-        h, i = args
-        return count_dp(PathFamilyQuery("reversed", n, end_level=i, max_height=h))
-    if name == "reversed_sum":
-        return count_dp(PathFamilyQuery("reversed", n, max_height=args[0]))
-    if name == "area_A":
-        return total_area_dp(PathFamilyQuery("deutsch", n, end_level=0))
-    if name == "height_sum_closed":
-        return total_height_dp(n, "closed")
-    if name == "height_sum_open":
-        return total_height_dp(n, "open")
-    raise BadParams(f"{fid} has no combinatorial meaning")
+class _Meaning(NamedTuple):
+    """What [z^n] of a formula counts: a statistic summed over the paths of
+    length n in one family, ending at ``end`` (None: any level), with height
+    in [min_height, max_height] (None: unbounded)."""
+
+    family: str
+    end: int | None
+    min_height: int = 0
+    max_height: int | None = None
+    statistic: str = "count"  # count | area | height
 
 
-class _EnumTables:
-    """Per-n path statistics gathered once and shared across formula ids."""
+#: Every formula with a counting meaning; both oracles read only this table.
+_MEANINGS = {
+    "motzkin_M": lambda: _Meaning("motzkin", 0),
+    "phi": lambda h, i: _Meaning("deutsch", i, max_height=h),
+    "phi0_bounded": lambda h: _Meaning("deutsch", 0, max_height=h),
+    "phi0_limit": lambda: _Meaning("deutsch", 0),
+    "closed_height_ge": lambda h: _Meaning("deutsch", 0, min_height=h),
+    "open_sum": lambda h: _Meaning("deutsch", None, max_height=h),
+    "open_sum_limit": lambda: _Meaning("deutsch", None),
+    "psi0": lambda h: _Meaning("reversed", 0, max_height=h),
+    "psi": lambda h, i: _Meaning("reversed", i, max_height=h),
+    "reversed_sum": lambda h: _Meaning("reversed", None, max_height=h),
+    "area_A": lambda: _Meaning("deutsch", 0, statistic="area"),
+    "height_sum_closed": lambda order: _Meaning("deutsch", 0, statistic="height"),
+    "height_sum_open": lambda order: _Meaning("deutsch", None, statistic="height"),
+}
 
-    def __init__(self, n_max: int, h_max: int):
-        self.n_max = n_max
-        self.deutsch: dict[int, list[tuple[int, int, int]]] = {}
-        self.reversed_by_h: dict[tuple[int, int], list[int]] = {}
-        self.motzkin_counts: dict[int, int] = {}
-        for n in range(n_max + 1):
-            self.deutsch[n] = [
-                (p.end_level, p.height, p.area)
-                for p in enumerate_paths(PathFamilyQuery("deutsch", n))
-            ]
-            self.motzkin_counts[n] = len(enumerate_paths(PathFamilyQuery("motzkin", n)))
-            for h in range(h_max + 1):
-                self.reversed_by_h[n, h] = [
-                    p.end_level
-                    for p in enumerate_paths(PathFamilyQuery("reversed", n, max_height=h))
-                ]
 
-    def value(self, fid: FormulaId, n: int) -> int:
-        name, args = fid.name, fid.args
-        deu = self.deutsch[n]
-        if name == "motzkin_M":
-            return self.motzkin_counts[n]
-        if name == "phi0_limit":
-            return sum(1 for e, _, _ in deu if e == 0)
-        if name == "open_sum_limit":
-            return len(deu)
-        if name == "phi":
-            h, i = args
-            return sum(1 for e, ht, _ in deu if e == i and ht <= h)
-        if name == "phi0_bounded":
-            return sum(1 for e, ht, _ in deu if e == 0 and ht <= args[0])
-        if name == "closed_height_ge":
-            return sum(1 for e, ht, _ in deu if e == 0 and ht >= args[0])
-        if name == "open_sum":
-            return sum(1 for _, ht, _ in deu if ht <= args[0])
-        if name == "psi0":
-            return sum(1 for e in self.reversed_by_h[n, args[0]] if e == 0)
-        if name == "psi":
-            h, i = args
-            return sum(1 for e in self.reversed_by_h[n, h] if e == i)
-        if name == "reversed_sum":
-            return len(self.reversed_by_h[n, args[0]])
-        if name == "area_A":
-            return sum(a for e, _, a in deu if e == 0)
-        if name == "height_sum_closed":
-            return sum(ht for e, ht, _ in deu if e == 0)
-        if name == "height_sum_open":
-            return sum(ht for _, ht, _ in deu)
+def _meaning(fid: FormulaId) -> _Meaning:
+    if fid.name not in _MEANINGS:
         raise BadParams(f"{fid} has no combinatorial meaning")
+    return _MEANINGS[fid.name](*fid.args)
+
+
+def _dp_prefix(m: _Meaning, n_max: int) -> list[int]:
+    """[z^n] for n <= n_max by the transfer-matrix DP: one sweep per strip."""
+    query = PathFamilyQuery(m.family, n_max, end_level=m.end, max_height=m.max_height)
+    values = _prefix(query, m.statistic)
+    if m.min_height:
+        below = _prefix(replace(query, max_height=m.min_height - 1), m.statistic)
+        values = [a - b for a, b in zip(values, below)]
+    return values
+
+
+_WEIGHTS = {"count": lambda ht, a: 1, "area": lambda ht, a: a, "height": lambda ht, a: ht}
+
+
+def _enum_value(m: _Meaning, stats: list[tuple[int, int, int]]) -> int:
+    """[z^n] from the (end, height, area) of every enumerated path of length n."""
+    hi = m.max_height if m.max_height is not None else float("inf")
+    weight = _WEIGHTS[m.statistic]
+    return sum(
+        weight(ht, a)
+        for e, ht, a in stats
+        if (m.end is None or e == m.end) and m.min_height <= ht <= hi
+    )
 
 
 def oracle_check(
@@ -415,7 +385,6 @@ def oracle_check(
     enum_max: int = 10,
     dp_max: int = 60,
     h_max: int = 6,
-    threads: int = 1,
 ) -> VerificationReport:
     """Check every combinatorial formula against both counting oracles.
 
@@ -427,39 +396,38 @@ def oracle_check(
     if ids is None:
         ids = combinatorial_ids(h_max, dp_max)
     report = VerificationReport("formula oracle equivalence")
-    tables = _EnumTables(enum_max, h_max)
+    meanings = [_meaning(fid) for fid in ids]
+    n_enum = min(enum_max, dp_max)
+    # each family is enumerated once per n; reversed paths (an infinite
+    # family when open) at the largest height bound among the ids
+    enumerated = {}
+    for family in {m.family for m in meanings}:
+        bounds = [m.max_height for m in meanings if m.family == family]
+        cap = max(bounds) if family == "reversed" else None
+        enumerated[family] = [
+            [
+                (p.end_level, p.height, p.area)
+                for p in enumerate_paths(PathFamilyQuery(family, n, max_height=cap))
+            ]
+            for n in range(n_enum + 1)
+        ]
 
-    def check_one(fid: FormulaId) -> list:
+    for fid, m in zip(ids, meanings):
         obj = formula(fid)
         series = obj if isinstance(obj, Series) else expand_in_z(obj, dp_max)
-        rows = []
-        witness = ""
-        for n in range(dp_max + 1):
-            want = _dp_value(fid, n)
-            got = series.coeff(n)
-            if got != want:
-                witness = f"[z^{n}] {fid} = {got}, DP oracle = {want}"
-                break
-        rows.append((f"{fid} vs DP", f"n<={dp_max}", not witness, witness))
-        witness = ""
-        for n in range(min(enum_max, dp_max) + 1):
-            want = tables.value(fid, n)
-            got = series.coeff(n)
-            if got != want:
-                witness = f"[z^{n}] {fid} = {got}, enumeration oracle = {want}"
-                break
-        rows.append((f"{fid} vs enumeration", f"n<={enum_max}", not witness, witness))
-        return rows
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check_one, ids))
-    else:
-        results = [check_one(fid) for fid in ids]
-    for rows in results:
-        for name, dim, passed, witness in rows:
-            report.add(name, dim, passed, witness)
+        oracles = (
+            ("DP", dp_max, _dp_prefix(m, dp_max)),
+            ("enumeration", enum_max, [_enum_value(m, stats) for stats in enumerated[m.family]]),
+        )
+        for oracle, bound, wants in oracles:
+            witness = ""
+            for n, want in enumerate(wants):
+                got = series.coeff(n)
+                if got != want:
+                    witness = f"[z^{n}] {fid} = {got}, {oracle} oracle = {want}"
+                    break
+            report.add(f"{fid} vs {oracle}", f"n<={bound}", not witness, witness)
     report.data["formulas_checked"] = len(ids)
-    report.data["cells_checked"] = len(ids) * (dp_max + 1 + min(enum_max, dp_max) + 1)
+    report.data["cells_checked"] = len(ids) * (dp_max + 1 + n_enum + 1)
     report.raise_if_failed()
     return report

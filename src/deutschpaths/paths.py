@@ -368,20 +368,25 @@ def count_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
     """
     if query.n > bound:
         raise BoundExceeded(f"n={query.n} exceeds DP bound {bound}")
-    counts = _dp_vector(query)
-    target = _target_levels(query)
-    if target is None:
-        return sum(counts)
-    return counts[target] if target < len(counts) else 0
+    for counts in _dp_vector(query.family, _height_cap(query), query.n):
+        pass
+    return _read(counts, _target_levels(query))
 
 
-def _dp_vector(query: PathFamilyQuery) -> list[int]:
-    cap = _height_cap(query)
+def _dp_vector(family: str, cap: int, n: int):
+    """Yield the level vector of the strip [0, cap] after 0, 1, ..., n steps."""
     counts = [0] * (cap + 1)
     counts[0] = 1
-    for _ in range(query.n):
-        counts = _dp_step(query.family, counts, cap)
-    return counts
+    yield counts
+    for _ in range(n):
+        counts = _dp_step(family, counts, cap)
+        yield counts
+
+
+def _read(vector: list[int], target: int | None) -> int:
+    if target is None:
+        return sum(vector)
+    return vector[target] if target < len(vector) else 0
 
 
 def _dp_step(family: str, counts: list[int], cap: int) -> list[int]:
@@ -413,28 +418,38 @@ def _dp_step(family: str, counts: list[int], cap: int) -> list[int]:
     return new
 
 
-def total_area_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
-    """Sum of areas over all paths matching the query.
+def _prefix(query: PathFamilyQuery, statistic: str = "count") -> list[int]:
+    """A statistic summed over the query's paths, at every length 0..query.n.
 
-    Carries (count, area-sum) per level; appending a step that lands on
-    level l adds l to every path's area.
+    ``statistic`` is "count", "area" or "height".  Count and area come from
+    one level-vector sweep; height sums, over every h below the strip's cap,
+    the paths of height > h: the strip count minus the count in [0, h].
     """
+    family, cap, target = query.family, _height_cap(query), _target_levels(query)
+    if statistic == "count":
+        return [_read(v, target) for v in _dp_vector(family, cap, query.n)]
+    if statistic == "area":
+        # appending a step that lands on level l adds l to every path's area
+        out, areas = [], [0] * (cap + 1)
+        for t, counts in enumerate(_dp_vector(family, cap, query.n)):
+            if t:
+                areas = _dp_step(family, areas, cap)
+            areas = [a + level * c for level, (a, c) in enumerate(zip(areas, counts))]
+            out.append(_read(areas, target))
+        return out
+    within = _prefix(query)
+    out = [0] * (query.n + 1)
+    for h in range(cap):
+        lower = [_read(v, target) for v in _dp_vector(family, h, query.n)]
+        out = [t + a - b for t, a, b in zip(out, within, lower)]
+    return out
+
+
+def total_area_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
+    """Sum of areas over all paths matching the query."""
     if query.n > bound:
         raise BoundExceeded(f"n={query.n} exceeds DP bound {bound}")
-    cap = _height_cap(query)
-    counts = [0] * (cap + 1)
-    areas = [0] * (cap + 1)
-    counts[0] = 1
-    for _ in range(query.n):
-        new_counts = _dp_step(query.family, counts, cap)
-        new_areas = _dp_step(query.family, areas, cap)
-        for level in range(cap + 1):
-            new_areas[level] += level * new_counts[level]
-        counts, areas = new_counts, new_areas
-    target = _target_levels(query)
-    if target is None:
-        return sum(areas)
-    return areas[target] if target < len(areas) else 0
+    return _prefix(query, "area")[-1]
 
 
 def total_height_dp(n: int, family: str = "closed", bound: int = DEFAULT_DP_BOUND) -> int:
@@ -445,10 +460,7 @@ def total_height_dp(n: int, family: str = "closed", bound: int = DEFAULT_DP_BOUN
     """
     if family not in ("closed", "open"):
         raise QueryError("family must be 'closed' or 'open'")
+    if n > bound:
+        raise BoundExceeded(f"n={n} exceeds DP bound {bound}")
     end = 0 if family == "closed" else None
-    total_all = count_dp(PathFamilyQuery("deutsch", n, end_level=end), bound)
-    total = 0
-    for h in range(1, n + 1):
-        capped = count_dp(PathFamilyQuery("deutsch", n, end_level=end, max_height=h - 1), bound)
-        total += total_all - capped
-    return total
+    return _prefix(PathFamilyQuery("deutsch", n, end_level=end), "height")[-1]

@@ -10,25 +10,20 @@ machine-checked witness dimension.
 
 from __future__ import annotations
 
-import time
-
 from .bijection import certify
 from .formulas import oracle_check
 from .matrices import adjudicate_det_product, verify_det_recursion, verify_lu
 from .reporting import MismatchFound, VerificationReport
 
 
-def run_selftest(threads: int = 1) -> VerificationReport:
+def run_selftest() -> VerificationReport:
     """Run the full fast battery; raises MismatchFound on any failure."""
     report = VerificationReport("selftest")
-    failures: list[str] = []
-    t0 = time.time()
-
     parts = (
-        ("oracle", lambda: oracle_check(enum_max=8, dp_max=30, h_max=4, threads=threads)),
+        ("oracle", lambda: oracle_check(enum_max=8, dp_max=30, h_max=4)),
         ("lu", lambda: verify_lu(8)),
         ("det_recursion", lambda: verify_det_recursion(10)),
-        ("bijection", lambda: certify(8, threads=threads)),
+        ("bijection", lambda: certify(8)),
         ("det_product_adjudication", lambda: adjudicate_det_product(3)),
     )
     for name, run in parts:
@@ -36,7 +31,6 @@ def run_selftest(threads: int = 1) -> VerificationReport:
             sub = run()
         except MismatchFound as exc:
             sub = exc.report
-            failures.append(str(exc))
         for check in sub.checks:
             report.add(f"{name}: {check.name}", check.dimension, check.passed, check.witness)
         if sub.data:
@@ -44,6 +38,5 @@ def run_selftest(threads: int = 1) -> VerificationReport:
 
     adjudication = report.data.get("det_product_adjudication", {})
     report.data["det_product_statement"] = adjudication.get("statement", "adjudication missing")
-    report.data["elapsed_seconds"] = round(time.time() - t0, 3)
     report.raise_if_failed()
     return report

@@ -314,3 +314,19 @@ class TestDiskCache:
         (tmp_path / "algebra_cache.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError):
             load_cache(tmp_path)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"v_prefix": [0, 1]},
+            {"trinomial_rows": {}},
+            {"trinomial_rows": [], "v_prefix": []},
+            {"trinomial_rows": {"1": 3}, "v_prefix": []},
+            {"trinomial_rows": {}, "v_prefix": 7},
+        ],
+    )
+    def test_missing_or_ill_typed_fields_rejected(self, tmp_path, fields):
+        header = {"format": "deutschpaths-cache", "version": 1}
+        (tmp_path / "algebra_cache.json").write_text(json.dumps({**header, **fields}))
+        with pytest.raises(ValueError):
+            load_cache(tmp_path)

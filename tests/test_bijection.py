@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from deutschpaths.bijection import (
 )
 from deutschpaths.paths import (
     DeutschPath,
+    MotzkinPath,
     PathFamilyQuery,
     enumerate_paths,
     validate_path,
@@ -141,11 +144,42 @@ class TestCertify:
         assert report.ok
         assert report.data["counts"] == [1, 1, 2, 4, 9, 21, 51, 127, 323]
 
-    def test_threaded_matches_serial(self):
-        serial = certify(6)
-        threaded = certify(6, threads=3)
-        assert serial.ok and threaded.ok
-        assert serial.data["counts"] == threaded.data["counts"]
+
+
+def _random_deutsch_steps(n, seed):
+    rng = random.Random(seed)
+    steps, level = [], 0
+    for _ in range(n):
+        k = rng.randint(0, min(level, 3))
+        steps.append(1 if k == 0 else -k)
+        level += steps[-1]
+    return steps
+
+
+class TestLongPaths:
+    """The scans have no recursion depth: paths far past the recursion limit."""
+
+    N = 10_000
+
+    def test_deutsch_round_trip(self):
+        w = DeutschPath(_random_deutsch_steps(self.N, 7))
+        image = to_motzkin(w)
+        assert len(image) == self.N
+        assert from_motzkin(image) == w
+
+    def test_all_ups_map_to_flats(self):
+        image = to_motzkin(DeutschPath([1] * self.N))
+        assert image == MotzkinPath([0] * self.N)
+        assert from_motzkin(image) == DeutschPath([1] * self.N)
+
+    def test_motzkin_round_trip(self):
+        m = to_motzkin(DeutschPath(_random_deutsch_steps(self.N, 11)))
+        assert to_motzkin(from_motzkin(m)) == m
+
+    def test_returns_count_matches_image_up_steps(self):
+        w = DeutschPath(_random_deutsch_steps(1200, 5))
+        assert returns_count(w) == sum(1 for s in to_motzkin(w).steps if s == 1)
+        assert returns_count(DeutschPath([1] * 1200)) == 0
 
 
 @st.composite

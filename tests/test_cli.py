@@ -60,11 +60,12 @@ class TestEnvelope:
             jsonschema.validate(env, SCHEMA)
 
     def test_envelope_is_reproducible_modulo_timing(self):
-        _, a = run_json(["count", "--family", "deutsch", "--n", "9"])
-        _, b = run_json(["count", "--family", "deutsch", "--n", "9"])
-        a.pop("elapsed_seconds")
-        b.pop("elapsed_seconds")
-        assert a == b
+        for argv in (["count", "--family", "deutsch", "--n", "9"], ["selftest"]):
+            _, a = run_json(argv)
+            _, b = run_json(argv)
+            a.pop("elapsed_seconds")
+            b.pop("elapsed_seconds")
+            assert a == b, argv
 
 
 class TestCount:
@@ -153,6 +154,11 @@ class TestBiject:
     def test_invalid_tokens(self):
         code, text = run(["biject", "--path", "U X"])
         assert code == 2
+
+    def test_path_past_the_recursion_limit(self):
+        code, env = run_json(["biject", "--path", " ".join(["U"] * 1200)])
+        assert code == 0
+        assert env["payload"]["output"] == " ".join(["F"] * 1200)
 
 
 class TestVerify:
@@ -253,6 +259,17 @@ class TestConfigAndCache:
             ["series", "--formula", "closed", "--terms", "15", "--cache-dir", str(tmp_path)]
         )
         assert first["payload"] == second["payload"]
+
+    def test_cache_missing_rows_is_ignored_with_warning(self, tmp_path, capsys):
+        (tmp_path / "algebra_cache.json").write_text(
+            json.dumps({"format": "deutschpaths-cache", "version": 1, "v_prefix": [0, 1]})
+        )
+        code, env = run_json(
+            ["series", "--formula", "closed", "--terms", "8", "--cache-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert env["payload"]["coefficients"][-1] == "91"
+        assert "warning: ignoring cache" in capsys.readouterr().err
 
     def test_config_enumeration_bound(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -203,11 +203,21 @@ class TestOracle:
         assert exc.value.report.failures
         assert "phi0_limit" in exc.value.report.failures[0].witness
 
-    def test_threads_agree_with_serial(self):
-        serial = oracle_check(enum_max=5, dp_max=12, h_max=2)
-        threaded = oracle_check(enum_max=5, dp_max=12, h_max=2, threads=4)
-        assert serial.ok and threaded.ok
-        assert [c.name for c in serial.checks] == [c.name for c in threaded.checks]
+    def test_ids_bounded_above_h_max(self):
+        # the reversed enumeration must reach the ids' own height bounds
+        ids = [FormulaId("psi", (5, 2)), FormulaId("reversed_sum", (5,))]
+        report = oracle_check(ids=ids, enum_max=6, dp_max=12, h_max=2)
+        assert report.ok
+        assert report.data["cells_checked"] == 2 * (13 + 7)
+
+    def test_meanings_cover_every_counting_formula(self):
+        from deutschpaths.formulas import _MEANINGS, _SPECS
+
+        assert set(_MEANINGS) == set(_SPECS) - {"reversed_limit_formal"}
+
+    def test_formal_formula_has_no_meaning(self):
+        with pytest.raises(BadParams):
+            oracle_check(ids=[FormulaId("reversed_limit_formal")], enum_max=3, dp_max=3)
 
 
 class TestSingleFormulaOracleSpot:

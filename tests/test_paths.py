@@ -17,6 +17,7 @@ from deutschpaths.paths import (
     PathFamilyQuery,
     QueryError,
     ReversedDeutschPath,
+    _prefix,
     count_dp,
     enumerate_paths,
     reverse_path,
@@ -197,6 +198,46 @@ class TestStatisticOracles:
         for n in range(9):
             q = PathFamilyQuery("deutsch", n, end_level=end)
             assert total_height_dp(n, family) == sum(p.height for p in enumerate_paths(q))
+
+
+def _queries(family, n):
+    """Every end level and height bound the prefix tests sweep, at length n."""
+    ends = [0, None] if family == "motzkin" else [0, 1, 2, None]
+    for end in ends:
+        for h in (None, 0, 1, 2, 3):
+            if end is not None and h is not None and end > h:
+                continue
+            if family == "reversed" and end is None and h is None:
+                continue  # infinite family
+            yield PathFamilyQuery(family, n, end_level=end, max_height=h)
+
+
+class TestPrefix:
+    """One sweep gives the statistic at every length up to n."""
+
+    @pytest.mark.parametrize("family", ["deutsch", "reversed", "motzkin"])
+    def test_prefix_matches_per_n_counters(self, family):
+        for q in _queries(family, 15):
+            lengths = [PathFamilyQuery(family, n, q.end_level, q.max_height) for n in range(16)]
+            assert _prefix(q) == [count_dp(r) for r in lengths], q
+            assert _prefix(q, "area") == [total_area_dp(r) for r in lengths], q
+
+    @pytest.mark.parametrize("family", ["closed", "open"])
+    def test_height_prefix_matches_total_height_dp(self, family):
+        q = PathFamilyQuery("deutsch", 15, end_level=0 if family == "closed" else None)
+        assert _prefix(q, "height") == [total_height_dp(n, family) for n in range(16)]
+
+    @pytest.mark.parametrize("family", ["deutsch", "reversed", "motzkin"])
+    @pytest.mark.parametrize("statistic", ["count", "area", "height"])
+    def test_prefix_matches_enumeration(self, family, statistic):
+        weight = {"count": lambda p: 1, "area": lambda p: p.area, "height": lambda p: p.height}
+        for q in _queries(family, 7):
+            want = [
+                sum(weight[statistic](p) for p in enumerate_paths(
+                    PathFamilyQuery(family, n, q.end_level, q.max_height)))
+                for n in range(8)
+            ]
+            assert _prefix(q, statistic) == want, q
 
 
 class TestReversal:
