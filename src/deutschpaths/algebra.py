@@ -12,23 +12,28 @@ The two systems are connected by the kernel substitution
 
     z = v/(1+v+v^2),    equivalently    v = z*(1+v+v^2),
 
-whose series solution v(z) = z + z^2 + 2z^3 + 4z^4 + ... (shifted Motzkin
-numbers) is computed by Newton iteration on integer coefficient lists; no
-square roots appear anywhere.  ``expand_in_z`` composes a rational
-function with v(z); ``coeff_of_z`` extracts a single z-coefficient
-directly through trinomial rows, which is how the large-n statistics
-avoid building million-term series.
+whose series solution is v(z) = z + z^2 + 2z^3 + 4z^4 + ... (shifted
+Motzkin numbers).  Every z-expansion goes through one route, Lagrange
+inversion:
+
+    [z^n] F(v(z)) = [v^n] F(v) * (1 - v^2) * (1+v+v^2)^(n-1),    n >= 1,
+
+so no square roots and no series reversion appear anywhere.
+``compose_with_v`` applies it to a v-prefix with kernel powers built in
+one local sweep; ``expand_in_z`` and ``v_of_z`` are built on it, and
+``coeff_of_z`` applies it at a single n through a cached trinomial row,
+which is how the large-n statistics avoid building million-term series.
 
 Trinomial coefficients trinomial(n, k) = [v^k](1+v+v^2)^n are produced a
 whole row at a time by an integer three-term recurrence in k, cached in
-memory, and optionally persisted to a small versioned JSON cache file
-together with the computed prefix of v(z).
+memory, and optionally persisted to a small versioned JSON cache file.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import os
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -567,69 +572,47 @@ class Series:
 
 # --- the substitution v(z) ------------------------------------------------
 
-_V_LOCK = threading.Lock()
-_V_PREFIX: list[int] = [0, 1]  # v = z + O(z^2)
+
+def _times_one_minus_v2(w) -> list:
+    """The prefix w(v) * (1 - v^2), truncated to len(w) terms."""
+    return [c - w[k - 2] if k >= 2 else c for k, c in enumerate(w)]
 
 
-def _list_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, ca in enumerate(a[: n + 1]):
-        if ca:
-            for j in range(min(len(b), n + 1 - i)):
-                cb = b[j]
-                if cb:
-                    out[i + j] += ca * cb
-    return out
+def _lagrange_coeff(u, row, n: int):
+    """[z^n] F(v(z)) for n >= 1 as [v^n] u*row, from u = F*(1 - v^2) and
+    row = (1+v+v^2)^(n-1), both known at least through v^n."""
+    return _norm_coeff(sum(u[j] * row[n - j] for j in range(max(2 - n, 0), n + 1) if u[j]))
 
 
-def _list_div(a: list[int], b: list[int], n: int) -> list[int]:
-    # b[0] must be +-1 so the quotient stays integral
-    out = [0] * (n + 1)
-    inv0 = b[0]
-    for i in range(n + 1):
-        acc = a[i] if i < len(a) else 0
-        for j in range(1, min(i, len(b) - 1) + 1):
-            acc -= b[j] * out[i - j]
-        out[i] = acc // inv0
-    return out
+def compose_with_v(coeffs_in_v, order: int) -> Series:
+    """Substitute v(z) into an explicit v-series prefix, through z^order.
 
-
-def _extend_v_prefix(order: int) -> None:
-    global _V_PREFIX
-    m = len(_V_PREFIX) - 1
-    v = list(_V_PREFIX)
-    while m < order:
-        m = min(2 * m, order)
-        v = (v + [0] * (m + 1 - len(v)))[: m + 1]
-        # Newton step for f(v) = v - z*(1+v+v^2):  v <- v - f(v)/f'(v)
-        v2 = _list_mul(v, v, m)
-        kern = [1 + v[0] + v2[0]] + [v[k] + v2[k] for k in range(1, m + 1)]
-        num = [v[0]] + [v[k] - kern[k - 1] for k in range(1, m + 1)]
-        one_plus_2v = [1 + 2 * v[0]] + [2 * v[k] for k in range(1, m + 1)]
-        den = [1] + [-one_plus_2v[k] for k in range(m)]  # 1 - z*(1+2v)
-        corr = _list_div(num, den, m)
-        v = [v[k] - corr[k] for k in range(m + 1)]
-    _V_PREFIX = v
+    Each coefficient is the Lagrange form of the module docstring; row n-1
+    of the kernel powers is row n-2 convolved with (1, 1, 1), in one local
+    sweep kept only through v^order.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    w = list(coeffs_in_v)[: order + 1]
+    w += [0] * (order + 1 - len(w))
+    u = _times_one_minus_v2(w)
+    out = [w[0]]
+    row = [1]
+    for n in range(1, order + 1):
+        out.append(_lagrange_coeff(u, row, n))
+        row = [a + b + c for a, b, c in zip(row + [0, 0], [0] + row + [0], [0, 0] + row)]
+        del row[order + 1 :]
+    return Series(out)
 
 
 def v_of_z(order: int) -> Series:
     """The series v(z) with v = z*(1+v+v^2), v(0) = 0, through z^order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    with _V_LOCK:
-        if len(_V_PREFIX) - 1 < order:
-            _extend_v_prefix(order)
-        return Series(_V_PREFIX[: order + 1])
+    return compose_with_v((0, 1), order)
 
 
 def expand_in_z(f: RatFn | Poly, order: int) -> Series:
     """Compose f (a function of v) with v(z), truncated to the given order."""
-    if isinstance(f, Poly):
-        f = RatFn(f)
-    if f.den.constant() == 0:
-        raise PoleAtOrigin("denominator vanishes at v = 0")
-    vv = v_of_z(order)
-    return f.num(vv) / f.den(vv)
+    return compose_with_v(expand_in_v(f, order).coeffs, order)
 
 
 def expand_in_v(f: RatFn | Poly, order: int) -> Series:
@@ -641,15 +624,6 @@ def expand_in_v(f: RatFn | Poly, order: int) -> Series:
     num = Series.from_poly(f.num, order)
     den = Series.from_poly(f.den, order)
     return num / den
-
-
-def compose_with_v(coeffs_in_v, order: int) -> Series:
-    """Substitute v(z) into an explicit v-series prefix (Horner in v)."""
-    vv = v_of_z(order)
-    result = Series.zero(order)
-    for c in reversed(list(coeffs_in_v)):
-        result = result * vv + c
-    return result
 
 
 # --- trinomial coefficients ------------------------------------------------
@@ -696,55 +670,53 @@ def trinomial(n: int, k: int) -> int:
 def coeff_of_z(f: RatFn | Poly, n: int):
     """Single coefficient [z^n] f(v(z)) without building the z-series.
 
-    Rests on the residue form of the substitution: for n >= 1,
-    [z^n] F(v(z)) = [v^n] F(v) * (1 - v^2) * (1+v+v^2)^(n-1).
+    The same Lagrange form as ``compose_with_v``, at one n: for n >= 1,
+    [z^n] F(v(z)) = [v^n] F(v) * (1 - v^2) * (1+v+v^2)^(n-1), with the
+    kernel power read from the trinomial row cache.
     """
-    if isinstance(f, Poly):
-        f = RatFn(f)
-    if f.den.constant() == 0:
-        raise PoleAtOrigin("denominator vanishes at v = 0")
-    if n < 0:
-        return 0
-    if n == 0:
-        return _norm_coeff(_as_fraction(f.num.constant()) / _as_fraction(f.den.constant()))
-    w = expand_in_v(f * RatFn(Poly((1, 0, -1))), n)
-    row = trinomial_row(n - 1)
-    total = 0
-    for j in range(n + 1):
-        wj = w.coeffs[j]
-        if wj:
-            k = n - j
-            if k <= 2 * (n - 1):
-                total += wj * row[k]
-    return _norm_coeff(total)
+    w = expand_in_v(f, max(n, 0)).coeffs
+    if n < 1:
+        return w[0] if n == 0 else 0
+    return _lagrange_coeff(_times_one_minus_v2(w), trinomial_row(n - 1), n)
 
 
 # --- optional disk cache ---------------------------------------------------
 
 CACHE_FORMAT = "deutschpaths-cache"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CACHE_FILENAME = "algebra_cache.json"
 
 
 def save_cache(directory: str | Path) -> Path:
-    """Persist trinomial rows and the v(z) prefix as versioned JSON."""
+    """Persist the trinomial rows as versioned JSON.
+
+    The file is written beside the cache under a temporary name and moved
+    over it with ``os.replace``, so a failed write leaves the old cache whole.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with _TRI_LOCK, _V_LOCK:
+    with _TRI_LOCK:
         payload = {
             "format": CACHE_FORMAT,
             "version": CACHE_VERSION,
-            "v_prefix": list(_V_PREFIX),
             "trinomial_rows": {str(n): list(row) for n, row in _TRI_ROWS.items()},
         }
     target = directory / CACHE_FILENAME
-    target.write_text(json.dumps(payload))
+    tmp = directory / f".{CACHE_FILENAME}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
     return target
 
 
 def load_cache(directory: str | Path) -> bool:
-    """Merge a previously saved cache file; returns True if one was loaded."""
-    global _V_PREFIX
+    """Merge a previously saved cache file; returns True if one was loaded.
+
+    Every row is checked (length 2n+1, sum 3^n, palindrome) before any is
+    merged, so a damaged file raises ValueError and changes nothing.
+    """
     target = Path(directory) / CACHE_FILENAME
     if not target.exists():
         return False
@@ -753,17 +725,12 @@ def load_cache(directory: str | Path) -> bool:
         if payload.get("format") != CACHE_FORMAT or payload.get("version") != CACHE_VERSION:
             raise ValueError(f"unrecognized cache file {target}")
         rows = {int(k): tuple(int(c) for c in row) for k, row in payload["trinomial_rows"].items()}
-        prefix = [int(c) for c in payload["v_prefix"]]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed cache file {target}: {exc!r}") from None
     for n, row in rows.items():
-        if len(row) != 2 * n + 1:
+        if len(row) != 2 * n + 1 or sum(row) != 3**n or row != row[::-1]:
             raise ValueError(f"corrupt trinomial row {n} in {target}")
-    with _TRI_LOCK, _V_LOCK:
+    with _TRI_LOCK:
         for n, row in rows.items():
             _TRI_ROWS.setdefault(n, row)
-        if len(prefix) > len(_V_PREFIX):
-            if prefix[: len(_V_PREFIX)] != _V_PREFIX:
-                raise ValueError(f"cache v-prefix disagrees with computed values in {target}")
-            _V_PREFIX = prefix
     return True

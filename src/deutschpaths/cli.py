@@ -134,6 +134,8 @@ def _cmd_enumerate(args, config) -> dict:
 
 
 def _formula_from_args(args) -> tuple[FormulaId, Series]:
+    if args.terms < 0:
+        raise UsageError(f"--terms must be >= 0, got {args.terms}", "pass --terms N with N >= 0")
     text = FORMULA_ALIASES.get(args.formula.strip(), args.formula.strip())
     if text in ("height_sum_closed", "height_sum_open"):
         fid = FormulaId(text, (args.terms,))
@@ -214,6 +216,10 @@ def _cmd_verify(args, config) -> dict:
 
 
 def _cmd_stats(args, config) -> dict:
+    if args.n < 1:
+        raise UsageError(
+            f"--n must be >= 1, got {args.n}", "pass --n N with N >= 1 (N >= 2 for closed paths)"
+        )
     if args.metric == "height":
         law = LAWS["avg_height_closed" if args.family == "closed" else "avg_height_open"]
     else:
@@ -226,7 +232,7 @@ def _cmd_stats(args, config) -> dict:
     try:
         exact = law.exact(args.n)
     except ZeroCount as exc:
-        raise UsageError(str(exc), "closed paths need n = 0 or n >= 2")
+        raise UsageError(str(exc), "closed paths need n >= 2")
     approx = law.approx(args.n)
     return {
         "metric": args.metric,
@@ -346,7 +352,7 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
     fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p.add_argument("--cache-dir", help=f"series/trinomial cache directory (or ${CACHE_ENV_VAR})")
+    p.add_argument("--cache-dir", help=f"trinomial-row cache directory (or ${CACHE_ENV_VAR})")
     p.add_argument("--config", help="JSON config file; flags override its values")
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deutschpaths import algebra
 from deutschpaths.algebra import (
     KERNEL,
     V,
@@ -29,7 +30,8 @@ from deutschpaths.algebra import (
     trinomial_row,
     v_of_z,
 )
-from deutschpaths.paths import PathFamilyQuery, count_dp
+from deutschpaths.formulas import formula
+from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
 MOTZKIN = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188)
 
@@ -249,10 +251,12 @@ class TestSubstitution:
     )
     @settings(max_examples=40, deadline=None)
     def test_two_pipelines_agree(self, num, den0, den_rest):
+        # Lagrange inversion against Series arithmetic on v(z), which
+        # test_defining_equation pins independently
         f = RatFn(Poly(num), Poly([den0] + den_rest))
-        direct = expand_in_z(f, 15)
-        via_v = compose_with_v(expand_in_v(f, 15).coeffs, 15)
-        assert direct == via_v
+        vv = v_of_z(15)
+        assert expand_in_z(f, 15) == f.num(vv) / f.den(vv)
+        assert compose_with_v(num, 15) == Poly(num)(vv)
 
     @given(
         st.lists(st.integers(-4, 4), min_size=1, max_size=5),
@@ -268,6 +272,9 @@ class TestSubstitution:
     def test_single_coefficient_matches_dp_at_large_n(self):
         f = RatFn(KERNEL, Poly((1, 1)))
         assert coeff_of_z(f, 300) == count_dp(PathFamilyQuery("deutsch", 300, end_level=0))
+        closed = PathFamilyQuery("deutsch", 400, end_level=0)
+        assert list(expand_in_z(f, 400).coeffs) == _prefix(closed)
+        assert list(expand_in_z(formula("area_A"), 400).coeffs) == _prefix(closed, "area")
 
 
 class TestTrinomials:
@@ -298,12 +305,12 @@ class TestTrinomials:
 class TestDiskCache:
     def test_save_load_roundtrip(self, tmp_path):
         trinomial_row(17)
-        v_of_z(12)
         target = save_cache(tmp_path)
         assert target.exists()
         payload = json.loads(target.read_text())
         assert payload["format"] == "deutschpaths-cache"
-        assert payload["version"] == 1
+        assert payload["version"] == 2
+        assert set(payload) == {"format", "version", "trinomial_rows"}
         assert payload["trinomial_rows"]["17"] == list(trinomial_row(17))
         assert load_cache(tmp_path) is True
 
@@ -318,15 +325,51 @@ class TestDiskCache:
     @pytest.mark.parametrize(
         "fields",
         [
-            {"v_prefix": [0, 1]},
-            {"trinomial_rows": {}},
-            {"trinomial_rows": [], "v_prefix": []},
-            {"trinomial_rows": {"1": 3}, "v_prefix": []},
-            {"trinomial_rows": {}, "v_prefix": 7},
+            {},
+            {"trinomial_rows": []},
+            {"trinomial_rows": {"1": 3}},
+            # a version-1 file, which also stored a v(z) prefix
+            {"version": 1, "v_prefix": [0, 1], "trinomial_rows": {"0": [1]}},
         ],
     )
     def test_missing_or_ill_typed_fields_rejected(self, tmp_path, fields):
-        header = {"format": "deutschpaths-cache", "version": 1}
+        header = {"format": "deutschpaths-cache", "version": 2}
         (tmp_path / "algebra_cache.json").write_text(json.dumps({**header, **fields}))
         with pytest.raises(ValueError):
             load_cache(tmp_path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, 3, 6, 7, 6, 3, 0],  # sum is not 3^3
+            [1, 3, 6, 6, 7, 3, 1],  # right sum, not a palindrome
+            [0] * 7,
+        ],
+    )
+    def test_poisoned_rows_rejected_before_any_merge(self, tmp_path, monkeypatch, row):
+        rows = {0: (1,)}
+        monkeypatch.setattr(algebra, "_TRI_ROWS", rows)
+        payload = {
+            "format": "deutschpaths-cache",
+            "version": 2,
+            "trinomial_rows": {"2": [1, 2, 3, 2, 1], "3": row},
+        }
+        (tmp_path / "algebra_cache.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="corrupt trinomial row 3"):
+            load_cache(tmp_path)
+        assert rows == {0: (1,)}
+
+    def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+        target = save_cache(tmp_path)
+        before = target.read_bytes()
+        trinomial_row(23)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(algebra.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_cache(tmp_path)
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [target.name]

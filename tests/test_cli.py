@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from deutschpaths import __version__
+from deutschpaths import __version__, algebra
 from deutschpaths.cli import CACHE_ENV_VAR, main
 
 SCHEMA_PATH = (
@@ -233,6 +233,24 @@ class TestErrors:
         code, _ = run(["verify", "det", "--max-n", "3", "--csv"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--formula", "closed", "--terms", "-1"],
+            ["stats", "height", "--n", "-3"],
+            ["stats", "area", "--n", "0"],
+            ["stats", "height", "--n", "1"],
+        ],
+    )
+    def test_out_of_range_lengths_refused(self, argv, capsys):
+        code, text = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert "error:" in err
+        assert "hint:" in err
+        assert "n = 0" not in err
+
 
 class TestConfigAndCache:
     def test_cache_dir_flag_writes_cache(self, tmp_path):
@@ -262,13 +280,26 @@ class TestConfigAndCache:
 
     def test_cache_missing_rows_is_ignored_with_warning(self, tmp_path, capsys):
         (tmp_path / "algebra_cache.json").write_text(
-            json.dumps({"format": "deutschpaths-cache", "version": 1, "v_prefix": [0, 1]})
+            json.dumps({"format": "deutschpaths-cache", "version": 2})
         )
         code, env = run_json(
             ["series", "--formula", "closed", "--terms", "8", "--cache-dir", str(tmp_path)]
         )
         assert code == 0
         assert env["payload"]["coefficients"][-1] == "91"
+        assert "warning: ignoring cache" in capsys.readouterr().err
+
+    def test_poisoned_cache_rows_are_ignored_with_warning(self, tmp_path, monkeypatch, capsys):
+        # a fresh process: no rows computed yet, so loaded rows would be used
+        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+        cache = algebra.save_cache(tmp_path)
+        data = json.loads(cache.read_text())
+        data["trinomial_rows"]["8"] = [0] * 17
+        data["trinomial_rows"]["9"] = [0] * 19
+        cache.write_text(json.dumps(data))
+        code, text = run(["stats", "area", "--n", "9", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert "exact=4065/232" in text
         assert "warning: ignoring cache" in capsys.readouterr().err
 
     def test_config_enumeration_bound(self, tmp_path):
