@@ -32,6 +32,7 @@ memory, and optionally persisted to a small versioned JSON cache file.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import threading
@@ -226,16 +227,6 @@ class Poly:
             result = result * x + c
         return result
 
-    def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
-
-    def to_json(self) -> list:
-        return [[_as_fraction(c).numerator, _as_fraction(c).denominator] for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "Poly":
-        return cls(Fraction(int(p), int(q)) for p, q in data)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -273,24 +264,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return a
     fracs = [_as_fraction(c) for c in a.coeffs]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // _gcd_int(denom_lcm, f.denominator)
+    denom_lcm = math.lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom_lcm) for f in fracs]
-    content = 0
-    for c in ints:
-        content = _gcd_int(content, abs(c))
+    content = math.gcd(*ints)
     ints = [c // content for c in ints]
     low = next(c for c in ints if c != 0)
     if low < 0:
         ints = [-c for c in ints]
     return Poly(ints)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class RatFn:
@@ -442,10 +423,6 @@ class Series:
         raise AttributeError("series are immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls((0,) * (order + 1))
-
-    @classmethod
     def from_poly(cls, p: Poly, order: int) -> "Series":
         cs = list(p.coeffs[: order + 1])
         cs += [0] * (order + 1 - len(cs))
@@ -548,21 +525,6 @@ class Series:
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "coefficients": [
-                [_as_fraction(c).numerator, _as_fraction(c).denominator] for c in self.coeffs
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "Series":
-        cs = [Fraction(int(p), int(q)) for p, q in data["coefficients"]]
-        if len(cs) != data["order"] + 1:
-            raise ValueError("series JSON length does not match order")
-        return cls(cs)
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])

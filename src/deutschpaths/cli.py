@@ -83,11 +83,22 @@ def _load_config(path: str | None) -> dict:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}", "pass a readable JSON file")
-    if data.get("format") != CONFIG_FORMAT or data.get("version") != CONFIG_VERSION:
+    if (
+        not isinstance(data, dict)
+        or data.get("format") != CONFIG_FORMAT
+        or data.get("version") != CONFIG_VERSION
+    ):
         raise UsageError(
             f"config file {path} is not a {CONFIG_FORMAT} v{CONFIG_VERSION} document",
             'expected {"format": "deutschpaths-config", "version": 1, ...}',
         )
+    for field, kind in (("enumeration_bound", int), ("cache_dir", str)):
+        value = data.get(field)
+        if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+            raise UsageError(
+                f"config field {field!r} must be {kind.__name__}, got {value!r}",
+                "enumeration_bound is an integer; cache_dir is a string",
+            )
     return data
 
 
@@ -181,26 +192,33 @@ def _cmd_biject(args, config) -> dict:
     }
 
 
-_VERIFY_TARGETS = ("det", "recursion", "cramer", "lu", "oracle", "bijection", "product", "all")
+#: Each battery: its call on --max-n, its default --max-n, the least it accepts.
+_BATTERIES = {
+    "det": (verify_determinant, 12, 1),
+    "recursion": (verify_det_recursion, 12, 3),
+    "cramer": (verify_cramer, 8, 1),
+    "lu": (verify_lu, 12, 1),
+    "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1),
+    "bijection": (certify, 8, 1),
+    "product": (adjudicate_det_product, 3, 1),
+}
+_VERIFY_TARGETS = (*_BATTERIES, "all")
 
 
 def _run_verify(target: str, max_n: int | None) -> VerificationReport:
-    if target == "det":
-        return verify_determinant(max_n or 12)
-    if target == "recursion":
-        return verify_det_recursion(max_n or 12)
-    if target == "cramer":
-        return verify_cramer(max_n or 8)
-    if target == "lu":
-        return verify_lu(max_n or 12)
-    if target == "oracle":
-        dp_max = max_n or 30
-        return oracle_check(enum_max=min(8, dp_max), dp_max=dp_max, h_max=4)
-    if target == "bijection":
-        return certify(max_n or 8)
-    if target == "product":
-        return adjudicate_det_product(max_n or 3)
-    return run_selftest()
+    if target == "all":
+        if max_n is not None:
+            raise UsageError("verify all takes no --max-n", "drop --max-n, or name one battery")
+        return run_selftest()
+    battery, default, least = _BATTERIES[target]
+    if max_n is None:
+        return battery(default)
+    if max_n < least:
+        raise UsageError(
+            f"--max-n must be >= {least} for verify {target}, got {max_n}",
+            f"pass --max-n N with N >= {least}, or omit it for the default {default}",
+        )
+    return battery(max_n)
 
 
 def _report_payload(report: VerificationReport) -> dict:
@@ -315,11 +333,6 @@ def _emit_csv(subcommand: str, payload: dict, out) -> None:
                 repr(payload["asymptotic"]),
                 repr(payload["ratio"]),
             ]
-        )
-    else:
-        raise UsageError(
-            f"--csv is not available for {subcommand!r}",
-            "csv output covers count, enumerate, series, and stats",
         )
 
 
@@ -441,7 +454,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         if cache_dir:
             try:
                 algebra.save_cache(cache_dir)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)
     except UsageError as exc:

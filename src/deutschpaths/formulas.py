@@ -22,6 +22,11 @@ Catalog, with [z^n] meanings (h = height bound, i = end level):
     height_sum_closed(N)  series: total height, closed paths
     height_sum_open(N)    series: total height, open paths
 
+The two height sums are series, not rational functions: each sums a
+height >= h family over every h >= 1, which turns the factors
+1/(1-v^(h+2)) into one divisor-count series in v (see height_sum_closed),
+substituted once through z^N.
+
 reversed_limit_formal is the h -> infinity substitution into the
 reversed_sum expression.  Open reversed paths of a fixed length form an
 infinite family, so this is an algebraic identity with no counting
@@ -151,44 +156,42 @@ def area_gf() -> RatFn:
     return RatFn(num, den)
 
 
-def open_height_ge(h: int) -> RatFn:
-    """Open Deutsch paths of height >= h (h >= 1): the height_sum_open summand."""
-    if h < 1:
-        raise BadParams(f"open_height_ge needs h >= 1, got {h}")
-    num = KERNEL * Poly((1, 0, -1)) * Poly.monomial(1, h)
-    return RatFn(num, _one_minus_v_pow(h + 2))
-
-
-def _height_sum_series(order: int, summand, min_v_order) -> Series:
-    # Sum in the v-coordinate first: the h-th summand has v-order >= h (open)
-    # or h+1 (closed), and ord_z(v(z)) = 1, so terms with h > order cannot
-    # touch z^0..z^order.  The v-order claim is asserted, not assumed.
-    total = [0] * (order + 1)
-    for h in range(1, order + 1):
-        w = expand_in_v(summand(h), order)
-        lead = min_v_order(h)
-        for k in range(min(lead, order + 1)):
-            if w.coeffs[k] != 0:
-                raise AssertionError(
-                    f"height summand h={h} has unexpected v^{k} term; truncation unsafe"
-                )
-        for k in range(order + 1):
-            total[k] += w.coeffs[k]
-    return compose_with_v(total, order)
+def _height_sum_series(order: int, prefactor: RatFn, shift: int) -> Series:
+    # Summing 1/(1-v^(h+2)) = sum_j v^(j(h+2)) over h >= 1 leaves, at v^m,
+    # the number c_m of divisors d = h+2 >= 3 of m+shift; every such divisor
+    # is at most order+shift, so the sum is exact through v^order.
+    counts = [0] * (order + 1)
+    for d in range(3, order + shift + 1):
+        for k in range(d, order + shift + 1, d):
+            counts[k - shift] += 1
+    w = expand_in_v(prefactor, order) * Series(counts)
+    return compose_with_v(w.coeffs, order)
 
 
 def height_sum_closed(order: int) -> Series:
-    """Series whose [z^n] is the total height over closed Deutsch paths."""
+    """Series whose [z^n] is the total height over closed Deutsch paths.
+
+    The total height is the sum over h >= 1 of closed_height_ge(h), i.e.
+    (1+v+v^2)(1-v)/(1+v) * v^(h+1)/(1-v^(h+2)).  Expanding each geometric
+    factor, the v-series of the sum is (1+v+v^2)(1-v)/(1+v) times
+    sum_m c_m v^m, with c_m the number of divisors d >= 3 of m+1 (d = h+2):
+    the divisor-count form of de Bruijn, Knuth and Rice (1972).
+    """
     if order < 0:
         raise BadParams(f"order must be nonnegative, got {order}")
-    return _height_sum_series(order, closed_height_ge, lambda h: h + 1)
+    return _height_sum_series(order, RatFn(KERNEL * Poly((1, -1)), ONE_PLUS_V), 1)
 
 
 def height_sum_open(order: int) -> Series:
-    """Series whose [z^n] is the total height over open Deutsch paths."""
+    """Series whose [z^n] is the total height over open Deutsch paths.
+
+    Open paths of height >= h have (1+v+v^2)(1-v^2) v^h/(1-v^(h+2)), so the
+    sum over h >= 1 is (1+v+v^2)(1-v^2) times sum_m c_m v^m, with c_m the
+    number of divisors d >= 3 of m+2.
+    """
     if order < 0:
         raise BadParams(f"order must be nonnegative, got {order}")
-    return _height_sum_series(order, open_height_ge, lambda h: h)
+    return _height_sum_series(order, RatFn(KERNEL * Poly((1, 0, -1))), 2)
 
 
 # --- formula ids ------------------------------------------------------------

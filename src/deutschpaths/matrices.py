@@ -93,34 +93,37 @@ class QvMatrix:
         return "QvMatrix([\n" + "\n".join("  " + repr(list(r)) for r in self.rows) + "\n])"
 
 
+def _strip_rows(n: int, transposed: bool, one, zero, z) -> list[list]:
+    """Rows of the strip system over any field, given its one, zero and z."""
+
+    def entry(i: int, j: int):
+        if i == j:
+            return one
+        if transposed:
+            i, j = j, i
+        return -z if j == i - 1 or j > i else zero
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
 def build_matrix(n: int, transposed: bool = False) -> QvMatrix:
     """The strip system for levels 0..n-1: unit diagonal, -z at (i, i-1)
     and at every (i, j) with j > i; transposed for the reversed family.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-
-    def entry(i: int, j: int) -> RatFn:
-        if i == j:
-            return _ONE
-        if transposed:
-            i, j = j, i
-        if j == i - 1 or j > i:
-            return -Z_OF_V
-        return _ZERO
-
-    return QvMatrix(tuple(tuple(entry(i, j) for j in range(n)) for i in range(n)))
+    return QvMatrix(_strip_rows(n, transposed, _ONE, _ZERO, Z_OF_V))
 
 
-def determinant(m: QvMatrix) -> RatFn:
-    """Exact determinant by Gaussian elimination with row swaps."""
-    n = m.dim
-    rows = [list(r) for r in m.rows]
-    det = _ONE
+def _eliminate(rows: list[list], one):
+    """Determinant by Gaussian elimination with row swaps, over any field
+    whose zero is falsy (RatFn or Fraction); ``rows`` is consumed."""
+    n = len(rows)
+    det = one
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not rows[r][col].is_zero()), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
-            return _ZERO
+            return one - one
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
@@ -128,10 +131,14 @@ def determinant(m: QvMatrix) -> RatFn:
         det = det * pivot
         for r in range(col + 1, n):
             factor = rows[r][col] / pivot
-            if factor.is_zero():
-                continue
-            rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(n)]
+            if factor:
+                rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(n)]
     return det
+
+
+def determinant(m: QvMatrix) -> RatFn:
+    """Exact determinant by Gaussian elimination with row swaps."""
+    return _eliminate([list(r) for r in m.rows], _ONE)
 
 
 def det_closed_form(n: int) -> RatFn:
@@ -378,33 +385,9 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
 def determinant_at(n: int, v0: Fraction, transposed: bool = False) -> Fraction:
     """Determinant evaluated numerically at v = v0 by Fraction elimination.
 
-    An independent route (no RatFn arithmetic) used to spot-check the
-    symbolic results at random rational points.
+    The same elimination as ``determinant``, over the rationals instead of
+    RatFn: the tests' numeric spot check of the symbolic results at random
+    rational points.
     """
     z0 = Fraction(v0) / (1 + v0 + v0 * v0)
-
-    def entry(i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(1)
-        if transposed:
-            i, j = j, i
-        if j == i - 1 or j > i:
-            return -z0
-        return Fraction(0)
-
-    rows = [[entry(i, j) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(n)]
-    return det
+    return _eliminate(_strip_rows(n, transposed, Fraction(1), Fraction(0), z0), Fraction(1))

@@ -186,10 +186,6 @@ class TestSeries:
         geo = one / Series((1, -1, 0, 0))
         assert geo.coeffs == (1, 1, 1, 1)
 
-    def test_json_roundtrip(self):
-        s = Series((1, Fraction(1, 3), -2))
-        assert Series.from_json(s.to_json()) == s
-
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_division_inverts_multiplication(self, coeffs):

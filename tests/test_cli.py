@@ -191,9 +191,33 @@ class TestVerify:
         assert code == 1
 
     def test_all_target(self):
-        code, env = run_json(["verify", "all", "--max-n", "4"])
+        code, env = run_json(["verify", "all"])
         assert code == 0
         assert env["payload"]["ok"] is True
+
+    @pytest.mark.parametrize(
+        "target, max_n, least",
+        [
+            ("oracle", "0", "1"),
+            ("recursion", "0", "3"),
+            ("recursion", "2", "3"),
+            ("det", "-1", "1"),
+            ("lu", "-1", "1"),
+            ("cramer", "-1", "1"),
+            ("bijection", "-1", "1"),
+            ("product", "-1", "1"),
+            ("oracle", "-1", "1"),
+            ("all", "4", None),
+        ],
+    )
+    def test_max_n_below_battery_minimum_refused(self, target, max_n, least, capsys):
+        code, text = run(["verify", target, "--max-n", max_n])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert "hint:" in err
+        if least is not None:
+            assert f"N >= {least}" in err
 
 
 class TestStats:
@@ -322,11 +346,32 @@ class TestConfigAndCache:
         )
         assert code == 0
 
-    def test_config_bad_format_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"format": "something-else", "version": 1},
+            [],
+            {"format": "deutschpaths-config", "version": 1, "enumeration_bound": "x"},
+            {"format": "deutschpaths-config", "version": 1, "enumeration_bound": True},
+            {"format": "deutschpaths-config", "version": 1, "cache_dir": 5},
+        ],
+        ids=["header", "not_an_object", "bound_str", "bound_bool", "cache_dir_int"],
+    )
+    def test_config_bad_format_rejected(self, tmp_path, data, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "something-else", "version": 1}))
-        code, _ = run(["count", "--family", "deutsch", "--n", "3", "--config", str(cfg)])
+        cfg.write_text(json.dumps(data))
+        code, text = run(["enumerate", "--family", "deutsch", "--n", "1", "--config", str(cfg)])
         assert code == 2
+        assert text == ""
+        assert "hint:" in capsys.readouterr().err
+
+    def test_unencodable_cache_row_warns_and_answers(self, tmp_path, monkeypatch, capsys):
+        # a row with an integer past json's 4300-digit limit, as for n > 9000
+        monkeypatch.setitem(algebra._TRI_ROWS, 10**6, (10**4400,))
+        code, text = run(["stats", "area", "--n", "9", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert "exact=4065/232" in text
+        assert "warning: could not write cache" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -9,19 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deutschpaths.algebra import KERNEL, Poly, RatFn, Series, expand_in_z
+from deutschpaths.algebra import (
+    KERNEL,
+    Poly,
+    RatFn,
+    Series,
+    compose_with_v,
+    expand_in_v,
+    expand_in_z,
+)
 from deutschpaths.formulas import (
     BadParams,
     FormulaId,
+    closed_height_ge,
     coeff_closed,
     coeff_open,
     coeff_reversed_formal,
     combinatorial_ids,
     formula,
+    height_sum_closed,
+    height_sum_open,
     oracle_check,
 )
 from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths
 from deutschpaths.reporting import MismatchFound
+from deutschpaths.stats import height_total
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_series.json").read_text())
 
@@ -73,6 +85,33 @@ class TestCatalogValues:
         assert s.coeff(3) == 1
         s = expand_in_z(formula("closed_height_ge(3)"), 3)
         assert s.coeff(3) == 0
+
+
+def _open_height_ge(h):
+    """Open Deutsch paths of height >= h: (1+v+v^2)(1-v^2) v^h / (1-v^(h+2))."""
+    return RatFn(KERNEL * Poly((1, 0, -1)) * Poly.monomial(1, h), 1 - Poly.monomial(1, h + 2))
+
+
+def _per_h_height_sum(order, summand):
+    """The height sum as one rational function per bound h <= order."""
+    total = [0] * (order + 1)
+    for h in range(1, order + 1):
+        w = expand_in_v(summand(h), order)
+        total = [a + b for a, b in zip(total, w.coeffs)]
+    return compose_with_v(total, order)
+
+
+class TestHeightSums:
+    @pytest.mark.parametrize("order", [0, 1, 7, 40])
+    def test_divisor_series_equals_per_h_sum(self, order):
+        assert height_sum_closed(order) == _per_h_height_sum(order, closed_height_ge)
+        assert height_sum_open(order) == _per_h_height_sum(order, _open_height_ge)
+
+    def test_matches_trinomial_height_total_at_large_n(self):
+        closed, opened = height_sum_closed(300), height_sum_open(300)
+        for n in (151, 300):
+            assert closed.coeff(n) == height_total(n, "closed")
+            assert opened.coeff(n) == height_total(n, "open")
 
 
 class TestIdentities:
