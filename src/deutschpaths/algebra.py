@@ -2,7 +2,8 @@
 
 Everything downstream works in two coordinate systems.  Closed forms live
 in the substitution variable v, as dense polynomials (Poly) and normalized
-rational functions (RatFn) with arbitrary-precision rational coefficients.
+rational functions (RatFn) with arbitrary-precision rational coefficients:
+ints and Fractions only, anything else is refused with a TypeError.
 Counting sequences live in the length variable z, as truncated power
 series (Series) whose order is tracked explicitly: coefficients beyond the
 stored order are unknown and asking for them is an error, never a silent
@@ -27,6 +28,16 @@ which is how the large-n statistics avoid building million-term series.
 Trinomial coefficients trinomial(n, k) = [v^k](1+v+v^2)^n are produced a
 whole row at a time by an integer three-term recurrence in k, cached in
 memory, and optionally persisted to a small versioned JSON cache file.
+
+The canonical form of a RatFn (numerator and denominator coprime,
+denominator monic) is computed with integers only.  Each polynomial is split
+once into a positive rational content and a primitive integer part (integer
+coefficients with gcd 1); ``poly_gcd`` runs a primitive pseudo-remainder
+sequence on the primitive parts (Knuth, TAOCP vol. 2, 4.6.1), both parts are
+divided by the gcd exactly over the integers (Gauss's lemma), and one
+rational scale, content(num) / (content(den) * lead(den / gcd)), is applied
+at the end.  ``Poly.exact_div`` is the same integer division times the
+ratio of the contents.
 """
 
 from __future__ import annotations
@@ -53,16 +64,100 @@ class PoleAtOrigin(ValueError):
 
 
 def _norm_coeff(c):
-    # keep ints as ints so repr/JSON stay clean; Fraction(k, 1) collapses
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    # keep ints as ints so repr/JSON stay clean; Fraction(k, 1) collapses.
+    # float, Decimal and complex are refused: answers here are exact, and the
+    # integer kernel reads numerator/denominator.
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return int(c) if c.denominator == 1 else c
     if isinstance(c, numbers.Integral):
         return int(c)
-    return c
+    raise TypeError(f"coefficient {c!r} is not an int or Fraction")
 
 
 def _as_fraction(c) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
+
+
+# --- the integer kernel: contents and primitive parts ------------------------
+
+
+def _split(coeffs) -> tuple[int, int, list[int]]:
+    """(gn, dn, prim) with coeffs = gn/dn * prim, prim integer and primitive.
+
+    coeffs is a nonzero canonical coefficient tuple (ints and Fractions);
+    numerator and denominator are read directly, no Fraction is built.
+    """
+    dn = math.lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (dn // c.denominator) for c in coeffs] if dn != 1 else list(coeffs)
+    gn = math.gcd(*ints)
+    return gn, dn, ints if gn == 1 else [c // gn for c in ints]
+
+
+def _scaled(num: int, den: int, prim) -> list:
+    """The coefficients num/den * prim, ints where integral."""
+    s = Fraction(num, den)
+    num, den = s.numerator, s.denominator
+    if den == 1:
+        return prim if num == 1 else [num * c for c in prim]
+    return [Fraction(num * c, den) for c in prim]
+
+
+def _exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer coefficient lists, b nonzero; ValueError unless the
+    quotient is an integer polynomial with no remainder.
+
+    For primitive a and b, b divides a over Q exactly when it does over Z
+    (Gauss's lemma), so this is the exact division of primitive parts.
+    """
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        if r[i]:
+            c, m = divmod(r[i], lb)
+            if m:
+                raise ValueError(f"{Poly(a)!r} not divisible by {Poly(b)!r}")
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+    if any(r[:db]):
+        raise ValueError(f"{Poly(a)!r} not divisible by {Poly(b)!r}")
+    return q
+
+
+def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of a by b (len(a) >= len(b));
+    [] when b divides a."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) > db:
+        c = r.pop()
+        if c:
+            k = math.gcd(c, lb)
+            m, c = lb // k, c // k
+            if m != 1:
+                r = [m * x for x in r]
+            s = len(r) - db
+            for j in range(db):
+                r[s + j] -= c * b[j]
+    while r and not r[-1]:
+        r.pop()
+    if not r:
+        return r
+    g = math.gcd(*r)
+    return r if g == 1 else [x // g for x in r]
+
+
+def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two nonzero primitive integer polynomials, up to sign, by the
+    primitive pseudo-remainder sequence."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _prem_primitive(a, b)
+    return [1] if b else a
 
 
 class Poly:
@@ -121,6 +216,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as one
+        if len(self.coeffs) <= 1:
+            return hash(self.coeff(0))
         return hash(("Poly", self.coeffs))
 
     def __neg__(self) -> "Poly":
@@ -214,11 +312,17 @@ class Poly:
         return NotImplemented
 
     def exact_div(self, other: "Poly") -> "Poly":
-        """Quotient that must leave no remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError(f"{self!r} not divisible by {other!r}")
-        return q
+        """Quotient that must leave no remainder (ValueError otherwise).
+
+        The content ratio times the integer quotient of the primitive parts.
+        """
+        if other.is_zero():
+            raise DivisionByZero("polynomial division by zero")
+        if self.is_zero():
+            return Poly()
+        gn, dn, p = _split(self.coeffs)
+        hn, hd, q = _split(other.coeffs)
+        return Poly(_scaled(gn * hd, dn * hn, _exact_quo(p, q)))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be a scalar, Poly, or Series."""
@@ -256,22 +360,19 @@ KERNEL = Poly((1, 1, 1))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Euclidean gcd, normalized to primitive integer coefficients with the
+    """gcd over Q[v], normalized to primitive integer coefficients with the
     lowest-order nonzero coefficient positive (so gcd(1-v^4, 1-v^6) = 1-v^2).
+
+    Computed with integers only: a primitive pseudo-remainder sequence on the
+    primitive parts of a and b.  gcd(0, 0) is 0.
     """
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    fracs = [_as_fraction(c) for c in a.coeffs]
-    denom_lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom_lcm) for f in fracs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
-    low = next(c for c in ints if c != 0)
-    if low < 0:
-        ints = [-c for c in ints]
-    return Poly(ints)
+    parts = [_split(p.coeffs)[2] for p in (a, b) if p]
+    if not parts:
+        return Poly()
+    g = _gcd_primitive(*parts) if len(parts) == 2 else parts[0]
+    if next(c for c in g if c) < 0:
+        g = [-c for c in g]
+    return Poly(g)
 
 
 class RatFn:
@@ -284,23 +385,25 @@ class RatFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=Poly((1,))):
-        if isinstance(num, (int, Fraction)):
+        if not isinstance(num, Poly):
             num = Poly((num,))
-        if isinstance(den, (int, Fraction)):
+        if not isinstance(den, Poly):
             den = Poly((den,))
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
             num, den = Poly(), Poly((1,))
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0 or g.coeff(0) != 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading()
-            if lead != 1:
-                num = num / lead
-                den = den / lead
+            # num/den = (gn/dn)/(hn/hd) * p/q with p, q primitive integer
+            # parts; divide both by their gcd, then make q monic
+            gn, dn, p = _split(num.coeffs)
+            hn, hd, q = _split(den.coeffs)
+            g = poly_gcd(Poly(p), Poly(q)).coeffs
+            if len(g) > 1:
+                p, q = _exact_quo(p, g), _exact_quo(q, g)
+            lead = q[-1]
+            num = Poly(_scaled(gn * hd, dn * hn * lead, p))
+            den = Poly(_scaled(1, lead, q))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -329,6 +432,9 @@ class RatFn:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # a polynomial equals its numerator, so it hashes as one
+        if self.den.coeffs == (1,):
+            return hash(self.num)
         return hash(("RatFn", self.num, self.den))
 
     def __neg__(self) -> "RatFn":

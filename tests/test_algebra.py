@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deutschpaths import algebra
@@ -39,6 +42,46 @@ small_polys = st.builds(
     Poly, st.lists(st.integers(-6, 6), min_size=0, max_size=6)
 )
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+rational_polys = st.builds(
+    Poly,
+    st.lists(
+        st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6)),
+        min_size=0,
+        max_size=5,
+    ),
+)
+
+
+def reference_gcd(a: Poly, b: Poly) -> Poly:
+    """Euclid over Fraction, then primitive with the low coefficient positive:
+    the gcd before the integer kernel, kept as the reference."""
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return a
+    fracs = [Fraction(c) for c in a.coeffs]
+    denom_lcm = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom_lcm) for f in fracs]
+    content = math.gcd(*ints)
+    ints = [c // content for c in ints]
+    if next(c for c in ints if c) < 0:
+        ints = [-c for c in ints]
+    return Poly(ints)
+
+
+def reference_canonical(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """(num, den) over their reference gcd, den made monic, by Fraction division."""
+    if num.is_zero():
+        return Poly(), Poly((1,))
+    g = reference_gcd(num, den)
+    (num, r), (den, s) = divmod(num, g), divmod(den, g)
+    assert r.is_zero() and s.is_zero()
+    lead = den.leading()
+    return num / lead, den / lead
+
+
+def typed(p: Poly) -> list:
+    return [(type(c), c) for c in p.coeffs]
 
 
 class TestPoly:
@@ -50,6 +93,26 @@ class TestPoly:
     def test_fraction_coefficients_collapse_to_int(self):
         p = Poly((Fraction(4, 2), Fraction(1, 3)))
         assert p.coeffs == (2, Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, Decimal("0.5"), 0.5j], ids=["float", "Decimal", "complex"]
+    )
+    @pytest.mark.parametrize("build", [Poly, Series, RatFn])
+    def test_inexact_coefficients_refused(self, build, bad):
+        # Poly and Series used to keep a float, so expand_in_z answered
+        # in floats; RatFn(0.5) died with an AttributeError
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            build(bad) if build is RatFn else build((bad, 1))
+        with pytest.raises(TypeError):
+            RatFn(Poly((1,)), bad)
+
+    def test_constants_hash_as_their_scalars(self):
+        for c in (0, 3, -2, Fraction(1, 3)):
+            assert Poly((c,)) == c and hash(Poly((c,))) == hash(c)
+            assert RatFn(c) == c and hash(RatFn(c)) == hash(c)
+        assert len({RatFn(3), 3, Poly((3,))}) == 1
+        assert RatFn(V) == V and hash(RatFn(V)) == hash(V)
+        assert len({RatFn(KERNEL, Poly((2,))), KERNEL / 2}) == 1
 
     def test_arithmetic(self):
         p, q = Poly((1, 1)), Poly((1, -1))
@@ -105,6 +168,26 @@ class TestGcd:
     def test_normalization_is_primitive_with_positive_low_coeff(self):
         g = poly_gcd(Poly((-2, 0, 2)), Poly((-4, 4)))
         assert g == Poly((1, -1))  # content stripped, low coefficient positive
+
+    @given(rational_polys, rational_polys, rational_polys)
+    @example(Poly(), Poly(), Poly((1,)))  # zero operands
+    @example(Poly(), Poly((3, -6)), Poly((1,)))
+    @example(Poly((1, -3)), Poly((2, 0, -5)), Poly((1,)))  # negative leading coefficients
+    @example(Poly((4, 6)), Poly((Fraction(3, 2), 9)), Poly((6, 6)))  # content > 1
+    @example(Poly((1, -1)), Poly((2,)), Poly((Fraction(1, 2), -1, 3)) * KERNEL)  # degree 4
+    @settings(max_examples=200, deadline=None)
+    def test_integer_kernel_matches_reference(self, a, b, c):
+        num, den = a * c, b * c
+        assert typed(poly_gcd(num, den)) == typed(reference_gcd(num, den))
+        if not den.is_zero():
+            f = RatFn(num, den)
+            ref_num, ref_den = reference_canonical(num, den)
+            assert (typed(f.num), typed(f.den)) == (typed(ref_num), typed(ref_den))
+        if not c.is_zero():
+            assert typed(num.exact_div(c)) == typed(a)
+        if not b.is_zero() and not (a % b).is_zero():
+            with pytest.raises(ValueError):
+                a.exact_div(b)
 
     @given(small_polys, small_polys)
     @settings(max_examples=100, deadline=None)
