@@ -4,7 +4,8 @@
 Stores the first 31 z-coefficients (orders 0..30) of every formula in the
 catalog, with parameterized families sampled on a small grid.  Run after
 any intentional change to the catalog and review the diff by hand; the
-test suite compares against this file coefficient-for-coefficient.
+test suite compares against this file coefficient-for-coefficient, and
+checks that ``render()`` reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -37,16 +38,23 @@ GOLDEN_IDS = (
 )
 
 
-def main() -> None:
+TARGET = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_series.json"
+
+
+def render() -> str:
+    """The golden file's text, byte for byte; writes nothing."""
     data = {}
     for fid in GOLDEN_IDS:
         obj = formula(fid)
         series = obj if isinstance(obj, Series) else expand_in_z(obj, ORDER)
         assert series.is_integral(), fid
         data[str(fid)] = [str(c) for c in series.coeffs]
-    target = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_series.json"
-    target.write_text(json.dumps({"order": ORDER, "series": data}, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {target} ({len(data)} series)")
+    return json.dumps({"order": ORDER, "series": data}, indent=1, sort_keys=True) + "\n"
+
+
+def main() -> None:
+    TARGET.write_text(render())
+    print(f"wrote {TARGET} ({len(GOLDEN_IDS)} series)")
 
 
 if __name__ == "__main__":

@@ -325,7 +325,9 @@ class Poly:
         return Poly(_scaled(gn * hd, dn * hn, _exact_quo(p, q)))
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; x may be a scalar, Poly, or Series."""
+        """Evaluate by Horner's rule; x may be an exact scalar, Poly, RatFn or Series."""
+        if not isinstance(x, (Poly, RatFn, Series)):
+            x = _norm_coeff(x)
         result = x * 0
         for c in reversed(self.coeffs):
             result = result * x + c
@@ -497,7 +499,8 @@ class RatFn:
         return RatFn(self.num**e, self.den**e)
 
     def __call__(self, x):
-        """Evaluate at an exact scalar."""
+        """Evaluate at an exact scalar (int or Fraction; anything else is a TypeError)."""
+        x = _norm_coeff(x)
         d = self.den(x)
         if d == 0:
             raise DivisionByZero(f"denominator vanishes at {x}")
@@ -606,14 +609,12 @@ class Series:
         if other.coeffs[0] == 0:
             raise DivisorNotUnit("series divisor has zero constant term")
         n = min(self.order, other.order)
-        inv0 = 1 / _as_fraction(other.coeffs[0])
+        inv0 = _norm_coeff(1 / _as_fraction(other.coeffs[0]))
+        # only the divisor's nonzero terms enter: O(n*d) for a degree-d polynomial
+        terms = [(j, cb) for j, cb in enumerate(other.coeffs[1 : n + 1], 1) if cb]
         out = [0] * (n + 1)
         for i in range(n + 1):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                cb = other.coeffs[j]
-                if cb:
-                    acc -= cb * out[i - j]
+            acc = self.coeffs[i] - sum(cb * out[i - j] for j, cb in terms if j <= i)
             out[i] = _norm_coeff(acc * inv0)
         return Series(out)
 

@@ -138,16 +138,31 @@ def _from_motzkin_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def returns_count(w) -> int:
-    """Number of returns-decompositions in w's recursion tree."""
+    """Number of returns-decompositions in w's recursion tree.
+
+    The recursion of ``decompose`` on index ranges of w's level profile: the
+    subpath of steps a..b-1 starts at levels[a] and never dips below it, so
+    its first return is the next time the profile is back at levels[a], if
+    that is at most b.  One backward pass finds every such next time.
+    """
+    levels = _ensure(w, DeutschPath, "deutsch").levels
+    n = len(levels) - 1
+    next_same, seen = [0] * (n + 1), {}
+    for t in range(n, -1, -1):
+        next_same[t] = seen.get(levels[t], n + 1)
+        seen[levels[t]] = t
     total = 0
-    work = [_ensure(w, DeutschPath, "deutsch")]
+    work = [(0, n)]
     while work:
-        d = decompose(work.pop())
-        if d.kind == "no_return":
-            work.append(d.tail)
-        elif d.kind == "returns":
+        a, b = work.pop()
+        if a == b:  # empty
+            continue
+        r = next_same[a]
+        if r > b:  # U tail
+            work.append((a + 1, b))
+        else:  # U inner D remainder
             total += 1
-            work += [d.inner, d.remainder]
+            work += [(a + 1, r - 1), (r, b)]
     return total
 
 

@@ -26,6 +26,8 @@ from .formulas import (
     BadParams,
     FormulaId,
     Series,
+    coeff_closed,
+    coeff_open,
     expand_in_z,
     formula,
     oracle_check,
@@ -38,7 +40,9 @@ from .matrices import (
     verify_lu,
 )
 from .paths import (
+    DEFAULT_DP_BOUND,
     DEFAULT_ENUM_BOUND,
+    BoundExceeded,
     PathError,
     PathFamilyQuery,
     QueryError,
@@ -122,10 +126,23 @@ def _query_from_args(args) -> PathFamilyQuery:
     )
 
 
+#: Unbounded counts with a trinomial closed form, by (family, end level); the rest run count_dp.
+_CLOSED_FORMS = {
+    ("deutsch", 0): coeff_closed,
+    ("deutsch", None): coeff_open,
+    ("reversed", 0): coeff_closed,
+    ("motzkin", 0): coeff_open,
+}
+
+
 def _cmd_count(args, config) -> dict:
     query = _query_from_args(args)
+    if query.n > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
+    end = 0 if query.family == "motzkin" else query.end_level
+    closed_form = _CLOSED_FORMS.get((query.family, end)) if query.max_height is None else None
     return {
-        "count": _num_str(count_dp(query)),
+        "count": _num_str(closed_form(query.n) if closed_form else count_dp(query)),
         "query": {
             "family": query.family,
             "n": query.n,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 from .algebra import (
@@ -51,7 +52,7 @@ from .algebra import (
     expand_in_z,
     trinomial,
 )
-from .paths import PathFamilyQuery, _prefix, enumerate_paths
+from .paths import PathFamilyQuery, _prefix, _walk
 from .reporting import VerificationReport
 
 
@@ -156,15 +157,19 @@ def area_gf() -> RatFn:
     return RatFn(num, den)
 
 
+def divisor_counts(m_max: int) -> list[int]:
+    """c[0..m_max] with c[m] = #{d >= 3 : d divides m} (c[0] = 0), by a sieve."""
+    c = [0] * (m_max + 1)
+    for d in range(3, m_max + 1):
+        for m in range(d, m_max + 1, d):
+            c[m] += 1
+    return c
+
+
 def _height_sum_series(order: int, prefactor: RatFn, shift: int) -> Series:
-    # Summing 1/(1-v^(h+2)) = sum_j v^(j(h+2)) over h >= 1 leaves, at v^m,
-    # the number c_m of divisors d = h+2 >= 3 of m+shift; every such divisor
-    # is at most order+shift, so the sum is exact through v^order.
-    counts = [0] * (order + 1)
-    for d in range(3, order + shift + 1):
-        for k in range(d, order + shift + 1, d):
-            counts[k - shift] += 1
-    w = expand_in_v(prefactor, order) * Series(counts)
+    # Summing 1/(1-v^(h+2)) over h >= 1 leaves c[m+shift] at v^m (d = h+2 divides
+    # m+shift); every such d is at most order+shift: exact through v^order.
+    w = expand_in_v(prefactor, order) * Series(divisor_counts(order + shift)[shift:])
     return compose_with_v(w.coeffs, order)
 
 
@@ -371,6 +376,11 @@ def _dp_prefix(m: _Meaning, n_max: int) -> list[int]:
 _WEIGHTS = {"count": lambda ht, a: 1, "area": lambda ht, a: a, "height": lambda ht, a: ht}
 
 
+def _end_height_area(steps: tuple[int, ...]) -> tuple[int, int, int]:
+    levels = list(accumulate(steps, initial=0))
+    return levels[-1], max(levels), sum(levels)
+
+
 def _enum_value(m: _Meaning, stats: list[tuple[int, int, int]]) -> int:
     """[z^n] from the (end, height, area) of every enumerated path of length n."""
     hi = m.max_height if m.max_height is not None else float("inf")
@@ -408,10 +418,7 @@ def oracle_check(
         bounds = [m.max_height for m in meanings if m.family == family]
         cap = max(bounds) if family == "reversed" else None
         enumerated[family] = [
-            [
-                (p.end_level, p.height, p.area)
-                for p in enumerate_paths(PathFamilyQuery(family, n, max_height=cap))
-            ]
+            [_end_height_area(steps) for steps in _walk(PathFamilyQuery(family, n, max_height=cap))]
             for n in range(n_enum + 1)
         ]
 

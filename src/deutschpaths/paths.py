@@ -307,13 +307,18 @@ def enumerate_paths(
     query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND
 ) -> list[LatticePath]:
     """All paths matching the query, in documented lexicographic order."""
+    cls = _path_class(query.family)
+    return [cls(steps) for steps in _walk(query, bound)]
+
+
+def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple[int, ...]]:
+    """The step tuples of every path matching the query, in enumeration order."""
     if query.n > bound:
         raise BoundExceeded(f"n={query.n} exceeds enumeration bound {bound}")
     cap = _height_cap(query)
     target = _target_levels(query)
-    cls = _path_class(query.family)
     n = query.n
-    out: list[LatticePath] = []
+    out: list[tuple[int, ...]] = []
     steps: list[int] = []
 
     def _reachable(level: int, remaining: int) -> bool:
@@ -328,7 +333,7 @@ def enumerate_paths(
     def rec(level: int, t: int) -> None:
         if t == n:
             if target is None or level == target:
-                out.append(cls(steps))
+                out.append(tuple(steps))
             return
         remaining = n - t - 1
         for s in _step_choices(query.family, level, cap):

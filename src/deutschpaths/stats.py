@@ -2,9 +2,10 @@
 
 Exact values come from trinomial-coefficient extraction only (never from
 an asymptotic law): counts are two-term trinomial differences, the total
-height of length-n paths is a lacunary double sum over one trinomial row,
-and the total area is a single z-coefficient of the area generating
-function.  Everything stays integer/Fraction until the final ratio.
+height of length-n paths is one dot product of a trinomial row's second
+differences with the divisor counts c[m] = #{d >= 3 : d | m}, and the total
+area is a single z-coefficient of the area generating function.  Everything
+stays integer/Fraction until the final ratio.
 
 The asymptotic side carries the leading-order laws
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import coeff_of_z, trinomial_row
-from .formulas import area_gf, coeff_closed, coeff_open
+from .formulas import area_gf, coeff_closed, coeff_open, divisor_counts
 
 
 class ZeroCount(ZeroDivisionError):
@@ -50,40 +51,19 @@ def open_count(n: int) -> int:
 def height_total(n: int, family: str = "closed") -> int:
     """Sum of heights over all closed or open Deutsch paths of length n.
 
-    Sums #(height >= h) over h.  With T = trinomial(n, .), the height->h
-    term of the closed sum is sum_j W[n-h-1-j(h+2)] where
-    W[k] = T(k) - 2T(k-1) + T(k-2); the open variant uses
-    W2[k] = T(k) - 2T(k-2) + T(k-4) at offsets n-h-j(h+2).  Both follow
-    from extracting [z^n] of the height generating functions through
-    (1-v^2)(1+v+v^2)^(n-1) and expanding 1/(1-v^(h+2)) geometrically.
+    The dot product sum_k W_s[k] * c[n+s-k], with s = 1 (closed) or 2 (open),
+    W_s[k] = T(k) - 2T(k-s) + T(k-2s) = [v^k] (1-v^s)^2 (1+v+v^2)^n over the
+    trinomial row T, and c[m] = #{d >= 3 : d | m}: by Lagrange inversion, the
+    z^n coefficient of height_sum_closed or height_sum_open.
     """
     if family not in ("closed", "open"):
         raise ValueError("family must be 'closed' or 'open'")
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n == 0:
-        return 0
-    row = trinomial_row(n)
-
-    def t(k: int) -> int:
-        return row[k] if 0 <= k <= 2 * n else 0
-
-    if family == "closed":
-        weight = lambda k: t(k) - 2 * t(k - 1) + t(k - 2)
-        start = lambda h: n - h - 1
-    else:
-        weight = lambda k: t(k) - 2 * t(k - 2) + t(k - 4)
-        start = lambda h: n - h
-
-    total = 0
-    for h in range(1, n + 1):
-        k = start(h)
-        if k < 0:
-            break
-        while k >= 0:
-            total += weight(k)
-            k -= h + 2
-    return total
+    s = 1 if family == "closed" else 2
+    t = (0,) * (2 * s) + trinomial_row(n)  # t[k + 2s] = T(k), and T(k) = 0 for k < 0
+    c = divisor_counts(n + s)
+    return sum((t[k + 2 * s] - 2 * t[k + s] + t[k]) * c[n + s - k] for k in range(n + 1))
 
 
 def area_total(n: int) -> int:

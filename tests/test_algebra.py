@@ -139,6 +139,8 @@ class TestPoly:
         assert p(2) == 7
         assert p(Fraction(1, 2)) == Fraction(7, 4)
         assert p(V) == KERNEL  # composition with identity
+        assert p(Series((0, 1, 0))).coeffs == (1, 1, 1)
+        assert p(RatFn(V, KERNEL)) == RatFn(KERNEL**2 + V * KERNEL + V**2, KERNEL**2)
 
     def test_pow(self):
         assert Poly((1, 1)) ** 3 == Poly((1, 3, 3, 1))
@@ -231,11 +233,37 @@ class TestRatFn:
         with pytest.raises(DivisionByZero):
             f(-1)
 
+    @pytest.mark.parametrize(
+        "bad", [0.1, Decimal("0.1"), 0.1j], ids=["float", "Decimal", "complex"]
+    )
+    def test_inexact_evaluation_points_refused(self, bad):
+        # f(0.1) used to return a Fraction computed from the binary float
+        # 0.1, and Poly((1, 1))(0.5) the float 1.5
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            RatFn(KERNEL, Poly((1, 1)))(bad)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            Poly((1, 1))(bad)
+
     @given(nonzero_polys, nonzero_polys)
     @settings(max_examples=100, deadline=None)
     def test_self_division_is_one(self, a, b):
         f = RatFn(a, b)
         assert f / f == RatFn(Poly((1,)))
+
+
+def dense_divide(a, b):
+    """The former division loop: every divisor term up to the order, zero or not."""
+    n = min(a.order, b.order)
+    inv0 = 1 / Fraction(b.coeffs[0])
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        acc = a.coeffs[i]
+        for j in range(1, i + 1):
+            cb = b.coeffs[j]
+            if cb:
+                acc -= cb * out[i - j]
+        out[i] = acc * inv0
+    return tuple(int(c) if c.denominator == 1 else c for c in map(Fraction, out))
 
 
 class TestSeries:
@@ -268,6 +296,20 @@ class TestSeries:
         one = Series((1, 0, 0, 0))
         geo = one / Series((1, -1, 0, 0))
         assert geo.coeffs == (1, 1, 1, 1)
+
+    @given(
+        st.lists(st.integers(-50, 50) | st.fractions(max_denominator=9), min_size=1, max_size=40),
+        st.integers(-3, 3).filter(bool) | st.fractions(max_denominator=5).filter(bool),
+        st.dictionaries(st.integers(1, 45), st.integers(-9, 9) | st.fractions(max_denominator=7),
+                        max_size=4),
+        st.integers(0, 45),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_division_matches_dense_loop(self, num, lead, sparse, order):
+        # divisors with a few nonzero terms, as a polynomial denominator gives
+        den = [lead] + [sparse.get(j, 0) for j in range(1, order + 1)]
+        a, b = Series(num), Series(den)
+        assert (a / b).coeffs == dense_divide(a, b)
 
     @given(st.lists(st.integers(-9, 9), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)

@@ -138,6 +138,32 @@ class TestStatistics:
         assert returns_count(validate_path("", "deutsch")) == 0
 
 
+def decompose_returns_count(w):
+    """The reference route: decompose every node of the recursion tree."""
+    total = 0
+    work = [w]
+    while work:
+        d = decompose(work.pop())
+        if d.kind == "no_return":
+            work.append(d.tail)
+        elif d.kind == "returns":
+            total += 1
+            work += [d.inner, d.remainder]
+    return total
+
+
+class TestReturnsCount:
+    def test_matches_decompose_on_every_short_path(self):
+        for n in range(11):
+            for w in deutsch_paths(n):
+                assert returns_count(w) == decompose_returns_count(w), w
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_matches_decompose_on_long_random_paths(self, seed):
+        w = DeutschPath(_random_deutsch_steps(3000, seed))
+        assert returns_count(w) == decompose_returns_count(w)
+
+
 class TestCertify:
     def test_battery(self):
         report = certify(8)

@@ -12,6 +12,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from deutschpaths import __version__, algebra
 from deutschpaths.cli import CACHE_ENV_VAR, main
+from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
 SCHEMA_PATH = (
     Path(__file__).parent.parent
@@ -88,6 +89,28 @@ class TestCount:
     def test_reversed_unbounded_open_rejected(self):
         code, text = run(["count", "--family", "reversed", "--n", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "family, end",
+        [("deutsch", 0), ("deutsch", None), ("reversed", 0), ("motzkin", None)],
+    )
+    def test_closed_form_counts_match_level_vector_dp(self, family, end):
+        # the unbounded queries answered by a trinomial closed form, against
+        # the level-vector sweep count_dp runs, read at every length
+        n_max = 300
+        want = _prefix(PathFamilyQuery(family, n_max, end_level=end))
+        end_flag = [] if end is None else ["--end-level", str(end)]
+        for n in range(n_max + 1):
+            code, env = run_json(["count", "--family", family, "--n", str(n)] + end_flag)
+            assert code == 0 and env["payload"]["count"] == str(want[n]), (family, end, n)
+        for n in (0, 1, 2, 57, n_max):
+            assert want[n] == count_dp(PathFamilyQuery(family, n, end_level=end))
+
+    @pytest.mark.parametrize("extra", [["--end-level", "0"], [], ["--max-height", "3"]])
+    def test_dp_bound_applies_to_every_route(self, extra, capsys):
+        code, _ = run(["count", "--family", "deutsch", "--n", "10001"] + extra)
+        assert code == 2
+        assert "exceeds DP bound 10000" in capsys.readouterr().err
 
 
 class TestEnumerate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from deutschpaths.algebra import (
 from deutschpaths.formulas import (
     BadParams,
     FormulaId,
+    _end_height_area,
     closed_height_ge,
     coeff_closed,
     coeff_open,
@@ -35,7 +37,8 @@ from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths
 from deutschpaths.reporting import MismatchFound
 from deutschpaths.stats import height_total
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_series.json").read_text())
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_series.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
 class TestCatalogValues:
@@ -208,6 +211,13 @@ class TestGoldenSeries:
             series = obj if isinstance(obj, Series) else expand_in_z(obj, order)
             assert [str(c) for c in series.coeffs] == coeffs, name
 
+    def test_regen_script_renders_the_file_byte_for_byte(self):
+        script = Path(__file__).parent.parent / "scripts" / "regen_golden.py"
+        spec = importlib.util.spec_from_file_location("regen_golden", script)
+        regen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(regen)
+        assert regen.render().encode() == GOLDEN_PATH.read_bytes()
+
     def test_golden_file_covers_every_formula_name(self):
         names = {FormulaId.parse(k).name for k in GOLDEN["series"]}
         from deutschpaths.formulas import _SPECS
@@ -220,6 +230,12 @@ class TestOracle:
         report = oracle_check(enum_max=7, dp_max=25, h_max=4)
         assert report.ok
         assert report.data["formulas_checked"] == len(combinatorial_ids(4, 25))
+
+    def test_enumeration_oracle_reads_raw_steps_like_typed_paths(self):
+        for family, cap in (("deutsch", None), ("motzkin", None), ("reversed", 4)):
+            for n in range(8):
+                for p in enumerate_paths(PathFamilyQuery(family, n, max_height=cap)):
+                    assert _end_height_area(p.steps) == (p.end_level, p.height, p.area)
 
     def test_counting_series_are_nonnegative_integers(self):
         for fid in combinatorial_ids(3, 20):

@@ -18,6 +18,7 @@ from deutschpaths.paths import (
     QueryError,
     ReversedDeutschPath,
     _prefix,
+    _walk,
     count_dp,
     enumerate_paths,
     reverse_path,
@@ -179,6 +180,17 @@ class TestCounts:
         # reversed step order U1 < U2 < ... < D
         got = [p.tokens() for p in enumerate_paths(PathFamilyQuery("reversed", 2, max_height=2))]
         assert got == ["U1 U1", "U1 D", "U2 D"]
+
+    def test_walk_yields_the_enumerated_steps_in_order(self):
+        queries = [PathFamilyQuery("deutsch", n, end_level=e) for n in range(8) for e in (None, 0, 2)]
+        queries += [PathFamilyQuery("motzkin", n) for n in range(8)]
+        queries += [PathFamilyQuery("reversed", n, max_height=3) for n in range(7)]
+        for q in queries:
+            paths = enumerate_paths(q)
+            assert [p.steps for p in paths] == _walk(q), q
+            assert all(type(p).family == q.family for p in paths)
+        with pytest.raises(BoundExceeded):
+            _walk(PathFamilyQuery("deutsch", 15))
 
     def test_dp_large_n_runs(self):
         c = count_dp(PathFamilyQuery("deutsch", 1000, end_level=0))

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths
+from deutschpaths.algebra import trinomial_row
+from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths, total_height_dp
 from deutschpaths.stats import (
     LAWS,
     ZeroCount,
@@ -31,6 +32,33 @@ def brute_totals(n, family):
     )
 
 
+def lacunary_height_total(n, family):
+    """The former route: #(height >= h) summed over h, each a lacunary sum
+    of W[k] over k = start(h) - j(h+2)."""
+    if n == 0:
+        return 0
+    row = trinomial_row(n)
+
+    def t(k):
+        return row[k] if 0 <= k <= 2 * n else 0
+
+    if family == "closed":
+        weight = lambda k: t(k) - 2 * t(k - 1) + t(k - 2)
+        start = lambda h: n - h - 1
+    else:
+        weight = lambda k: t(k) - 2 * t(k - 2) + t(k - 4)
+        start = lambda h: n - h
+    total = 0
+    for h in range(1, n + 1):
+        k = start(h)
+        if k < 0:
+            break
+        while k >= 0:
+            total += weight(k)
+            k -= h + 2
+    return total
+
+
 class TestCounts:
     def test_sequences(self):
         assert [closed_count(n) for n in range(10)] == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
@@ -49,6 +77,16 @@ class TestTotals:
         ho, _, _ = brute_totals(n, "open")
         assert height_total(n, "closed") == hc
         assert height_total(n, "open") == ho
+
+    @pytest.mark.parametrize("family", ["closed", "open"])
+    def test_height_totals_match_dp(self, family):
+        for n in range(61):
+            assert height_total(n, family) == total_height_dp(n, family), n
+
+    @pytest.mark.parametrize("n", [1000, 3001, 9481])
+    @pytest.mark.parametrize("family", ["closed", "open"])
+    def test_height_totals_match_lacunary_double_sum(self, n, family):
+        assert height_total(n, family) == lacunary_height_total(n, family)
 
     @pytest.mark.parametrize("n", range(9))
     def test_area_total_matches_enumeration(self, n):
