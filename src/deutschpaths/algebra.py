@@ -14,20 +14,35 @@ The two systems are connected by the kernel substitution
     z = v/(1+v+v^2),    equivalently    v = z*(1+v+v^2),
 
 whose series solution is v(z) = z + z^2 + 2z^3 + 4z^4 + ... (shifted
-Motzkin numbers).  Every z-expansion goes through one route, Lagrange
-inversion:
+Motzkin numbers).  Two routes, sharing no code, turn a function of v into
+a z-series.
+
+``expand_in_z`` takes the quadratic normal form.  v is a root of
+z*v^2 - (1-z)*v + z = 0 whose other root is 1/v, so every rational F(v)
+equals A(z) + B(z)*S(z) with A, B rational in z and
+
+    S = sqrt(1 - 2z - 3z^2) = 1 - z - 2z^2*M(z),    v = (1 - z - S)/(2z),
+
+where M is the Motzkin series.  Numerator and denominator are reduced to
+a + b*v with polynomials in z, the division is cleared by the conjugate,
+the coefficients of S come from a two-term integer recurrence, and one
+series division by the norm is left: O(deg) integer operations per
+coefficient.
+
+``compose_with_v`` substitutes v(z) into an explicit v-prefix by Lagrange
+inversion,
 
     [z^n] F(v(z)) = [v^n] F(v) * (1 - v^2) * (1+v+v^2)^(n-1),    n >= 1,
 
-so no square roots and no series reversion appear anywhere.
-``compose_with_v`` applies it to a v-prefix with kernel powers built in
-one local sweep; ``expand_in_z`` and ``v_of_z`` are built on it, and
-``coeff_of_z`` applies it at a single n through a cached trinomial row,
-which is how the large-n statistics avoid building million-term series.
+with kernel powers built in one local sweep; it serves the v-series that
+are not rational (the height sums) and ``v_of_z``.  ``coeff_of_z`` applies
+the same form at a single n through a cached trinomial row, which is how
+the large-n statistics avoid building million-term series.
 
 Trinomial coefficients trinomial(n, k) = [v^k](1+v+v^2)^n are produced a
-whole row at a time by an integer three-term recurrence in k, cached in
-memory, and optionally persisted to a small versioned JSON cache file.
+whole row at a time by an integer three-term recurrence in k, run to the
+middle of the palindromic row and mirrored, cached in memory, and
+optionally persisted to a small versioned JSON cache file.
 
 The canonical form of a RatFn (numerator and denominator coprime,
 denominator monic) is computed with integers only.  Each polynomial is split
@@ -679,9 +694,82 @@ def v_of_z(order: int) -> Series:
     return compose_with_v((0, 1), order)
 
 
+# --- the normal form A(z) + B(z)*S(z) ---------------------------------------
+# Poly here holds a polynomial in z.
+
+_Z = Poly((0, 1))
+
+
+def _reduce_in_v(p: Poly) -> tuple[int, Poly, Poly]:
+    """(m, a, b) with z^m * p(v) = a(z) + b(z)*v, m = max(deg p - 1, 0).
+
+    Horner's rule in v, one factor z per step from the kernel relation
+    z*v^2 = (1-z)*v - z: if z^e*H = a + b*v, then
+    z^(e+1)*(c + v*H) = (c*z^(e+1) - z*b) + (z*a + (1-z)*b)*v.
+    """
+    cs = p.coeffs
+    if len(cs) < 2:
+        return 0, p, Poly()
+    a, b = [cs[-2]], [cs[-1]]
+    for e, c in enumerate(reversed(cs[:-2]), 1):
+        a, b = [0] + [-y for y in b], [x + y - w for x, y, w in zip([0] + a, b + [0], [0] + b)]
+        a[e] += c
+    return len(cs) - 2, Poly(a), Poly(b)
+
+
+def _sqrt_series(order: int) -> list[int]:
+    """s_0..s_order of S = sqrt(1 - 2z - 3z^2), by the integer recurrence
+    n*s_n = (2n-3)*s_(n-1) + (3n-9)*s_(n-2), from s_0 = 1, s_1 = -1."""
+    s = [1, -1][: order + 1]
+    for n in range(2, order + 1):
+        q, r = divmod((2 * n - 3) * s[n - 1] + (3 * n - 9) * s[n - 2], n)
+        if r:
+            raise ArithmeticError(f"sqrt(1-2z-3z^2) recurrence not integral at n={n}")
+        s.append(q)
+    return s
+
+
+def _normal_form(f: RatFn | Poly) -> tuple[int, Poly, Poly, Poly]:
+    """(e, p, q, norm), polynomials in z, with f(v(z)) = z^e*(p + q*z*v)/norm.
+
+    With z^mn*num(v) = an + bn*v and z^md*den(v) = ad + bd*v, multiplying
+    both by the conjugate z*(ad + bd/v), 1/v = (1-z)/z - v, leaves the norm
+    z*ad^2 + (1-z)*ad*bd + z*bd^2 below, and e = md - mn.  As
+    z*v = (1 - z - S)/2, f = A + B*S with B = -z^e*q/(2*norm).
+    """
+    num, den = (f, Poly((1,))) if isinstance(f, Poly) else (f.num, f.den)
+    if den.constant() == 0:
+        raise PoleAtOrigin("denominator vanishes at v = 0")
+    mn, an, bn = _reduce_in_v(num)
+    md, ad, bd = _reduce_in_v(den)
+    c = bd + _Z * (ad - bd)  # z*ad + (1-z)*bd
+    return md - mn, an * c + _Z * bn * bd, ad * bn - an * bd, ad * c + _Z * bd * bd
+
+
 def expand_in_z(f: RatFn | Poly, order: int) -> Series:
-    """Compose f (a function of v) with v(z), truncated to the given order."""
-    return compose_with_v(expand_in_v(f, order).coeffs, order)
+    """Compose f (a function of v) with v(z), truncated to the given order.
+
+    Through the normal form f(v(z)) = z^e*(p + q*z*v)/norm of
+    ``_normal_form``, with z*v = (1 - z - S)/2 read off the coefficients of
+    S: norm = z^j*norm0 with norm0(0) != 0, the numerator series must vanish
+    below z^(j-e) (ArithmeticError otherwise), and one series division by
+    norm0 is left.  O(deg f) integer operations per coefficient;
+    ``compose_with_v`` is the Lagrange route.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    e, p, q, norm = _normal_form(f)
+    j = next(i for i, c in enumerate(norm.coeffs) if c)
+    t = j - e  # mn, or mn + 1 for a constant denominator
+    top = order + t
+    zv = [0, 0][: top + 1] + [-c // 2 for c in _sqrt_series(top)[2:]]  # (1 - z - S)/2
+    w = list(Series.from_poly(p, top).coeffs)
+    for i, c in enumerate(q.coeffs[: top + 1]):
+        if c:
+            w[i:] = [a + c * b for a, b in zip(w[i:], zv)]
+    if any(w[:t]):
+        raise ArithmeticError(f"normal form of {f!r} does not vanish through z^{t - 1}")
+    return Series(w[t:]) / Series.from_poly(Poly(norm.coeffs[j:]), order)
 
 
 def expand_in_v(f: RatFn | Poly, order: int) -> Series:
@@ -702,17 +790,18 @@ _TRI_ROWS: dict[int, tuple[int, ...]] = {0: (1,)}
 
 
 def _compute_row(n: int) -> tuple[int, ...]:
-    # integer three-term recurrence along the row:
-    # (k+1) T(n,k+1) = (n-k) T(n,k) + (2n-k+1) T(n,k-1)
-    row = [0] * (2 * n + 1)
+    # integer three-term recurrence along the row, through the middle:
+    # (k+1) T(n,k+1) = (n-k) T(n,k) + (2n-k+1) T(n,k-1); the row is a
+    # palindrome, T(n, 2n-k) = T(n, k), so the upper half mirrors the lower
+    row = [0] * (n + 1)
     row[0] = 1
-    for k in range(2 * n):
+    for k in range(n):
         num = (n - k) * row[k] + ((2 * n - k + 1) * row[k - 1] if k >= 1 else 0)
         q, r = divmod(num, k + 1)
         if r:
             raise ArithmeticError(f"trinomial recurrence not integral at n={n}, k={k}")
         row[k + 1] = q
-    return tuple(row)
+    return tuple(row + row[:n][::-1])
 
 
 def trinomial_row(n: int) -> tuple[int, ...]:

@@ -164,6 +164,8 @@ def _cmd_enumerate(args, config) -> dict:
 def _formula_from_args(args) -> tuple[FormulaId, Series]:
     if args.terms < 0:
         raise UsageError(f"--terms must be >= 0, got {args.terms}", "pass --terms N with N >= 0")
+    if args.terms > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"--terms {args.terms} exceeds bound {DEFAULT_DP_BOUND}")
     text = FORMULA_ALIASES.get(args.formula.strip(), args.formula.strip())
     if text in ("height_sum_closed", "height_sum_open"):
         fid = FormulaId(text, (args.terms,))

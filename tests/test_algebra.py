@@ -33,7 +33,7 @@ from deutschpaths.algebra import (
     trinomial_row,
     v_of_z,
 )
-from deutschpaths.formulas import formula
+from deutschpaths.formulas import combinatorial_ids, formula
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
 MOTZKIN = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188)
@@ -398,7 +398,87 @@ class TestSubstitution:
         assert list(expand_in_z(formula("area_A"), 400).coeffs) == _prefix(closed, "area")
 
 
+def typed_coeffs(s: Series) -> list:
+    return [(type(c), c) for c in s.coeffs]
+
+
+def lagrange_route(f, order: int) -> Series:
+    """The production Lagrange route of compose_with_v, on the v-expansion."""
+    return compose_with_v(expand_in_v(f, order).coeffs, order)
+
+
+ratfn_coeffs = st.lists(
+    st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6)), max_size=8
+)
+nonzero_coeff = st.one_of(
+    st.integers(-6, 6).filter(bool), st.fractions(-6, 6, max_denominator=6).filter(bool)
+)
+
+
+class TestNormalForm:
+    """expand_in_z's quadratic normal form against compose_with_v's Lagrange route."""
+
+    @pytest.mark.parametrize(
+        "fid",
+        [str(f) for f in combinatorial_ids(6, 0) if not f.name.startswith("height_sum")],
+    )
+    def test_catalog_matches_lagrange(self, fid):
+        f = formula(fid)
+        assert typed_coeffs(expand_in_z(f, 200)) == typed_coeffs(lagrange_route(f, 200))
+
+    @pytest.mark.parametrize(
+        "fid", ["area_A", "phi(12,6)", "psi(7,3)", "phi(30,0)", "reversed_limit_formal"]
+    )
+    def test_long_expansions_match_lagrange(self, fid):
+        f = formula(fid)
+        assert typed_coeffs(expand_in_z(f, 1000)) == typed_coeffs(lagrange_route(f, 1000))
+
+    @given(ratfn_coeffs, nonzero_coeff, ratfn_coeffs, st.integers(0, 40))
+    @example([1, 2, 3, 4, 5, 6], 1, [1], 30)  # numerator degree above the denominator's
+    @example([2], 3, [0, 0, 0, 0, 1, -1], 30)  # denominator degree above the numerator's
+    @example([], 1, [1, 1], 5)  # zero numerator
+    @example([0, Fraction(1, 2), 0, 0, 0, 0, 0, 7], Fraction(-2, 3), [], 40)
+    @settings(max_examples=150, deadline=None)
+    def test_random_ratfns_match_lagrange(self, num, den0, den_rest, order):
+        for f in (RatFn(Poly(num), Poly([den0] + den_rest)), Poly(num)):
+            assert typed_coeffs(expand_in_z(f, order)) == typed_coeffs(lagrange_route(f, order))
+
+    def test_refusals(self):
+        with pytest.raises(PoleAtOrigin):
+            expand_in_z(RatFn(KERNEL, V - V**2), 5)
+        for f in (formula("area_A"), KERNEL):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                expand_in_z(f, -1)
+
+    def test_sqrt_series(self):
+        s = algebra._sqrt_series(60)
+        square = Series(s) * Series(s)
+        assert square.coeffs == (1, -2, -3) + (0,) * 58
+        assert s[2:13] == [-2 * m for m in MOTZKIN]  # S = 1 - z - 2z^2*M(z)
+
+
+def full_row(n: int) -> tuple[int, ...]:
+    """The trinomial recurrence run over the whole row, no mirror: the row
+    builder before it stopped at the middle, kept as the reference."""
+    row = [0] * (2 * n + 1)
+    row[0] = 1
+    for k in range(2 * n):
+        num = (n - k) * row[k] + ((2 * n - k + 1) * row[k - 1] if k >= 1 else 0)
+        q, r = divmod(num, k + 1)
+        assert r == 0
+        row[k + 1] = q
+    return tuple(row)
+
+
 class TestTrinomials:
+    def test_half_row_against_direct_expansion(self):
+        for n in range(61):
+            assert algebra._compute_row(n) == (KERNEL**n).coeffs
+
+    @pytest.mark.parametrize("n", [1000, 3001])
+    def test_half_row_against_full_recurrence(self, n):
+        assert algebra._compute_row(n) == full_row(n)
+
     def test_examples(self):
         assert trinomial(0, 0) == 1
         assert trinomial(3, 3) == 7

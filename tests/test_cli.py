@@ -150,6 +150,14 @@ class TestSeries:
         code, env = run_json(["series", "--formula", "height_sum_closed", "--terms", "6"])
         assert env["payload"]["coefficients"] == ["0", "0", "1", "2", "6", "16", "44"]
 
+    @pytest.mark.parametrize("name", ["area", "height_sum_closed"])
+    def test_terms_bound(self, name, capsys):
+        # refused before any expansion; it used to run for minutes
+        code, text = run(["series", "--formula", name, "--terms", "10001"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert "--terms 10001 exceeds bound 10000" in err and "hint:" in err
+
     def test_unknown_formula(self):
         code, text = run(["series", "--formula", "zeta(2)", "--terms", "4"])
         assert code == 2

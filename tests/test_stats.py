@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from deutschpaths.algebra import trinomial_row
+from deutschpaths.algebra import _normal_form, trinomial_row
+from deutschpaths.formulas import formula
 from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths, total_height_dp
 from deutschpaths.stats import (
     LAWS,
@@ -174,6 +176,36 @@ class TestLaws:
         with pytest.raises(OverflowError, match="not evaluable"):
             LAWS["closed_count"].ratio(647)
         assert LAWS["closed_count"].ratio(646) > 0
+
+
+def b_at_one_third(fid: str) -> Fraction:
+    """B(1/3) in F = A(z) + B(z)*sqrt(1-2z-3z^2), read from the normal form
+    F = z^e*(p + q*z*v)/norm with z*v = (1 - z - S)/2: B = -z^e*q/(2*norm)."""
+    e, _, q, norm = _normal_form(formula(fid))
+    third = Fraction(1, 3)
+    return -third**e * Fraction(q(third)) / (2 * norm(third))
+
+
+class TestDerivedConstants:
+    """Near z = 1/3, S ~ (2/sqrt(3))*sqrt(1-3z), so a B regular at 1/3 gives
+    [z^n]F ~ -B(1/3)/sqrt(3*pi) * 3^n * n^(-3/2) (Flajolet and Sedgewick,
+    Analytic Combinatorics, Thm VI.1)."""
+
+    @pytest.mark.parametrize(
+        "law, fid, b",
+        [
+            ("motzkin_count", "motzkin_M", Fraction(-9, 2)),
+            ("closed_count", "phi0_limit", Fraction(-9, 8)),
+        ],
+    )
+    def test_count_law_constants(self, law, fid, b):
+        assert b_at_one_third(fid) == b
+        scale = LAWS[law].approx(1) / 3  # the law is scale * 3^n * n^(-3/2)
+        assert math.isclose(scale, -b / math.sqrt(3 * math.pi), rel_tol=1e-12)
+
+    def test_area_norm_vanishes_at_one_third(self):
+        # a pole of B at 1/3: the (3/8)*3^n law of the total area, not n^(-3/2)
+        assert _normal_form(formula("area_A"))[3](Fraction(1, 3)) == 0
 
 
 class TestReport:
