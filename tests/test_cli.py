@@ -72,8 +72,7 @@ class TestEnvelope:
 class TestCount:
     def test_human_output(self):
         code, text = run(["count", "--family", "deutsch", "--n", "6", "--end-level", "0"])
-        assert code == 0
-        assert "15" in text
+        assert (code, text) == (0, "15\n")
 
     def test_bounded(self):
         code, env = run_json(
@@ -411,3 +410,93 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in text
         assert "n+2" in text
+
+
+class TestPinnedOutput:
+    """The exact human lines and CSV rows of every subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["count", "--family", "deutsch", "--n", "6", "--csv"], "count\n51\n"),
+            (
+                ["enumerate", "--family", "deutsch", "--n", "3"],
+                "U U U\nU U D1\nU U D2\nU D1 U\n",
+            ),
+            (
+                ["enumerate", "--family", "motzkin", "--n", "2", "--csv"],
+                "index,tokens\n0,U D\n1,F F\n",
+            ),
+            (["series", "--formula", "motzkin", "--terms", "4"], "1, 1, 2, 4, 9\n"),
+            (
+                ["series", "--formula", "area", "--terms", "3", "--csv"],
+                "n,coefficient\n0,0\n1,0\n2,1\n3,3\n",
+            ),
+            (["biject", "--path", "U U D2 U"], "U F D F\n"),
+            (["biject", "--path", "U F F D", "--inverse"], "U U U D3\n"),
+            (
+                ["verify", "det", "--max-n", "1"],
+                "PASS  det(A_n) = D_n  (n=1)\n"
+                "PASS  det(A_n^T) = D_n  (n=1)\n"
+                "determinant closed form: 2 checks, 0 failures\n",
+            ),
+            (
+                ["stats", "area", "--n", "9"],
+                "n=9 area (closed): exact=4065/232 asymptotic=27.6298 ratio=0.634154\n",
+            ),
+            (
+                ["stats", "height", "--n", "12", "--csv"],
+                "metric,family,n,exact,asymptotic,ratio\n"
+                "height,closed,12,20721/4213,7.0898154036220635,0.6937201733143282\n",
+            ),
+        ],
+    )
+    def test_exact_text(self, argv, want):
+        assert run(argv) == (0, want)
+
+    def test_verify_note_and_witness_lines(self):
+        code, text = run(["verify", "product"])
+        lines = text.splitlines()
+        assert code == 0 and len(lines) == 4
+        assert lines[0].startswith("PASS  exactly one candidate matches  (n=3)  [product (1 + 3*v")
+        assert lines[1] == "PASS  product equals determinant closed form  (n=3)"
+        assert lines[2] == (
+            "note: prod U_ii for n=3 equals ((1+v)/(1+v+v^2))^n * (1-v^(n+2))/(1-v^2); "
+            "the (1-v^(n+1)) variant does not match"
+        )
+        assert lines[3] == "determinant-product exponent adjudication: 2 checks, 0 failures"
+
+    def test_selftest_equals_verify_all(self):
+        for fmt in ([], ["--json"]):
+            code_a, all_text = run(["verify", "all"] + fmt)
+            code_s, self_text = run(["selftest"] + fmt)
+            assert code_a == code_s == 0
+            if fmt:
+                assert json.loads(all_text)["payload"] == json.loads(self_text)["payload"]
+            else:
+                assert all_text == self_text
+                assert all_text.endswith("selftest: 233 checks, 0 failures\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "det", "--max-n", "3"], ["verify", "all"], ["biject", "--path", "U"], ["selftest"]],
+    )
+    def test_csv_refusal_message_and_hint(self, argv, capsys):
+        code, text = run(argv + ["--csv"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: --csv is not available for {argv[0]!r}\n"
+            "hint: csv output covers count, enumerate, series, and stats\n"
+        )
+
+    def test_parser_reuse_keeps_no_values(self):
+        bounded = ["count", "--family", "deutsch", "--n", "6", "--end-level", "0", "--max-height", "2"]
+        _, first = run_json(bounded)
+        _, second = run_json(["count", "--family", "deutsch", "--n", "6"])
+        assert first["payload"]["count"] == "5"
+        assert second["payload"] == {
+            "count": "51",
+            "query": {"family": "deutsch", "n": 6, "end_level": None, "max_height": None},
+        }
+        assert second["command"]["args"]["end_level"] is None
+        assert second["command"]["args"]["max_height"] is None
