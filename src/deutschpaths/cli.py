@@ -13,12 +13,15 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, algebra
 from .bijection import NotAPath, certify, from_motzkin, to_motzkin
@@ -118,12 +121,7 @@ def _resolve_cache_dir(args, config: dict) -> str | None:
 
 
 def _query_from_args(args) -> PathFamilyQuery:
-    return PathFamilyQuery(
-        family=args.family,
-        n=args.n,
-        end_level=args.end_level,
-        max_height=args.max_height,
-    )
+    return PathFamilyQuery(args.family, args.n, args.end_level, args.max_height)
 
 
 #: Unbounded counts with a trinomial closed form, by (family, end level); the rest run count_dp.
@@ -248,7 +246,8 @@ def _report_payload(report: VerificationReport) -> dict:
 
 
 def _cmd_verify(args, config) -> dict:
-    report = _run_verify(args.target, args.max_n)
+    # selftest is verify all: it has neither a target nor --max-n
+    report = _run_verify(getattr(args, "target", "all"), getattr(args, "max_n", None))
     return _report_payload(report)
 
 
@@ -282,113 +281,148 @@ def _cmd_stats(args, config) -> dict:
     }
 
 
-def _cmd_selftest(args, config) -> dict:
-    report = run_selftest()
-    return _report_payload(report)
+# --- the subcommand table -----------------------------------------------------
 
 
-# --- output formatting --------------------------------------------------------
+def _report_lines(payload: dict) -> list[str]:
+    lines = []
+    for check in payload["checks"]:
+        status = "PASS" if check["passed"] else "FAIL"
+        suffix = f"  [{check['witness']}]" if check["witness"] else ""
+        lines.append(f"{status}  {check['name']}  ({check['dimension']}){suffix}")
+    data = payload.get("data", {})
+    statement = data.get("det_product_statement") or data.get("statement")
+    if statement:
+        lines.append(f"note: {statement}")
+    lines.append(
+        f"{payload['title']}: {payload['checks_total']} checks, "
+        f"{payload['failures_total']} failures"
+    )
+    return lines
 
 
-def _emit_human(subcommand: str, payload: dict, out) -> None:
-    if subcommand == "count":
-        print(payload["count"], file=out)
-    elif subcommand == "enumerate":
-        for tokens in payload["paths"]:
-            print(tokens, file=out)
-    elif subcommand == "series":
-        print(", ".join(payload["coefficients"]), file=out)
-    elif subcommand == "biject":
-        print(payload["output"], file=out)
-    elif subcommand in ("verify", "selftest"):
-        for check in payload["checks"]:
-            status = "PASS" if check["passed"] else "FAIL"
-            suffix = f"  [{check['witness']}]" if check["witness"] else ""
-            print(f"{status}  {check['name']}  ({check['dimension']}){suffix}", file=out)
-        data = payload.get("data", {})
-        statement = data.get("det_product_statement") or data.get("statement")
-        if statement:
-            print(f"note: {statement}", file=out)
-        print(
-            f"{payload['title']}: {payload['checks_total']} checks, "
-            f"{payload['failures_total']} failures",
-            file=out,
-        )
-    elif subcommand == "stats":
-        print(
-            f"n={payload['n']} {payload['metric']} ({payload['family']}): "
-            f"exact={payload['exact']} asymptotic={payload['asymptotic']:.6g} "
-            f"ratio={payload['ratio']:.6g}",
-            file=out,
-        )
+_STATS_COLUMNS = ("metric", "family", "n", "exact", "asymptotic", "ratio")
 
 
-_CSV_SUBCOMMANDS = ("count", "enumerate", "series", "stats")
+def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
+    return flags, kwargs
 
 
-def _emit_csv(subcommand: str, payload: dict, out) -> None:
-    import csv
+#: count and enumerate select paths with the same flags.
+_SELECTION = (
+    _arg("--family", choices=("deutsch", "reversed", "motzkin"), required=True),
+    _arg("--n", type=int, required=True, help="path length (number of steps)"),
+    _arg("--end-level", type=int, default=None),
+    _arg("--max-height", type=int, default=None),
+)
 
-    w = csv.writer(out, lineterminator="\n")
-    if subcommand == "count":
-        w.writerow(["count"])
-        w.writerow([payload["count"]])
-    elif subcommand == "enumerate":
-        w.writerow(["index", "tokens"])
-        for i, tokens in enumerate(payload["paths"]):
-            w.writerow([i, tokens])
-    elif subcommand == "series":
-        w.writerow(["n", "coefficient"])
-        for n, c in enumerate(payload["coefficients"]):
-            w.writerow([n, c])
-    elif subcommand == "stats":
-        w.writerow(["metric", "family", "n", "exact", "asymptotic", "ratio"])
-        w.writerow(
-            [
-                payload["metric"],
-                payload["family"],
-                payload["n"],
-                payload["exact"],
-                repr(payload["asymptotic"]),
-                repr(payload["ratio"]),
-            ]
-        )
+
+@dataclass(frozen=True)
+class _Subcommand:
+    """One subcommand: help, own arguments, handler, human lines, CSV rows or None."""
+
+    help: str
+    arguments: tuple[tuple[tuple, dict], ...]
+    handler: Callable[[argparse.Namespace, dict], dict]
+    human: Callable[[dict], list[str]]
+    csv_rows: Callable[[dict], list] | None = None
+
+
+_SUBCOMMANDS = {
+    "count": _Subcommand(
+        "count paths by family, length, end level, height bound",
+        _SELECTION,
+        _cmd_count,
+        lambda p: [p["count"]],
+        lambda p: [("count",), (p["count"],)],
+    ),
+    "enumerate": _Subcommand(
+        "list all matching paths in deterministic order",
+        _SELECTION,
+        _cmd_enumerate,
+        lambda p: p["paths"],
+        lambda p: [("index", "tokens"), *enumerate(p["paths"])],
+    ),
+    "series": _Subcommand(
+        "z-expansion of a catalog generating function",
+        (
+            _arg(
+                "--formula",
+                required=True,
+                help="formula id, e.g. motzkin_M, phi(4,1), area_A; aliases: "
+                + ", ".join(f"{k}={v}" for k, v in FORMULA_ALIASES.items()),
+            ),
+            _arg("--terms", type=int, default=10, help="series order N (prints N+1 coefficients)"),
+        ),
+        _cmd_series,
+        lambda p: [", ".join(p["coefficients"])],
+        lambda p: [("n", "coefficient"), *enumerate(p["coefficients"])],
+    ),
+    "biject": _Subcommand(
+        "map an open Deutsch path to its Motzkin partner",
+        (
+            _arg("--path", required=True, help='step tokens, e.g. "U U D2"'),
+            _arg("--inverse", action="store_true", help="map a Motzkin path back instead"),
+        ),
+        _cmd_biject,
+        lambda p: [p["output"]],
+    ),
+    "verify": _Subcommand(
+        "run an exact identity battery",
+        (
+            _arg("target", choices=_VERIFY_TARGETS),
+            _arg("--max-n", type=int, default=None, help="largest dimension/length to check"),
+        ),
+        _cmd_verify,
+        _report_lines,
+    ),
+    "stats": _Subcommand(
+        "exact statistic vs asymptotic law",
+        (
+            _arg("metric", choices=("height", "area")),
+            _arg("--n", type=int, required=True),
+            _arg("--family", choices=("closed", "open"), default="closed"),
+        ),
+        _cmd_stats,
+        lambda p: [
+            f"n={p['n']} {p['metric']} ({p['family']}): exact={p['exact']} "
+            f"asymptotic={p['asymptotic']:.6g} ratio={p['ratio']:.6g}"
+        ],
+        lambda p: [_STATS_COLUMNS, [p[k] for k in _STATS_COLUMNS]],
+    ),
+    "selftest": _Subcommand("full fast verification battery", (), _cmd_verify, _report_lines),
+}
 
 
 def _emit(args, payload: dict, elapsed: float, out) -> None:
-    if getattr(args, "json", False):
+    command = _SUBCOMMANDS[args.subcommand]
+    if args.json:
+        skip = ("subcommand", "json", "csv")
+        echo = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
         envelope = {
             "tool": "deutschpaths",
             "version": __version__,
-            "command": {"subcommand": args.subcommand, "args": _echo_args(args)},
+            "command": {"subcommand": args.subcommand, "args": echo},
             "payload": payload,
             "elapsed_seconds": round(elapsed, 6),
         }
         json.dump(envelope, out, indent=2, sort_keys=True)
         out.write("\n")
-    elif getattr(args, "csv", False):
-        _emit_csv(args.subcommand, payload, out)
+    elif args.csv:
+        import csv
+
+        csv.writer(out, lineterminator="\n").writerows(command.csv_rows(payload))
     else:
-        _emit_human(args.subcommand, payload, out)
-
-
-def _echo_args(args) -> dict:
-    skip = {"func", "subcommand", "json", "csv"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+        for line in command.human(payload):
+            print(line, file=out)
 
 
 # --- parser -------------------------------------------------------------------
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
-    fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
-    p.add_argument("--cache-dir", help=f"trinomial-row cache directory (or ${CACHE_ENV_VAR})")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use and shared."""
     parser = argparse.ArgumentParser(
         prog="deutschpaths",
         description="Exact enumeration of Deutsch paths: counts, generating "
@@ -396,71 +430,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"deutschpaths {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-
-    p = sub.add_parser("count", help="count paths by family, length, end level, height bound")
-    p.add_argument("--family", choices=("deutsch", "reversed", "motzkin"), required=True)
-    p.add_argument("--n", type=int, required=True, help="path length (number of steps)")
-    p.add_argument("--end-level", type=int, default=None)
-    p.add_argument("--max-height", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="list all matching paths in deterministic order")
-    p.add_argument("--family", choices=("deutsch", "reversed", "motzkin"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--end-level", type=int, default=None)
-    p.add_argument("--max-height", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("series", help="z-expansion of a catalog generating function")
-    p.add_argument(
-        "--formula",
-        required=True,
-        help="formula id, e.g. motzkin_M, phi(4,1), area_A; aliases: "
-        + ", ".join(f"{k}={v}" for k, v in FORMULA_ALIASES.items()),
-    )
-    p.add_argument("--terms", type=int, default=10, help="series order N (prints N+1 coefficients)")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_series)
-
-    p = sub.add_parser("biject", help="map an open Deutsch path to its Motzkin partner")
-    p.add_argument("--path", required=True, help='step tokens, e.g. "U U D2"')
-    p.add_argument("--inverse", action="store_true", help="map a Motzkin path back instead")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_biject)
-
-    p = sub.add_parser("verify", help="run an exact identity battery")
-    p.add_argument("target", choices=_VERIFY_TARGETS)
-    p.add_argument("--max-n", type=int, default=None, help="largest dimension/length to check")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("stats", help="exact statistic vs asymptotic law")
-    p.add_argument("metric", choices=("height", "area"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=("closed", "open"), default="closed")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("selftest", help="full fast verification battery")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_selftest)
-
+    for name, command in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.arguments:
+            p.add_argument(*flags, **kwargs)
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
+        fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
+        p.add_argument("--cache-dir", help=f"trinomial-row cache directory (or ${CACHE_ENV_VAR})")
+        p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = _SUBCOMMANDS[args.subcommand]
     t0 = time.perf_counter()
     try:
         # reject unsupported output formats before any expensive work runs
-        if getattr(args, "csv", False) and args.subcommand not in _CSV_SUBCOMMANDS:
+        if args.csv and command.csv_rows is None:
+            *most, last = (name for name, c in _SUBCOMMANDS.items() if c.csv_rows)
             raise UsageError(
                 f"--csv is not available for {args.subcommand!r}",
-                "csv output covers count, enumerate, series, and stats",
+                f"csv output covers {', '.join(most)}, and {last}",
             )
         config = _load_config(args.config)
         cache_dir = _resolve_cache_dir(args, config)
@@ -469,21 +462,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 algebra.load_cache(cache_dir)
             except (OSError, ValueError) as exc:
                 print(f"warning: ignoring cache: {exc}", file=sys.stderr)
-        payload = args.func(args, config)
+        payload = command.handler(args, config)
         if cache_dir:
             try:
                 algebra.save_cache(cache_dir)
             except (OSError, ValueError) as exc:
                 print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)
-    except UsageError as exc:
+    except (UsageError, QueryError, PathError, NotAPath, BadParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.hint:
-            print(f"hint: {exc.hint}", file=sys.stderr)
-        return 2
-    except (QueryError, PathError, NotAPath, BadParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: run with --help to see valid values", file=sys.stderr)
+        hint = getattr(exc, "hint", "run with --help to see valid values")
+        if hint:
+            print(f"hint: {hint}", file=sys.stderr)
         return 2
     except MismatchFound as exc:
         report = getattr(exc, "report", None)

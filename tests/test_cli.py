@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from deutschpaths import __version__, algebra
+from deutschpaths import cli
 from deutschpaths.cli import CACHE_ENV_VAR, main
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
@@ -500,3 +502,19 @@ class TestPinnedOutput:
         }
         assert second["command"]["args"]["end_level"] is None
         assert second["command"]["args"]["max_height"] is None
+
+    def test_two_calls_build_the_parser_once(self, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *a, **kw):
+            built.append(kw.get("prog"))
+            real_init(self, *a, **kw)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert run(["count", "--family", "deutsch", "--n", "6"]) == (0, "51\n")
+        after_first = len(built)
+        assert after_first > 0
+        assert run(["count", "--family", "motzkin", "--n", "4"]) == (0, "9\n")
+        assert len(built) == after_first
