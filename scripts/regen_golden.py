@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 from deutschpaths.algebra import Series, expand_in_z
+from deutschpaths.cli import _num_str
 from deutschpaths.formulas import FormulaId, formula
 
 ORDER = 30
@@ -48,7 +49,7 @@ def render() -> str:
         obj = formula(fid)
         series = obj if isinstance(obj, Series) else expand_in_z(obj, ORDER)
         assert series.is_integral(), fid
-        data[str(fid)] = [str(c) for c in series.coeffs]
+        data[str(fid)] = [_num_str(c) for c in series.coeffs]
     return json.dumps({"order": ORDER, "series": data}, indent=1, sort_keys=True) + "\n"
 
 

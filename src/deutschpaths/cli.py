@@ -77,10 +77,34 @@ class UsageError(ValueError):
         super().__init__(message)
 
 
-def _num_str(x) -> str:
+#: str() never checks an int below 10**640 against the interpreter's
+#: int-to-str digit limit (sys.get_int_max_str_digits(), 4300 by default).
+_PIECE_DIGITS = 640
+_PIECE_BOUND = 10**_PIECE_DIGITS
+
+
+@functools.cache
+def _ten_to(k: int) -> int:
+    return 10**k
+
+
+def _digits(x: int) -> str:
+    """Decimal digits of x >= 0, by divide and conquer over powers of ten."""
+    if x < _PIECE_BOUND:
+        return str(x)
+    k = _PIECE_DIGITS
+    while _ten_to(2 * k) <= x:
+        k *= 2
+    high, low = divmod(x, _ten_to(k))
+    return _digits(high) + _digits(low).zfill(k)
+
+
+def _num_str(x: int | Fraction) -> str:
+    """Exact decimal text of an int or Fraction ("p/q") of any length."""
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-    return str(x)
+        den = x.denominator
+        return _num_str(x.numerator) + (f"/{_digits(den)}" if den != 1 else "")
+    return "-" + _digits(-x) if x < 0 else _digits(x)
 
 
 def _load_config(path: str | None) -> dict:
@@ -256,6 +280,8 @@ def _cmd_stats(args, config) -> dict:
         raise UsageError(
             f"--n must be >= 1, got {args.n}", "pass --n N with N >= 1 (N >= 2 for closed paths)"
         )
+    if args.n > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"--n {args.n} exceeds bound {DEFAULT_DP_BOUND}")
     if args.metric == "height":
         law = LAWS["avg_height_closed" if args.family == "closed" else "avg_height_open"]
     else:
@@ -266,18 +292,17 @@ def _cmd_stats(args, config) -> dict:
             )
         law = LAWS["avg_area"]
     try:
-        exact = law.exact(args.n)
+        row = law.compare(args.n)
     except ZeroCount as exc:
         raise UsageError(str(exc), "closed paths need n >= 2")
-    approx = law.approx(args.n)
     return {
         "metric": args.metric,
         "family": args.family,
         "n": args.n,
         "law": law.description,
-        "exact": _num_str(exact),
-        "asymptotic": approx,
-        "ratio": law.ratio(args.n),
+        "exact": _num_str(row.exact),
+        "asymptotic": row.asymptotic,
+        "ratio": row.ratio,
     }
 
 

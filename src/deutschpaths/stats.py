@@ -99,6 +99,17 @@ def avg_elevation(n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
+class ComparisonRow:
+    """Exact value vs asymptotic law at one n; exact never uses the law."""
+
+    law: str
+    n: int
+    exact: Fraction
+    asymptotic: float
+    ratio: float
+
+
+@dataclass(frozen=True)
 class AsymptoticLaw:
     """A leading-order law paired with the exact quantity it approximates."""
 
@@ -109,13 +120,18 @@ class AsymptoticLaw:
 
     def ratio(self, n: int) -> float:
         """exact / approx as a float; exact arithmetic until the last step."""
+        return self.compare(n).ratio
+
+    def compare(self, n: int) -> ComparisonRow:
+        """Exact value, law and their ratio at n, computing the exact value once."""
         try:
             a = self.approx(n)
         except OverflowError:
             a = math.inf
         if not (a > 0 and math.isfinite(a)):
             raise OverflowError(f"law {self.name} not evaluable in floats at n={n}")
-        return float(Fraction(self.exact(n)) / Fraction(a))
+        exact = Fraction(self.exact(n))
+        return ComparisonRow(self.name, n, exact, a, float(exact / Fraction(a)))
 
 
 def _count_law(scale: float) -> Callable[[int], float]:
@@ -177,27 +193,9 @@ LAWS: dict[str, AsymptoticLaw] = {
 }
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Exact value vs asymptotic law at one n; exact never uses the law."""
-
-    law: str
-    n: int
-    exact: Fraction
-    asymptotic: float
-    ratio: float
-
-
 def asymptotic_report(
     ns: list[int], law_names: list[str] | None = None
 ) -> list[ComparisonRow]:
     """Comparison rows for the requested lengths and laws."""
     names = list(LAWS) if law_names is None else law_names
-    rows = []
-    for name in names:
-        law = LAWS[name]
-        for n in ns:
-            exact = Fraction(law.exact(n))
-            approx = law.approx(n)
-            rows.append(ComparisonRow(name, n, exact, approx, law.ratio(n)))
-    return rows
+    return [LAWS[name].compare(n) for name in names for n in ns]

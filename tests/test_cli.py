@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from deutschpaths import __version__, algebra
-from deutschpaths import cli
-from deutschpaths.cli import CACHE_ENV_VAR, main
+from deutschpaths import __version__, algebra, cli, stats
+from deutschpaths.cli import CACHE_ENV_VAR, _num_str, main
+from deutschpaths.formulas import coeff_closed
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
 SCHEMA_PATH = (
@@ -35,6 +38,15 @@ def run(argv):
 def run_json(argv):
     code, text = run(argv + ["--json"])
     return code, json.loads(text)
+
+
+def int_of(text: str) -> int:
+    """Parse decimal digits of any length, in pieces below int()'s digit limit."""
+    value = 0
+    for i in range(0, len(text), 600):
+        piece = text[i : i + 600]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
 
 
 class TestEnvelope:
@@ -106,6 +118,13 @@ class TestCount:
             assert code == 0 and env["payload"]["count"] == str(want[n]), (family, end, n)
         for n in (0, 1, 2, 57, n_max):
             assert want[n] == count_dp(PathFamilyQuery(family, n, end_level=end))
+
+    def test_count_past_the_digit_limit(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+        code, text = run(["count", "--family", "deutsch", "--n", "9990", "--end-level", "0"])
+        assert code == 0
+        assert len(text.strip()) > 4300
+        assert int_of(text.strip()) == coeff_closed(9990)
 
     @pytest.mark.parametrize("extra", [["--end-level", "0"], [], ["--max-height", "3"]])
     def test_dp_bound_applies_to_every_route(self, extra, capsys):
@@ -271,6 +290,47 @@ class TestStats:
         lines = text.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("metric,")
+
+    @pytest.mark.parametrize("metric", ["height", "area"])
+    def test_n_bound(self, metric, capsys):
+        # refused before any work, as count and series are
+        code, text = run(["stats", metric, "--n", "10001"])
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert "--n 10001 exceeds bound 10000" in err and "hint:" in err
+
+    def test_exact_value_computed_once_per_request(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(stats, "avg_height", counted(stats.avg_height))
+        area_law = stats.LAWS["avg_area"]
+        monkeypatch.setitem(
+            stats.LAWS, "avg_area", dataclasses.replace(area_law, exact=counted(area_law.exact))
+        )
+        for argv in (
+            ["stats", "height", "--n", "40"],
+            ["stats", "height", "--n", "41", "--family", "open"],
+            ["stats", "area", "--n", "40"],
+        ):
+            calls.clear()
+            assert run(argv)[0] == 0
+            assert len(calls) == 1, argv
+
+    def test_exact_value_past_the_digit_limit(self, monkeypatch):
+        # a fresh row memo, so the long rows stay out of the other tests' process state
+        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+        code, env = run_json(["stats", "height", "--n", "9500"])
+        assert code == 0
+        num, den = env["payload"]["exact"].split("/")
+        assert len(num) > 4300
+        assert Fraction(int_of(num), int_of(den)) == stats.avg_height(9500)
 
 
 class TestErrors:
@@ -469,15 +529,11 @@ class TestPinnedOutput:
         assert lines[3] == "determinant-product exponent adjudication: 2 checks, 0 failures"
 
     def test_selftest_equals_verify_all(self):
-        for fmt in ([], ["--json"]):
-            code_a, all_text = run(["verify", "all"] + fmt)
-            code_s, self_text = run(["selftest"] + fmt)
-            assert code_a == code_s == 0
-            if fmt:
-                assert json.loads(all_text)["payload"] == json.loads(self_text)["payload"]
-            else:
-                assert all_text == self_text
-                assert all_text.endswith("selftest: 233 checks, 0 failures\n")
+        code_a, verify_all = run_json(["verify", "all"])
+        code_s, selftest = run_json(["selftest"])
+        assert code_a == code_s == 0
+        assert verify_all["payload"] == selftest["payload"]
+        assert selftest["command"]["args"] == {"cache_dir": None, "config": None}
 
     @pytest.mark.parametrize(
         "argv",
@@ -518,3 +574,27 @@ class TestPinnedOutput:
         assert after_first > 0
         assert run(["count", "--family", "motzkin", "--n", "4"]) == (0, "9\n")
         assert len(built) == after_first
+
+
+class TestNumStr:
+    """Exact decimal text, checked against strings built without str() on the whole number."""
+
+    def test_int_past_the_digit_limit(self):
+        want = "1" + "0" * 4999 + "7"
+        assert _num_str(10**5000 + 7) == want
+        assert _num_str(-(10**5000 + 7)) == "-" + want
+
+    def test_fraction_with_both_parts_past_the_limit(self):
+        q = Fraction(3 * 10**6000 + 1, 10**4400 + 3)
+        assert q.denominator == 10**4400 + 3
+        assert _num_str(q) == "3" + "0" * 5999 + "1/1" + "0" * 4399 + "3"
+
+    def test_agrees_with_str_below_the_limit(self):
+        rng = random.Random(5)
+        for digits in [1, 639, 640, 641, 1280, 1281, *range(700, 4300, 181)]:
+            for x in (10 ** (digits - 1), rng.randrange(10 ** (digits - 1), 10**digits)):
+                assert _num_str(x) == str(x)
+                assert _num_str(-x) == str(-x)
+                assert _num_str(Fraction(x, 7 * x + 1)) == f"{x}/{7 * x + 1}"
+        assert _num_str(0) == "0"
+        assert _num_str(Fraction(12, 4)) == "3"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -220,3 +221,16 @@ class TestReport:
     def test_unknown_law_rejected(self):
         with pytest.raises(KeyError):
             asymptotic_report([10], ["no_such_law"])
+
+    def test_exact_value_computed_once_per_row(self, monkeypatch):
+        law = LAWS["avg_area"]
+        calls = []
+
+        def exact(n):
+            calls.append(n)
+            return law.exact(n)
+
+        monkeypatch.setitem(LAWS, "avg_area", dataclasses.replace(law, exact=exact))
+        rows = asymptotic_report([10, 50], ["avg_area"])
+        assert calls == [10, 50]
+        assert [r.exact for r in rows] == [law.exact(10), law.exact(50)]
