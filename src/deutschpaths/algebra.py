@@ -859,6 +859,10 @@ def save_cache(directory: str | Path) -> Path:
             "version": CACHE_VERSION,
             "trinomial_rows": {str(n): list(row) for n, row in _TRI_ROWS.items()},
         }
+    # json writes ints with str(), which raises ValueError past the interpreter's
+    # int-to-str digit limit: meet that before encoding the whole cache, not midway
+    for row in payload["trinomial_rows"].values():
+        str(max(row))
     target = directory / CACHE_FILENAME
     tmp = directory / f".{CACHE_FILENAME}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:

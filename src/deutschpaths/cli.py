@@ -145,7 +145,12 @@ def _resolve_cache_dir(args, config: dict) -> str | None:
 
 
 def _query_from_args(args) -> PathFamilyQuery:
-    return PathFamilyQuery(args.family, args.n, args.end_level, args.max_height)
+    return PathFamilyQuery(
+        family=args.family,
+        n=args.n,
+        end_level=args.end_level,
+        max_height=args.max_height,
+    )
 
 
 #: Unbounded counts with a trinomial closed form, by (family, end level); the rest run count_dp.

@@ -560,6 +560,20 @@ class TestDiskCache:
             load_cache(tmp_path)
         assert rows == {0: (1,)}
 
+    def test_row_past_the_digit_limit_refused_before_encoding(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+        target = save_cache(tmp_path)
+        before = target.read_bytes()
+        algebra._TRI_ROWS[10**6] = (10**4400,)
+
+        def no_encoding(payload):
+            raise AssertionError("encoding started")
+
+        monkeypatch.setattr(algebra.json, "dumps", no_encoding)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            save_cache(tmp_path)
+        assert target.read_bytes() == before
+
     def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
         monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
         target = save_cache(tmp_path)
