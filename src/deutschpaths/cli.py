@@ -18,10 +18,9 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__, algebra
 from .bijection import NotAPath, certify, from_motzkin, to_motzkin
@@ -347,8 +346,7 @@ _SELECTION = (
 )
 
 
-@dataclass(frozen=True)
-class _Subcommand:
+class _Subcommand(NamedTuple):
     """One subcommand: help, own arguments, handler, human lines, CSV rows or None."""
 
     help: str
