@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -76,34 +77,15 @@ class UsageError(ValueError):
         super().__init__(message)
 
 
-#: str() never checks an int below 10**640 against the interpreter's
-#: int-to-str digit limit (sys.get_int_max_str_digits(), 4300 by default).
-_PIECE_DIGITS = 640
-_PIECE_BOUND = 10**_PIECE_DIGITS
-
-
-@functools.cache
-def _ten_to(k: int) -> int:
-    return 10**k
-
-
-def _digits(x: int) -> str:
-    """Decimal digits of x >= 0, by divide and conquer over powers of ten."""
-    if x < _PIECE_BOUND:
-        return str(x)
-    k = _PIECE_DIGITS
-    while _ten_to(2 * k) <= x:
-        k *= 2
-    high, low = divmod(x, _ten_to(k))
-    return _digits(high) + _digits(low).zfill(k)
-
-
 def _num_str(x: int | Fraction) -> str:
-    """Exact decimal text of an int or Fraction ("p/q") of any length."""
-    if isinstance(x, Fraction):
-        den = x.denominator
-        return _num_str(x.numerator) + (f"/{_digits(den)}" if den != 1 else "")
-    return "-" + _digits(-x) if x < 0 else _digits(x)
+    """Exact decimal text of an int or Fraction ("p/q") of any length.
+
+    Decimal(int) is exact and its str() is plain digits: unlike str(int), neither
+    is held to the interpreter's int-to-str digit limit (4300 by default).
+    """
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return str(Decimal(int(x)))
 
 
 def _load_config(path: str | None) -> dict:
@@ -299,12 +281,22 @@ def _cmd_stats(args, config) -> dict:
         row = law.compare(args.n)
     except ZeroCount as exc:
         raise UsageError(str(exc), "closed paths need n >= 2")
+    exact = _num_str(row.exact)
+    # Unlike count and series, stats prints no part longer than int() can read back
+    # (above n of about 9020): perfbench/checks.py reads "exact" with Fraction(),
+    # and would take a printed value it cannot parse for a wrong answer.
+    limit = sys.get_int_max_str_digits()
+    if limit and any(len(part) > limit for part in exact.lstrip("-").split("/")):
+        raise UsageError(
+            f"the exact value at n={args.n} has more than {limit} digits",
+            "pass a smaller --n, or raise the int-to-str limit with PYTHONINTMAXSTRDIGITS",
+        )
     return {
         "metric": args.metric,
         "family": args.family,
         "n": args.n,
         "law": law.description,
-        "exact": _num_str(row.exact),
+        "exact": exact,
         "asymptotic": row.asymptotic,
         "ratio": row.ratio,
     }
@@ -448,9 +440,8 @@ def _emit(args, payload: dict, elapsed: float, out) -> None:
 # --- parser -------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process on first use and shared."""
+    """A new CLI parser; main builds one per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="deutschpaths",
         description="Exact enumeration of Deutsch paths: counts, generating "
@@ -470,9 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     command = _SUBCOMMANDS[args.subcommand]
     t0 = time.perf_counter()
     try:

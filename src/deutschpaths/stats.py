@@ -118,19 +118,25 @@ class AsymptoticLaw:
     approx: Callable[[int], float]
     description: str
 
-    def ratio(self, n: int) -> float:
-        """exact / approx as a float; exact arithmetic until the last step."""
-        return self.compare(n).ratio
-
-    def compare(self, n: int) -> ComparisonRow:
-        """Exact value, law and their ratio at n, computing the exact value once."""
+    def _law_at(self, n: int) -> float:
+        """approx(n), refused unless a positive finite float."""
         try:
             a = self.approx(n)
         except OverflowError:
             a = math.inf
         if not (a > 0 and math.isfinite(a)):
             raise OverflowError(f"law {self.name} not evaluable in floats at n={n}")
+        return a
+
+    def ratio(self, n: int) -> float:
+        """exact / approx as a float; exact arithmetic until the last step."""
+        a = self._law_at(n)
+        return float(Fraction(self.exact(n)) / Fraction(a))
+
+    def compare(self, n: int) -> ComparisonRow:
+        """Exact value, law and their ratio at n, computing the exact value once."""
         exact = Fraction(self.exact(n))
+        a = self._law_at(n)
         return ComparisonRow(self.name, n, exact, a, float(exact / Fraction(a)))
 
 

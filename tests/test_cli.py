@@ -323,14 +323,14 @@ class TestStats:
             assert run(argv)[0] == 0
             assert len(calls) == 1, argv
 
-    def test_exact_value_past_the_digit_limit(self, monkeypatch):
+    def test_exact_value_past_the_digit_limit_refused(self, monkeypatch, capsys):
         # a fresh row memo, so the long rows stay out of the other tests' process state
         monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
-        code, env = run_json(["stats", "height", "--n", "9500"])
-        assert code == 0
-        num, den = env["payload"]["exact"].split("/")
-        assert len(num) > 4300
-        assert Fraction(int_of(num), int_of(den)) == stats.avg_height(9500)
+        code, text = run(["stats", "height", "--n", "9500", "--json"])
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert "error: the exact value at n=9500 has more than 4300 digits" in err
+        assert "hint: pass a smaller --n" in err
 
 
 class TestErrors:
@@ -568,7 +568,7 @@ class TestPinnedOutput:
             real_init(self, *a, **kw)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli.build_parser.cache_clear()
+        cli._parser.cache_clear()
         assert run(["count", "--family", "deutsch", "--n", "6"]) == (0, "51\n")
         after_first = len(built)
         assert after_first > 0

@@ -222,6 +222,11 @@ class TestReport:
         with pytest.raises(KeyError):
             asymptotic_report([10], ["no_such_law"])
 
+    def test_invalid_length_names_the_length(self):
+        # the exact value is evaluated before the law, so its own error comes first
+        with pytest.raises(ValueError, match="length must be at least 1"):
+            asymptotic_report([0], ["avg_height_closed"])
+
     def test_exact_value_computed_once_per_row(self, monkeypatch):
         law = LAWS["avg_area"]
         calls = []
