@@ -45,10 +45,12 @@ from .matrices import (
 from .paths import (
     DEFAULT_DP_BOUND,
     DEFAULT_ENUM_BOUND,
+    FAMILIES,
     BoundExceeded,
     PathError,
     PathFamilyQuery,
     QueryError,
+    _target_levels,
     count_dp,
     enumerate_paths,
     validate_path,
@@ -147,8 +149,8 @@ def _cmd_count(args, config) -> dict:
     query = _query_from_args(args)
     if query.n > DEFAULT_DP_BOUND:
         raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
-    end = 0 if query.family == "motzkin" else query.end_level
-    closed_form = _CLOSED_FORMS.get((query.family, end)) if query.max_height is None else None
+    key = (query.family, _target_levels(query))
+    closed_form = _CLOSED_FORMS.get(key) if query.max_height is None else None
     return {
         "count": _num_str(closed_form(query.n) if closed_form else count_dp(query)),
         "query": {
@@ -331,7 +333,7 @@ def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
 
 #: count and enumerate select paths with the same flags.
 _SELECTION = (
-    _arg("--family", choices=("deutsch", "reversed", "motzkin"), required=True),
+    _arg("--family", choices=FAMILIES, required=True),
     _arg("--n", type=int, required=True, help="path length (number of steps)"),
     _arg("--end-level", type=int, default=None),
     _arg("--max-height", type=int, default=None),

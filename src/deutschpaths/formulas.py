@@ -52,7 +52,7 @@ from .algebra import (
     expand_in_z,
     trinomial,
 )
-from .paths import PathFamilyQuery, _prefix, _walk
+from .paths import _FAMILIES, PathFamilyQuery, _prefix, _walk
 from .reporting import VerificationReport
 
 
@@ -411,12 +411,14 @@ def oracle_check(
     report = VerificationReport("formula oracle equivalence")
     meanings = [_meaning(fid) for fid in ids]
     n_enum = min(enum_max, dp_max)
-    # each family is enumerated once per n; reversed paths (an infinite
-    # family when open) at the largest height bound among the ids
+    # each family is enumerated once per n; one with up-steps of any size
+    # (an infinite family when open) at the largest height bound among the ids
+    bounds: dict[str, list[int | None]] = {}
+    for m in meanings:
+        bounds.setdefault(m.family, []).append(m.max_height)
     enumerated = {}
-    for family in {m.family for m in meanings}:
-        bounds = [m.max_height for m in meanings if m.family == family]
-        cap = max(bounds) if family == "reversed" else None
+    for family, heights in bounds.items():
+        cap = max(heights) if _FAMILIES[family].up is None else None
         enumerated[family] = [
             [_end_height_area(steps) for steps in _walk(PathFamilyQuery(family, n, max_height=cap))]
             for n in range(n_enum + 1)

@@ -5,16 +5,25 @@ never dips below the x-axis, and may end at any level (open) or at level 0
 (closed).  The reversed family is its time mirror: up-steps of any size,
 unit down-steps.  Motzkin paths take steps +1, 0, -1 and end at level 0.
 
+The three families differ only in their step sets, written once in the
+table ``_FAMILIES``: the largest up-step and the largest down-step (``None``
+for any size), whether flat steps are allowed, and whether a path must end
+at level 0.  The path types, the token format, the enumerator, the
+level-vector counters and reversal all read that table.
+
 Paths are stored as tuples of integer step increments together with the
-level profile they trace.  Token text formats, whitespace separated:
+level profile they trace.  Tokens are whitespace separated: ``U`` and ``D``
+carry a size suffix exactly when that direction is unbounded, and ``F`` is
+the flat step:
 
     deutsch    U, D<k>        "U U D2"
     reversed   U<k>, D        "U2 D D"
     motzkin    U, F, D        "U F D"
 
-Enumeration order is deterministic: paths are listed lexicographically
-with the per-family step order U < D1 < D2 < ... (deutsch),
-U1 < U2 < ... < D (reversed), and U < F < D (motzkin).
+Enumeration order is deterministic: paths are listed lexicographically,
+up-steps before the flat step before down-steps, smaller sizes first:
+U < D1 < D2 < ... (deutsch), U1 < U2 < ... < D (reversed), and U < F < D
+(motzkin).
 
 Besides the path types this module provides the brute-force enumerator and
 the transfer-matrix (level-vector) counters that serve as the ground-truth
@@ -23,8 +32,12 @@ oracle for every generating-function formula in the rest of the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from itertools import accumulate
+from numbers import Integral
+from operator import add
+from typing import ClassVar, Iterable, NamedTuple
 
 #: Largest length accepted by exhaustive enumeration unless overridden.
 DEFAULT_ENUM_BOUND = 14
@@ -32,7 +45,23 @@ DEFAULT_ENUM_BOUND = 14
 #: Largest length accepted by the dynamic-programming counters.
 DEFAULT_DP_BOUND = 10_000
 
-FAMILIES = ("deutsch", "reversed", "motzkin")
+
+class _Family(NamedTuple):
+    """A family's step set: largest up- and down-step (None: any size), flat steps, end at 0."""
+
+    up: int | None
+    down: int | None
+    flat: bool = False
+    closed: bool = False
+
+
+_FAMILIES = {
+    "deutsch": _Family(up=1, down=None),
+    "reversed": _Family(up=None, down=1),
+    "motzkin": _Family(1, 1, flat=True, closed=True),
+}
+
+FAMILIES = tuple(_FAMILIES)
 
 
 class PathError(ValueError):
@@ -76,10 +105,11 @@ class BoundExceeded(QueryError):
 
 
 class LatticePath:
-    """Immutable nonnegative lattice path; subclasses fix the step set.
+    """Immutable nonnegative lattice path; subclasses name the family.
 
     ``steps`` holds the integer increments, ``levels`` the running profile
-    (``levels[0] == 0``, ``levels[t] = levels[t-1] + steps[t-1]``).
+    (``levels[0] == 0``, ``levels[t] = levels[t-1] + steps[t-1]``).  The
+    family's entry in ``_FAMILIES`` decides which steps and end are allowed.
     """
 
     __slots__ = ("steps", "levels")
@@ -87,27 +117,28 @@ class LatticePath:
     family: ClassVar[str] = ""
 
     def __init__(self, steps: Iterable[int] = ()):
-        steps = tuple(int(s) for s in steps)
+        up, down, flat, closed = _FAMILIES[self.family]
+        top = math.inf if up is None else up
+        bottom = -math.inf if down is None else -down
+        ints = []
         levels = [0]
         level = 0
         for t, s in enumerate(steps, start=1):
-            if not self._step_ok(s):
+            if type(s) is not int:
+                if not isinstance(s, Integral):
+                    raise BadStep(t, f"expected an integer, got {type(s).__name__}")
+                s = int(s)
+            if not bottom <= s <= top or not (s or flat):
                 raise BadStep(t, f"increment {s} not allowed for {self.family} paths")
             level += s
             if level < 0:
                 raise NegativeLevel(t)
+            ints.append(s)
             levels.append(level)
-        object.__setattr__(self, "steps", steps)
+        if closed and level != 0:
+            raise NonzeroEnd(level)
+        object.__setattr__(self, "steps", tuple(ints))
         object.__setattr__(self, "levels", tuple(levels))
-        self._check_end()
-
-    # subclasses override
-    @staticmethod
-    def _step_ok(s: int) -> bool:
-        raise NotImplementedError
-
-    def _check_end(self) -> None:
-        pass
 
     def __setattr__(self, name, value):
         raise AttributeError("paths are immutable")
@@ -139,7 +170,8 @@ class LatticePath:
         return sum(self.levels)
 
     def tokens(self) -> str:
-        return " ".join(_format_step(self.family, s) for s in self.steps)
+        up, down = _FAMILIES[self.family][:2]
+        return " ".join([_format_step(s, up, down) for s in self.steps])
 
 
 class DeutschPath(LatticePath):
@@ -147,19 +179,11 @@ class DeutschPath(LatticePath):
 
     family = "deutsch"
 
-    @staticmethod
-    def _step_ok(s: int) -> bool:
-        return s == 1 or s <= -1
-
 
 class ReversedDeutschPath(LatticePath):
     """Up-steps of any size +k (k >= 1), down-steps of -1."""
 
     family = "reversed"
-
-    @staticmethod
-    def _step_ok(s: int) -> bool:
-        return s >= 1 or s == -1
 
 
 class MotzkinPath(LatticePath):
@@ -167,44 +191,36 @@ class MotzkinPath(LatticePath):
 
     family = "motzkin"
 
-    @staticmethod
-    def _step_ok(s: int) -> bool:
-        return s in (-1, 0, 1)
 
-    def _check_end(self) -> None:
-        if self.levels[-1] != 0:
-            raise NonzeroEnd(self.levels[-1])
+_CLASSES = {cls.family: cls for cls in LatticePath.__subclasses__()}
 
 
-_PATH_CLASSES = {
-    "deutsch": DeutschPath,
-    "reversed": ReversedDeutschPath,
-    "motzkin": MotzkinPath,
-}
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise QueryError(f"unknown family {name!r}; expected one of {FAMILIES}") from None
 
 
-def _format_step(family: str, s: int) -> str:
-    if family == "deutsch":
-        return "U" if s == 1 else f"D{-s}"
-    if family == "reversed":
-        return "D" if s == -1 else f"U{s}"
-    return {1: "U", 0: "F", -1: "D"}[s]
+def _format_step(s: int, up: int | None, down: int | None) -> str:
+    if s > 0:
+        return "U" if up is not None else f"U{s}"
+    if s < 0:
+        return "D" if down is not None else f"D{-s}"
+    return "F"
 
 
 def _parse_step(family: str, token: str, position: int) -> int:
-    if family == "deutsch":
-        if token == "U":
-            return 1
-        if token.startswith("D") and token[1:].isdigit() and int(token[1:]) >= 1:
-            return -int(token[1:])
-    elif family == "reversed":
-        if token == "D":
-            return -1
-        if token.startswith("U") and token[1:].isdigit() and int(token[1:]) >= 1:
-            return int(token[1:])
-    else:
-        if token in ("U", "F", "D"):
-            return {"U": 1, "F": 0, "D": -1}[token]
+    rules = _FAMILIES[family]
+    letter, size = token[:1], token[1:]
+    if letter in ("U", "D"):
+        sign, bound = (1, rules.up) if letter == "U" else (-1, rules.down)
+        if bound is not None and not size:
+            return sign
+        if bound is None and size.isdigit() and int(size) >= 1:
+            return sign * int(size)
+    elif token == "F" and rules.flat:
+        return 0
     raise BadStep(position, f"token {token!r} not valid for {family} paths")
 
 
@@ -214,37 +230,28 @@ def validate_path(steps, family: str) -> LatticePath:
     ``steps`` may be a whitespace-separated token string, an iterable of
     token strings, or an iterable of integer increments.
     """
-    cls = _path_class(family)
+    _family(family)
     if isinstance(steps, str):
         steps = steps.split()
-    increments = []
-    for pos, item in enumerate(list(steps), start=1):
-        if isinstance(item, str):
-            increments.append(_parse_step(family, item, pos))
-        elif isinstance(item, int):
-            increments.append(item)
-        else:
-            raise BadStep(pos, f"expected token or integer, got {type(item).__name__}")
-    return cls(increments)
-
-
-def _path_class(family: str):
-    try:
-        return _PATH_CLASSES[family]
-    except KeyError:
-        raise QueryError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
+    increments = [
+        _parse_step(family, item, pos) if isinstance(item, str) else item
+        for pos, item in enumerate(steps, start=1)
+    ]
+    return _CLASSES[family](increments)
 
 
 def reverse_path(path: LatticePath) -> LatticePath:
-    """Time-reverse a closed path, swapping the deutsch/reversed families.
+    """Time-reverse a closed path, into the family with up- and down-steps swapped.
 
     Reversal negates and reverses the step sequence; the level profile is
     read backwards, so length, height, and area are preserved.
     """
     if path.end_level != 0:
         raise ValueError("only closed paths reverse to a valid path")
-    target = {"deutsch": "reversed", "reversed": "deutsch", "motzkin": "motzkin"}[path.family]
-    return _PATH_CLASSES[target](tuple(-s for s in reversed(path.steps)))
+    rules = _FAMILIES[path.family]
+    mirror = rules._replace(up=rules.down, down=rules.up)
+    target = next(name for name, other in _FAMILIES.items() if other == mirror)
+    return _CLASSES[target](tuple(-s for s in reversed(path.steps)))
 
 
 @dataclass(frozen=True)
@@ -261,7 +268,7 @@ class PathFamilyQuery:
     max_height: int | None = None
 
     def __post_init__(self):
-        _path_class(self.family)
+        rules = _family(self.family)
         if self.n < 0:
             raise QueryError("length must be nonnegative")
         if self.end_level is not None and self.end_level < 0:
@@ -274,40 +281,35 @@ class PathFamilyQuery:
             and self.end_level > self.max_height
         ):
             raise QueryError("end level exceeds max height")
-        if self.family == "motzkin" and self.end_level not in (None, 0):
-            raise QueryError("motzkin paths end at level 0")
+        if rules.closed and self.end_level not in (None, 0):
+            raise QueryError(f"{self.family} paths end at level 0")
 
 
 def _height_cap(query: PathFamilyQuery) -> int:
     """Smallest strip that loses no path matching the query."""
-    caps = []
-    if query.max_height is not None:
-        caps.append(query.max_height)
-    if query.family == "reversed":
-        # a single up-step can be arbitrarily large: only the height bound
-        # or the need to descend to end_level (one unit per step) caps it
-        if query.end_level is not None:
-            caps.append(query.end_level + query.n)
-        if not caps:
-            raise InfiniteFamily(
-                "open reversed paths without a height bound form an infinite set"
-            )
-    else:
-        caps.append(query.n)
+    up, down = _FAMILIES[query.family][:2]
+    caps = [] if query.max_height is None else [query.max_height]
+    if up is not None:
+        caps.append(query.n * up)
+    elif query.end_level is not None:
+        # up-steps of any size: only the descent to end_level caps the climb
+        caps.append(query.end_level + query.n * down)
+    if not caps:
+        raise InfiniteFamily(
+            f"open {query.family} paths without a height bound form an infinite set"
+        )
     return min(caps)
 
 
 def _target_levels(query: PathFamilyQuery) -> int | None:
-    if query.family == "motzkin":
-        return 0
-    return query.end_level
+    return 0 if _FAMILIES[query.family].closed else query.end_level
 
 
 def enumerate_paths(
     query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND
 ) -> list[LatticePath]:
     """All paths matching the query, in documented lexicographic order."""
-    cls = _path_class(query.family)
+    cls = _CLASSES[query.family]
     return [cls(steps) for steps in _walk(query, bound)]
 
 
@@ -317,52 +319,35 @@ def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple
         raise BoundExceeded(f"n={query.n} exceeds enumeration bound {bound}")
     cap = _height_cap(query)
     target = _target_levels(query)
-    n = query.n
+    rules = _FAMILIES[query.family]
+    # no step leaves the strip [0, cap], so cap bounds a step of any size
+    up = cap if rules.up is None else rules.up
+    down = cap if rules.down is None else rules.down
+    flat = [0] if rules.flat else []
+    choices: dict[int, list[int]] = {}  # by level: the steps that stay in the strip, in order
     out: list[tuple[int, ...]] = []
     steps: list[int] = []
 
-    def _reachable(level: int, remaining: int) -> bool:
-        if target is None:
-            return True
-        if query.family == "deutsch":
-            return target <= level + remaining
-        if query.family == "reversed":
-            return level <= target + remaining
-        return abs(level - target) <= remaining
-
-    def rec(level: int, t: int) -> None:
-        if t == n:
+    def rec(level: int, left: int) -> None:
+        if not left:
             if target is None or level == target:
                 out.append(tuple(steps))
             return
-        remaining = n - t - 1
-        for s in _step_choices(query.family, level, cap):
-            if _reachable(level + s, remaining):
+        left -= 1
+        # the levels from which target is still reachable in the steps left
+        lo, hi = (0, cap) if target is None else (target - left * up, target + left * down)
+        if level not in choices:
+            choices[level] = [
+                *range(1, min(cap - level, up) + 1), *flat, *range(-1, -min(level, down) - 1, -1)
+            ]
+        for s in choices[level]:
+            if lo <= level + s <= hi:
                 steps.append(s)
-                rec(level + s, t + 1)
+                rec(level + s, left)
                 steps.pop()
 
-    rec(0, 0)
+    rec(0, query.n)
     return out
-
-
-def _step_choices(family: str, level: int, cap: int):
-    if family == "deutsch":
-        if level + 1 <= cap:
-            yield 1
-        for k in range(1, level + 1):
-            yield -k
-    elif family == "reversed":
-        for k in range(1, cap - level + 1):
-            yield k
-        if level >= 1:
-            yield -1
-    else:
-        if level + 1 <= cap:
-            yield 1
-        yield 0
-        if level >= 1:
-            yield -1
 
 
 def count_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
@@ -373,18 +358,18 @@ def count_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
     """
     if query.n > bound:
         raise BoundExceeded(f"n={query.n} exceeds DP bound {bound}")
-    for counts in _dp_vector(query.family, _height_cap(query), query.n):
+    for counts in _dp_vector(_FAMILIES[query.family], _height_cap(query), query.n):
         pass
     return _read(counts, _target_levels(query))
 
 
-def _dp_vector(family: str, cap: int, n: int):
+def _dp_vector(rules: _Family, cap: int, n: int):
     """Yield the level vector of the strip [0, cap] after 0, 1, ..., n steps."""
     counts = [0] * (cap + 1)
     counts[0] = 1
     yield counts
     for _ in range(n):
-        counts = _dp_step(family, counts, cap)
+        counts = _dp_step(rules, counts)
         yield counts
 
 
@@ -394,33 +379,14 @@ def _read(vector: list[int], target: int | None) -> int:
     return vector[target] if target < len(vector) else 0
 
 
-def _dp_step(family: str, counts: list[int], cap: int) -> list[int]:
-    new = [0] * (cap + 1)
-    if family == "deutsch":
-        # up from l-1, or down from any j > l
-        above = 0
-        for level in range(cap, -1, -1):
-            new[level] = above
-            if level >= 1:
-                new[level] += counts[level - 1]
-            above += counts[level]
-    elif family == "reversed":
-        # up from any j < l, or down from l+1
-        below = 0
-        for level in range(cap + 1):
-            new[level] = below
-            if level + 1 <= cap:
-                new[level] += counts[level + 1]
-            below += counts[level]
-    else:
-        for level in range(cap + 1):
-            total = counts[level]
-            if level >= 1:
-                total += counts[level - 1]
-            if level + 1 <= cap:
-                total += counts[level + 1]
-            new[level] = total
-    return new
+def _dp_step(rules: _Family, counts: list[int]) -> list[int]:
+    """The level vector one step on: new[l] sums counts over the levels a step reaches l from."""
+    # rise[l]: up from l-1, or from any level below l
+    rise = [0, *(counts[:-1] if rules.up is not None else accumulate(counts[:-1]))]
+    # fall[cap-l]: down from l+1, or from any level above l
+    fall = [0, *(counts[:0:-1] if rules.down is not None else accumulate(counts[:0:-1]))]
+    new = map(add, rise, reversed(fall))
+    return list(map(add, new, counts) if rules.flat else new)
 
 
 def _prefix(query: PathFamilyQuery, statistic: str = "count") -> list[int]:
@@ -430,22 +396,22 @@ def _prefix(query: PathFamilyQuery, statistic: str = "count") -> list[int]:
     one level-vector sweep; height sums, over every h below the strip's cap,
     the paths of height > h: the strip count minus the count in [0, h].
     """
-    family, cap, target = query.family, _height_cap(query), _target_levels(query)
+    rules, cap, target = _FAMILIES[query.family], _height_cap(query), _target_levels(query)
     if statistic == "count":
-        return [_read(v, target) for v in _dp_vector(family, cap, query.n)]
+        return [_read(v, target) for v in _dp_vector(rules, cap, query.n)]
     if statistic == "area":
         # appending a step that lands on level l adds l to every path's area
         out, areas = [], [0] * (cap + 1)
-        for t, counts in enumerate(_dp_vector(family, cap, query.n)):
+        for t, counts in enumerate(_dp_vector(rules, cap, query.n)):
             if t:
-                areas = _dp_step(family, areas, cap)
+                areas = _dp_step(rules, areas)
             areas = [a + level * c for level, (a, c) in enumerate(zip(areas, counts))]
             out.append(_read(areas, target))
         return out
     within = _prefix(query)
     out = [0] * (query.n + 1)
     for h in range(cap):
-        lower = [_read(v, target) for v in _dp_vector(family, h, query.n)]
+        lower = [_read(v, target) for v in _dp_vector(rules, h, query.n)]
         out = [t + a - b for t, a, b in zip(out, within, lower)]
     return out
 
@@ -463,9 +429,10 @@ def total_height_dp(n: int, family: str = "closed", bound: int = DEFAULT_DP_BOUN
     Uses sum_{h>=1} #{paths with height >= h}, each term obtained as a
     difference of strip-bounded counts.
     """
-    if family not in ("closed", "open"):
-        raise QueryError("family must be 'closed' or 'open'")
+    try:
+        end = {"closed": 0, "open": None}[family]
+    except KeyError:
+        raise QueryError("family must be 'closed' or 'open'") from None
     if n > bound:
         raise BoundExceeded(f"n={n} exceeds DP bound {bound}")
-    end = 0 if family == "closed" else None
     return _prefix(PathFamilyQuery("deutsch", n, end_level=end), "height")[-1]

@@ -547,9 +547,7 @@ class TestDiskCache:
             [0] * 7,
         ],
     )
-    def test_poisoned_rows_rejected_before_any_merge(self, tmp_path, monkeypatch, row):
-        rows = {0: (1,)}
-        monkeypatch.setattr(algebra, "_TRI_ROWS", rows)
+    def test_poisoned_rows_rejected_before_any_merge(self, tmp_path, fresh_rows, row):
         payload = {
             "format": "deutschpaths-cache",
             "version": 2,
@@ -558,13 +556,12 @@ class TestDiskCache:
         (tmp_path / "algebra_cache.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="corrupt trinomial row 3"):
             load_cache(tmp_path)
-        assert rows == {0: (1,)}
+        assert fresh_rows == {0: (1,)}
 
-    def test_row_past_the_digit_limit_refused_before_encoding(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+    def test_row_past_the_digit_limit_refused_before_encoding(self, tmp_path, monkeypatch, fresh_rows):
         target = save_cache(tmp_path)
         before = target.read_bytes()
-        algebra._TRI_ROWS[10**6] = (10**4400,)
+        fresh_rows[10**6] = (10**4400,)
 
         def no_encoding(payload):
             raise AssertionError("encoding started")
@@ -574,8 +571,7 @@ class TestDiskCache:
             save_cache(tmp_path)
         assert target.read_bytes() == before
 
-    def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+    def test_failed_write_keeps_old_cache(self, tmp_path, monkeypatch, fresh_rows):
         target = save_cache(tmp_path)
         before = target.read_bytes()
         trinomial_row(23)

@@ -119,8 +119,7 @@ class TestCount:
         for n in (0, 1, 2, 57, n_max):
             assert want[n] == count_dp(PathFamilyQuery(family, n, end_level=end))
 
-    def test_count_past_the_digit_limit(self, monkeypatch):
-        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+    def test_count_past_the_digit_limit(self, fresh_rows):
         code, text = run(["count", "--family", "deutsch", "--n", "9990", "--end-level", "0"])
         assert code == 0
         assert len(text.strip()) > 4300
@@ -323,9 +322,7 @@ class TestStats:
             assert run(argv)[0] == 0
             assert len(calls) == 1, argv
 
-    def test_exact_value_past_the_digit_limit_refused(self, monkeypatch, capsys):
-        # a fresh row memo, so the long rows stay out of the other tests' process state
-        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
+    def test_exact_value_past_the_digit_limit_refused(self, fresh_rows, capsys):
         code, text = run(["stats", "height", "--n", "9500", "--json"])
         err = capsys.readouterr().err
         assert (code, text) == (2, "")
@@ -405,9 +402,8 @@ class TestConfigAndCache:
         assert env["payload"]["coefficients"][-1] == "91"
         assert "warning: ignoring cache" in capsys.readouterr().err
 
-    def test_poisoned_cache_rows_are_ignored_with_warning(self, tmp_path, monkeypatch, capsys):
+    def test_poisoned_cache_rows_are_ignored_with_warning(self, tmp_path, fresh_rows, capsys):
         # a fresh process: no rows computed yet, so loaded rows would be used
-        monkeypatch.setattr(algebra, "_TRI_ROWS", {0: (1,)})
         cache = algebra.save_cache(tmp_path)
         data = json.loads(cache.read_text())
         data["trinomial_rows"]["8"] = [0] * 17

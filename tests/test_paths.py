@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,28 @@ class TestValidation:
             validate_path("U X D1", "deutsch")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize(
+        "token, family",
+        [("D", "deutsch"), ("F", "deutsch"), ("U", "reversed"), ("U1", "motzkin")],
+    )
+    def test_bad_token_message(self, token, family):
+        with pytest.raises(BadStep) as exc:
+            validate_path(token, family)
+        assert str(exc.value) == f"bad step at position 1: token {token!r} not valid for {family} paths"
+
+    def test_unknown_family_message(self):
+        with pytest.raises(QueryError) as exc:
+            validate_path("U", "nosuch")
+        assert str(exc.value) == (
+            "unknown family 'nosuch'; expected one of ('deutsch', 'reversed', 'motzkin')"
+        )
+
+    @pytest.mark.parametrize("family, max_height", [("reversed", 3), ("motzkin", None)])
+    def test_enumerated_paths_roundtrip_through_tokens(self, family, max_height):
+        for n in range(9):
+            for p in enumerate_paths(PathFamilyQuery(family, n, max_height=max_height)):
+                assert validate_path(p.tokens(), family) == p
+
     def test_bad_token_formats(self):
         for tokens, family in [
             ("D", "deutsch"),  # bare D needs a size
@@ -87,6 +111,22 @@ class TestValidation:
             ReversedDeutschPath([-2])
         with pytest.raises(BadStep):
             MotzkinPath([2, -2])
+
+    @pytest.mark.parametrize(
+        "steps, position",
+        [([1.9, -1.2], 1), ([Fraction(3, 2), -1], 1), (["1", "-1"], 1), ([1, -1.0], 2)],
+    )
+    def test_direct_constructors_refuse_non_integer_steps(self, steps, position):
+        # these used to be truncated by int(), so [1.9, -1.2] became "U D1"
+        for cls in (DeutschPath, ReversedDeutschPath, MotzkinPath):
+            with pytest.raises(BadStep) as exc:
+                cls(steps)
+            assert exc.value.position == position
+            assert "expected an integer, got" in str(exc.value)
+
+    def test_integral_steps_are_stored_as_int(self):
+        p = DeutschPath([True, -1])
+        assert p.steps == (1, -1) and all(type(s) is int for s in p.steps)
 
     def test_height_and_area(self):
         p = validate_path("U U D2", "deutsch")
@@ -258,6 +298,14 @@ class TestReversal:
             for p in enumerate_paths(PathFamilyQuery("deutsch", n, end_level=0)):
                 r = reverse_path(p)
                 assert isinstance(r, ReversedDeutschPath)
+                assert reverse_path(r) == p
+                assert (r.height, r.area, len(r)) == (p.height, p.area, len(p))
+
+    def test_reverse_keeps_motzkin_paths_motzkin(self):
+        for n in range(9):
+            for p in enumerate_paths(PathFamilyQuery("motzkin", n)):
+                r = reverse_path(p)
+                assert isinstance(r, MotzkinPath)
                 assert reverse_path(r) == p
                 assert (r.height, r.area, len(r)) == (p.height, p.area, len(p))
 

@@ -88,7 +88,7 @@ class TestTotals:
 
     @pytest.mark.parametrize("n", [1000, 3001, 9481])
     @pytest.mark.parametrize("family", ["closed", "open"])
-    def test_height_totals_match_lacunary_double_sum(self, n, family):
+    def test_height_totals_match_lacunary_double_sum(self, n, family, fresh_rows):
         assert height_total(n, family) == lacunary_height_total(n, family)
 
     @pytest.mark.parametrize("n", range(9))
