@@ -53,6 +53,13 @@ divided by the gcd exactly over the integers (Gauss's lemma), and one
 rational scale, content(num) / (content(den) * lead(den / gcd)), is applied
 at the end.  ``Poly.exact_div`` is the same integer division times the
 ratio of the contents.
+
+The public constructor ``RatFn(num, den)`` runs that whole reduction.  The
+operators keep canonical operands canonical with smaller gcds, by Henrici's
+method (Knuth, TAOCP vol. 2, 4.5.1): a*c/(b*d) cancels gcd(a, d) and
+gcd(c, b); a/b + c/d with g = gcd(b, d) needs no further gcd when g = 1 and
+otherwise only the gcd of the new numerator with g; a zero, constant or
+polynomial operand, a negation and a power need no gcd at all.
 """
 
 from __future__ import annotations
@@ -185,7 +192,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -375,6 +382,8 @@ V = Poly((0, 1))
 #: The kernel polynomial 1 + v + v^2.
 KERNEL = Poly((1, 1, 1))
 
+_UNIT = Poly((1,))
+
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd over Q[v], normalized to primitive integer coefficients with the
@@ -392,6 +401,27 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(g)
 
 
+def _common_factor(a: Poly, b: Poly) -> Poly | None:
+    """poly_gcd(a, b) if it has positive degree, else None; no gcd is run
+    when either operand is a constant."""
+    if a.degree < 1 or b.degree < 1:
+        return None
+    g = poly_gcd(a, b)
+    return g if g.degree > 0 else None
+
+
+def _quo(p: Poly, g: Poly) -> Poly:
+    """p divided by the monic associate of g, a primitive integer factor of p."""
+    gn, dn, prim = _split(p.coeffs)
+    return Poly(_scaled(gn * g.coeffs[-1], dn, _exact_quo(prim, g.coeffs)))
+
+
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """a and b divided by the monic associate of their gcd."""
+    g = _common_factor(a, b)
+    return (a, b) if g is None else (_quo(a, g), _quo(b, g))
+
+
 class RatFn:
     """Rational function in v, kept in canonical form.
 
@@ -401,7 +431,7 @@ class RatFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=Poly((1,))):
+    def __init__(self, num, den=_UNIT):
         if not isinstance(num, Poly):
             num = Poly((num,))
         if not isinstance(den, Poly):
@@ -409,7 +439,7 @@ class RatFn:
         if den.is_zero():
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
-            num, den = Poly(), Poly((1,))
+            num, den = Poly(), _UNIT
         else:
             # num/den = (gn/dn)/(hn/hd) * p/q with p, q primitive integer
             # parts; divide both by their gcd, then make q monic
@@ -442,11 +472,10 @@ class RatFn:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RatFn(other if isinstance(other, Poly) else Poly((other,)))
-        if not isinstance(other, RatFn):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
         # a polynomial equals its numerator, so it hashes as one
@@ -454,24 +483,56 @@ class RatFn:
             return hash(self.num)
         return hash(("RatFn", self.num, self.den))
 
+    @classmethod
+    def _of(cls, num: Poly, den: Poly = _UNIT) -> "RatFn":
+        """num/den as given, already coprime with den monic: no gcd, no scaling."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
     def __neg__(self) -> "RatFn":
-        return RatFn(-self.num, self.den)
+        return self._of(-self.num, self.den)
+
+    def _inverse(self) -> "RatFn":
+        # den/num, scaled so that num, the new denominator, is monic
+        lead = self.num.leading()
+        if lead == 1:
+            return self._of(self.den, self.num)
+        s = Fraction(1) / lead
+        return self._of(self.den * s, self.num * s)
 
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFn):
             return x
         if isinstance(x, Poly):
-            return RatFn(x)
+            return RatFn._of(x)
         if isinstance(x, (int, Fraction)):
-            return RatFn(Poly((x,)))
+            return RatFn._of(Poly((x,)))
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        g = _common_factor(b, d)
+        if g is not None:
+            # with b = b'*g and d = d'*g, a/b + c/d = (a*d' + c*b')/(b'*d'*g),
+            # and the numerator is prime to b' and d': only g can share a factor
+            b = _quo(b, g)
+            t = a * _quo(d, g) + c * b
+            h = _common_factor(t, g)
+            if h is not None:
+                t, d = _quo(t, h), _quo(d, h)
+        else:
+            t = a * d + c * b
+        return self._of(t, b * d) if t else self._of(t)
 
     __radd__ = __add__
 
@@ -479,7 +540,7 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -488,7 +549,13 @@ class RatFn:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFn(self.num * o.num, self.den * o.den)
+        if not self.num or not o.num:
+            return self._of(Poly())
+        # a/b and c/d are reduced, so once gcd(a, d) and gcd(c, b) are
+        # cancelled the product is too
+        a, d = _cancel(self.num, o.den)
+        c, b = _cancel(o.num, self.den)
+        return self._of(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -498,7 +565,7 @@ class RatFn:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero rational function")
-        return RatFn(self.num * o.den, self.den * o.num)
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -510,8 +577,8 @@ class RatFn:
         if e < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RatFn(self.den, self.num) ** (-e)
-        return RatFn(self.num**e, self.den**e)
+            return self._inverse() ** (-e)
+        return self._of(self.num**e, self.den**e)
 
     def __call__(self, x):
         """Evaluate at an exact scalar (int or Fraction; anything else is a TypeError)."""

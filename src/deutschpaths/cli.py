@@ -171,16 +171,28 @@ def _cmd_enumerate(args, config) -> dict:
     }
 
 
+#: The largest height parameter h (the first argument of phi, psi, open_sum,
+#: ...) that ``series`` accepts: the degree-h gcds and products grow steeply
+#: with h, from about 0.1 s at h = 100 to over a second at h = 160.
+MAX_FORMULA_HEIGHT = 100
+
+_HEIGHT_SUMS = ("height_sum_closed", "height_sum_open")
+
+
 def _formula_from_args(args) -> tuple[FormulaId, Series]:
     if args.terms < 0:
         raise UsageError(f"--terms must be >= 0, got {args.terms}", "pass --terms N with N >= 0")
     if args.terms > DEFAULT_DP_BOUND:
         raise BoundExceeded(f"--terms {args.terms} exceeds bound {DEFAULT_DP_BOUND}")
     text = FORMULA_ALIASES.get(args.formula.strip(), args.formula.strip())
-    if text in ("height_sum_closed", "height_sum_open"):
+    if text in _HEIGHT_SUMS:
         fid = FormulaId(text, (args.terms,))
     else:
         fid = FormulaId.parse(text)
+    if fid.name not in _HEIGHT_SUMS and fid.args and fid.args[0] > MAX_FORMULA_HEIGHT:
+        exc = BoundExceeded(f"height {fid.args[0]} in {fid} exceeds bound {MAX_FORMULA_HEIGHT}")
+        exc.hint = f"pass a height parameter of at most {MAX_FORMULA_HEIGHT}"
+        raise exc
     obj = formula(fid)
     if isinstance(obj, Series):
         if obj.order < args.terms:

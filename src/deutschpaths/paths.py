@@ -217,7 +217,7 @@ def _parse_step(family: str, token: str, position: int) -> int:
         sign, bound = (1, rules.up) if letter == "U" else (-1, rules.down)
         if bound is not None and not size:
             return sign
-        if bound is None and size.isdigit() and int(size) >= 1:
+        if bound is None and size.isascii() and size.isdigit() and int(size) >= 1:
             return sign * int(size)
     elif token == "F" and rules.flat:
         return 0

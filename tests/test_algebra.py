@@ -251,6 +251,38 @@ class TestRatFn:
         assert f / f == RatFn(Poly((1,)))
 
 
+def typed_pair(f: RatFn) -> tuple[list, list]:
+    return typed(f.num), typed(f.den)
+
+
+class TestOperators:
+    """The operators cancel operand by operand (Henrici); each result must be
+    the canonical form the constructor and the reference give the whole
+    num/den expression."""
+
+    @given(rational_polys, rational_polys, rational_polys, rational_polys, rational_polys)
+    @example(Poly(), Poly((1,)), Poly((1, 2)), Poly((3, 1)), Poly((1,)))  # zero operand
+    @example(Poly((1, 2)), Poly((1,)), Poly((Fraction(1, 2), 3)), Poly((1,)), Poly((1,)))  # polynomials
+    @example(Poly((1,)), Poly((1, 0, -1)), Poly((0, -1)), Poly((1, 0, -1)), Poly((1,)))  # equal dens; sum cancels 1-v
+    @example(Poly((1,)), KERNEL, Poly((0, 1)), Poly((1, 1)), Poly((1, 1)))  # num shares 1+v with other den
+    @example(Poly((1, 1)), KERNEL, Poly((3, Fraction(-1, 2))), Poly((1, 1)), Poly((1,)))  # non-monic divisor num
+    @settings(max_examples=200, deadline=None)
+    def test_operators_match_the_generic_construction(self, a, b, c, d, k):
+        if b.is_zero() or d.is_zero() or k.is_zero():
+            return
+        f, g = RatFn(a * k, b), RatFn(c, d * k)
+        (p, q), (r, s) = (f.num, f.den), (g.num, g.den)
+        cases = [(f + g, p * s + r * q, q * s), (f - g, p * s - r * q, q * s), (f * g, p * r, q * s), (-f, -p, q)]
+        if g:
+            cases.append((f / g, p * s, q * r))
+        cases += [(f**e, p**e, q**e) for e in range(4)]
+        if f:
+            cases += [(f**-e, q**e, p**e) for e in range(1, 4)]
+        for got, num, den in cases:
+            assert typed_pair(got) == typed_pair(RatFn(num, den))
+            assert typed_pair(got) == tuple(map(typed, reference_canonical(num, den)))
+
+
 def dense_divide(a, b):
     """The former division loop: every divisor term up to the order, zero or not."""
     n = min(a.order, b.order)

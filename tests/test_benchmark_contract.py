@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from deutschpaths import algebra
+from deutschpaths.algebra import KERNEL, Poly, RatFn
 from deutschpaths.paths import FAMILIES, PathFamilyQuery, QueryError, _height_cap
 
 SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
@@ -48,3 +50,15 @@ def test_strip_width_is_the_height_cap_plus_one(spans, family):
                 assert spans._strip_width(q) == cap + 1, q
                 checked += 1
     assert checked > 100
+
+
+def test_ratfn_products_count_in_the_traced_gcd(monkeypatch):
+    # the tracer wraps algebra.poly_gcd; the operators must reach the gcd
+    # through that attribute, or algebra.poly_gcd.calls would undercount
+    f, g = RatFn(Poly((1, 1)), KERNEL), RatFn(KERNEL, Poly((1, 2, 1)))
+    want = RatFn(Poly((1,)), Poly((1, 1)))
+    calls = []
+    gcd = algebra.poly_gcd
+    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    assert f * g == want
+    assert len(calls) == 2  # gcd(num f, den g) and gcd(num g, den f)

@@ -177,6 +177,20 @@ class TestSeries:
         assert code == 2 and text == ""
         assert "--terms 10001 exceeds bound 10000" in err and "hint:" in err
 
+    @pytest.mark.parametrize("text", ["phi(2000,0)", "psi(101,1)", "reversed_sum(101)", "open_sum(5000)"])
+    def test_height_bound(self, text, capsys):
+        # refused before the formula is built; phi(2000,0) used to run for over a minute
+        code, out = run(["series", "--formula", text, "--terms", "3"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert f"exceeds bound {cli.MAX_FORMULA_HEIGHT}" in err
+        assert f"hint: pass a height parameter of at most {cli.MAX_FORMULA_HEIGHT}" in err
+
+    def test_height_at_the_bound(self):
+        h = cli.MAX_FORMULA_HEIGHT
+        code, env = run_json(["series", "--formula", f"phi({h},{h})", "--terms", "3"])
+        assert code == 0 and len(env["payload"]["coefficients"]) == 4
+
     def test_unknown_formula(self):
         code, text = run(["series", "--formula", "zeta(2)", "--terms", "4"])
         assert code == 2
@@ -204,6 +218,14 @@ class TestBiject:
     def test_invalid_tokens(self):
         code, text = run(["biject", "--path", "U X"])
         assert code == 2
+
+    @pytest.mark.parametrize("path", ["U D\u00b2", "U D\u0661"])
+    def test_non_ascii_step_size(self, path, capsys):
+        # "D²" used to end in a ValueError traceback from int("²"), and "D١" read as D1
+        code, text = run(["biject", "--path", path])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert "hint: deutsch tokens are U and D<k>" in err
 
     def test_path_past_the_recursion_limit(self):
         code, env = run_json(["biject", "--path", " ".join(["U"] * 1200)])

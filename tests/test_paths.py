@@ -95,6 +95,9 @@ class TestValidation:
             ("U0 D", "reversed"),
             ("D2", "reversed"),  # sized down-step is the deutsch family
             ("U2 D", "motzkin"),
+            ("U D\u0661", "deutsch"),  # Arabic-Indic one: a digit, not an ASCII one
+            ("U D\u00b2", "deutsch"),  # superscript two: isdigit, but int() refuses it
+            ("U\uff12 D D", "reversed"),  # fullwidth two
         ]:
             with pytest.raises(BadStep):
                 validate_path(tokens, family)
