@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from deutschpaths.algebra import Series, expand_in_z
 from deutschpaths.cli import _num_str
-from deutschpaths.formulas import FormulaId, formula
+from deutschpaths.formulas import FormulaId, z_series
 
 ORDER = 30
 
@@ -46,8 +45,7 @@ def render() -> str:
     """The golden file's text, byte for byte; writes nothing."""
     data = {}
     for fid in GOLDEN_IDS:
-        obj = formula(fid)
-        series = obj if isinstance(obj, Series) else expand_in_z(obj, ORDER)
+        series = z_series(fid, ORDER)
         assert series.is_integral(), fid
         data[str(fid)] = [_num_str(c) for c in series.coeffs]
     return json.dumps({"order": ORDER, "series": data}, indent=1, sort_keys=True) + "\n"

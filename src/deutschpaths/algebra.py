@@ -42,7 +42,7 @@ the large-n statistics avoid building million-term series.
 Trinomial coefficients trinomial(n, k) = [v^k](1+v+v^2)^n are produced a
 whole row at a time by an integer three-term recurrence in k, run to the
 middle of the palindromic row and mirrored, cached in memory, and
-optionally persisted to a small versioned JSON cache file.
+optionally persisted to a versioned JSON cache file (56 MB at n = 9000).
 
 The canonical form of a RatFn (numerator and denominator coprime,
 denominator monic) is computed with integers only.  Each polynomial is split

@@ -26,14 +26,14 @@ from typing import Callable, NamedTuple
 from . import __version__, algebra
 from .bijection import NotAPath, certify, from_motzkin, to_motzkin
 from .formulas import (
+    CATALOG,
     BadParams,
     FormulaId,
     Series,
     coeff_closed,
     coeff_open,
-    expand_in_z,
-    formula,
     oracle_check,
+    z_series,
 )
 from .matrices import (
     adjudicate_det_product,
@@ -171,12 +171,10 @@ def _cmd_enumerate(args, config) -> dict:
     }
 
 
-#: The largest height parameter h (the first argument of phi, psi, open_sum,
-#: ...) that ``series`` accepts: the degree-h gcds and products grow steeply
-#: with h, from about 0.1 s at h = 100 to over a second at h = 160.
+#: The largest "h" parameter (a height bound) of a formula that ``series``
+#: accepts: the degree-h gcds and products grow steeply with h, from about
+#: 0.1 s at h = 100 to over a second at h = 160.
 MAX_FORMULA_HEIGHT = 100
-
-_HEIGHT_SUMS = ("height_sum_closed", "height_sum_open")
 
 
 def _formula_from_args(args) -> tuple[FormulaId, Series]:
@@ -185,25 +183,17 @@ def _formula_from_args(args) -> tuple[FormulaId, Series]:
     if args.terms > DEFAULT_DP_BOUND:
         raise BoundExceeded(f"--terms {args.terms} exceeds bound {DEFAULT_DP_BOUND}")
     text = FORMULA_ALIASES.get(args.formula.strip(), args.formula.strip())
-    if text in _HEIGHT_SUMS:
+    bare = CATALOG.get(text)
+    if bare is not None and bare.params == ("order",):  # a bare series name takes --terms
         fid = FormulaId(text, (args.terms,))
     else:
         fid = FormulaId.parse(text)
-    if fid.name not in _HEIGHT_SUMS and fid.args and fid.args[0] > MAX_FORMULA_HEIGHT:
-        exc = BoundExceeded(f"height {fid.args[0]} in {fid} exceeds bound {MAX_FORMULA_HEIGHT}")
-        exc.hint = f"pass a height parameter of at most {MAX_FORMULA_HEIGHT}"
-        raise exc
-    obj = formula(fid)
-    if isinstance(obj, Series):
-        if obj.order < args.terms:
-            raise UsageError(
-                f"{fid} only defines coefficients through z^{obj.order}",
-                f"use --formula '{fid.name}({args.terms})' or lower --terms",
-            )
-        series = obj.truncate(args.terms)
-    else:
-        series = expand_in_z(obj, args.terms)
-    return fid, series
+    for kind, value in zip(CATALOG[fid.name].params, fid.args):
+        if kind == "h" and value > MAX_FORMULA_HEIGHT:
+            exc = BoundExceeded(f"height {value} in {fid} exceeds bound {MAX_FORMULA_HEIGHT}")
+            exc.hint = f"pass a height parameter of at most {MAX_FORMULA_HEIGHT}"
+            raise exc
+    return fid, z_series(fid, args.terms)
 
 
 def _cmd_series(args, config) -> dict:
@@ -383,7 +373,12 @@ _SUBCOMMANDS = {
             _arg(
                 "--formula",
                 required=True,
-                help="formula id, e.g. motzkin_M, phi(4,1), area_A; aliases: "
+                help="formula id, one of "
+                + ", ".join(
+                    f"{name}({','.join(r.params)})" if r.params else name
+                    for name, r in CATALOG.items()
+                )
+                + "; aliases: "
                 + ", ".join(f"{k}={v}" for k, v in FORMULA_ALIASES.items()),
             ),
             _arg("--terms", type=int, default=10, help="series order N (prints N+1 coefficients)"),

@@ -1,31 +1,18 @@
 """Closed-form generating functions for Deutsch-path counting.
 
 Every formula is expressed in the substitution variable v (recall
-z = v/(1+v+v^2)) and is paired here with the combinatorial quantity it
-enumerates, so the whole catalog can be checked against the brute-force
-and transfer-matrix oracles in ``paths``.
-
-Catalog, with [z^n] meanings (h = height bound, i = end level):
-
-    motzkin_M             1+v+v^2                      Motzkin paths
-    phi(h, i)             height <= h, end at i        Deutsch paths
-    phi0_bounded(h)       height <= h, end at 0        Deutsch paths
-    phi0_limit            end at 0, no bound           Deutsch paths
-    closed_height_ge(h)   end at 0, height >= h        Deutsch paths
-    open_sum(h)           height <= h, any end         Deutsch paths
-    open_sum_limit        any end, no bound            Deutsch paths
-    psi0(h)               height <= h, end at 0        reversed paths
-    psi(h, i)             height <= h, end at i >= 1   reversed paths
-    reversed_sum(h)       height <= h, any end         reversed paths
-    reversed_limit_formal  (1+v+v^2)(1-v): formal only, NOT a count
-    area_A                total area of closed Deutsch paths
-    height_sum_closed(N)  series: total height, closed paths
-    height_sum_open(N)    series: total height, open paths
+z = v/(1+v+v^2)).  ``CATALOG`` is the one table of formulas: each record
+holds its parameter kinds ("h" a height bound, "i" an end level, "order" a
+series order), its constructor, and what its [z^n] counts, so the whole
+catalog can be checked against the brute-force and transfer-matrix oracles
+in ``paths``.  ``FormulaId``, ``formula``, ``z_series``, both oracles and
+the CLI read only that table.
 
 The two height sums are series, not rational functions: each sums a
 height >= h family over every h >= 1, which turns the factors
 1/(1-v^(h+2)) into one divisor-count series in v (see height_sum_closed),
-substituted once through z^N.
+substituted once through z^N.  ``z_series`` builds them only through the
+order it is asked for.
 
 reversed_limit_formal is the h -> infinity substitution into the
 reversed_sum expression.  Open reversed paths of a fixed length form an
@@ -39,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import (
     KERNEL,
@@ -199,24 +186,55 @@ def height_sum_open(order: int) -> Series:
     return _height_sum_series(order, RatFn(KERNEL * Poly((1, 0, -1))), 2)
 
 
-# --- formula ids ------------------------------------------------------------
+# --- the catalog table -------------------------------------------------------
 
-_SPECS = {
-    # name: (number of args, constructor)
-    "motzkin_M": (0, motzkin_gf),
-    "phi": (2, phi),
-    "phi0_bounded": (1, phi0_bounded),
-    "phi0_limit": (0, phi0_limit),
-    "closed_height_ge": (1, closed_height_ge),
-    "open_sum": (1, open_sum),
-    "open_sum_limit": (0, open_sum_limit),
-    "psi0": (1, psi0),
-    "psi": (2, psi),
-    "reversed_sum": (1, reversed_sum),
-    "reversed_limit_formal": (0, reversed_limit_formal),
-    "area_A": (0, area_gf),
-    "height_sum_closed": (1, height_sum_closed),
-    "height_sum_open": (1, height_sum_open),
+
+class _Meaning(NamedTuple):
+    """What [z^n] of a formula counts: a statistic summed over the paths of
+    length n in one family, ending at ``end`` (None: any level), with height
+    in [min_height, max_height] (None: unbounded)."""
+
+    family: str
+    end: int | None
+    min_height: int = 0
+    max_height: int | None = None
+    statistic: str = "count"  # count | area | height
+
+
+class _Formula(NamedTuple):
+    """One catalog record: the kind of each parameter ("h" a height bound,
+    "i" an end level, "order" a series order), the constructor, and the
+    meaning of [z^n] on the same parameters (None: formal, not a count)."""
+
+    params: tuple[str, ...]
+    build: Callable[..., RatFn | Series]
+    meaning: Callable[..., _Meaning] | None
+
+
+#: Every catalog formula, by name; the one source of what a formula is.
+CATALOG = {
+    "motzkin_M": _Formula((), motzkin_gf, lambda: _Meaning("motzkin", 0)),
+    "phi": _Formula(("h", "i"), phi, lambda h, i: _Meaning("deutsch", i, max_height=h)),
+    "phi0_bounded": _Formula(("h",), phi0_bounded, lambda h: _Meaning("deutsch", 0, max_height=h)),
+    "phi0_limit": _Formula((), phi0_limit, lambda: _Meaning("deutsch", 0)),
+    "closed_height_ge": _Formula(
+        ("h",), closed_height_ge, lambda h: _Meaning("deutsch", 0, min_height=h)
+    ),
+    "open_sum": _Formula(("h",), open_sum, lambda h: _Meaning("deutsch", None, max_height=h)),
+    "open_sum_limit": _Formula((), open_sum_limit, lambda: _Meaning("deutsch", None)),
+    "psi0": _Formula(("h",), psi0, lambda h: _Meaning("reversed", 0, max_height=h)),
+    "psi": _Formula(("h", "i"), psi, lambda h, i: _Meaning("reversed", i, max_height=h)),
+    "reversed_sum": _Formula(
+        ("h",), reversed_sum, lambda h: _Meaning("reversed", None, max_height=h)
+    ),
+    "reversed_limit_formal": _Formula((), reversed_limit_formal, None),
+    "area_A": _Formula((), area_gf, lambda: _Meaning("deutsch", 0, statistic="area")),
+    "height_sum_closed": _Formula(
+        ("order",), height_sum_closed, lambda order: _Meaning("deutsch", 0, statistic="height")
+    ),
+    "height_sum_open": _Formula(
+        ("order",), height_sum_open, lambda order: _Meaning("deutsch", None, statistic="height")
+    ),
 }
 
 _ID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([-0-9,\s]*)\))?$")
@@ -230,11 +248,12 @@ class FormulaId:
     args: tuple[int, ...] = ()
 
     def __post_init__(self):
-        spec = _SPECS.get(self.name)
-        if spec is None:
-            raise BadParams(f"unknown formula {self.name!r}; known: {', '.join(_SPECS)}")
-        if len(self.args) != spec[0]:
-            raise BadParams(f"{self.name} takes {spec[0]} parameter(s), got {len(self.args)}")
+        record = CATALOG.get(self.name)
+        if record is None:
+            raise BadParams(f"unknown formula {self.name!r}; known: {', '.join(CATALOG)}")
+        arity = len(record.params)
+        if len(self.args) != arity:
+            raise BadParams(f"{self.name} takes {arity} parameter(s), got {len(self.args)}")
 
     @classmethod
     def parse(cls, text: str) -> "FormulaId":
@@ -244,7 +263,10 @@ class FormulaId:
         name, argtext = m.groups()
         args = ()
         if argtext is not None and argtext.strip():
-            args = tuple(int(a) for a in argtext.split(","))
+            try:
+                args = tuple(int(a) for a in argtext.split(","))
+            except ValueError:  # an empty or malformed parameter, or one past int()'s digit limit
+                raise BadParams(f"formula parameters must be integers, got {argtext!r}") from None
         return cls(name, args)
 
     def __str__(self) -> str:
@@ -253,51 +275,58 @@ class FormulaId:
         return f"{self.name}({','.join(str(a) for a in self.args)})"
 
 
-def formula(fid: FormulaId | str):
+def _as_id(fid: FormulaId | str) -> FormulaId:
+    return FormulaId.parse(fid) if isinstance(fid, str) else fid
+
+
+def formula(fid: FormulaId | str) -> RatFn | Series:
     """Build the formula: a RatFn, or a Series for the height sums."""
-    if isinstance(fid, str):
-        fid = FormulaId.parse(fid)
-    return _SPECS[fid.name][1](*fid.args)
+    fid = _as_id(fid)
+    return CATALOG[fid.name].build(*fid.args)
+
+
+def z_series(fid: FormulaId | str, order: int) -> Series:
+    """The z-series of a formula through z^order.
+
+    A rational formula is expanded with ``expand_in_z``.  A height sum is
+    built through ``order`` only, and refused when its own order is lower.
+    """
+    fid = _as_id(fid)
+    if CATALOG[fid.name].params != ("order",):
+        return expand_in_z(formula(fid), order)
+    (own,) = fid.args
+    if own < 0:
+        raise BadParams(f"order must be nonnegative, got {own}")
+    if own < order:
+        exc = BadParams(f"{fid} only defines coefficients through z^{own}")
+        exc.hint = f"use --formula '{fid.name}({order})' or lower --terms"
+        raise exc
+    return formula(replace(fid, args=(order,)))
 
 
 # --- trinomial coefficient closed forms -------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientFormula:
-    """Signed sum of trinomials: n -> sum of sign * trinomial(n, n - offset)."""
-
-    name: str
-    terms: tuple[tuple[int, int], ...]  # (offset, sign)
-
-    def __call__(self, n: int) -> int:
-        if n < 0:
-            raise BadParams(f"n must be nonnegative, got {n}")
-        return sum(sign * trinomial(n, n - off) for off, sign in self.terms)
-
-
-#: [z^n] phi0_limit: closed Deutsch paths of length n.
-closed_coeff_formula = CoefficientFormula("closed", ((0, 1), (1, -1)))
-
-#: [z^n] open_sum_limit: open Deutsch paths of length n (Motzkin numbers).
-open_coeff_formula = CoefficientFormula("open", ((0, 1), (2, -1)))
-
-#: [z^n] reversed_limit_formal: the alternating four-term sum (may be negative).
-reversed_formal_coeff_formula = CoefficientFormula(
-    "reversed_formal", ((0, 1), (1, -1), (2, -1), (3, 1))
-)
+def _trinomial_sum(n: int, signs: tuple[int, ...]) -> int:
+    """The sum of signs[j] * trinomial(n, n - j)."""
+    if n < 0:
+        raise BadParams(f"n must be nonnegative, got {n}")
+    return sum(sign * trinomial(n, n - j) for j, sign in enumerate(signs))
 
 
 def coeff_closed(n: int) -> int:
-    return closed_coeff_formula(n)
+    """[z^n] phi0_limit: closed Deutsch paths of length n."""
+    return _trinomial_sum(n, (1, -1))
 
 
 def coeff_open(n: int) -> int:
-    return open_coeff_formula(n)
+    """[z^n] open_sum_limit: open Deutsch paths of length n (Motzkin numbers)."""
+    return _trinomial_sum(n, (1, 0, -1))
 
 
 def coeff_reversed_formal(n: int) -> int:
-    return reversed_formal_coeff_formula(n)
+    """[z^n] reversed_limit_formal: the alternating four-term sum (may be negative)."""
+    return _trinomial_sum(n, (1, -1, -1, 1))
 
 
 # --- the oracle battery -----------------------------------------------------
@@ -327,40 +356,11 @@ def combinatorial_ids(h_max: int, series_order: int) -> list[FormulaId]:
     return ids
 
 
-class _Meaning(NamedTuple):
-    """What [z^n] of a formula counts: a statistic summed over the paths of
-    length n in one family, ending at ``end`` (None: any level), with height
-    in [min_height, max_height] (None: unbounded)."""
-
-    family: str
-    end: int | None
-    min_height: int = 0
-    max_height: int | None = None
-    statistic: str = "count"  # count | area | height
-
-
-#: Every formula with a counting meaning; both oracles read only this table.
-_MEANINGS = {
-    "motzkin_M": lambda: _Meaning("motzkin", 0),
-    "phi": lambda h, i: _Meaning("deutsch", i, max_height=h),
-    "phi0_bounded": lambda h: _Meaning("deutsch", 0, max_height=h),
-    "phi0_limit": lambda: _Meaning("deutsch", 0),
-    "closed_height_ge": lambda h: _Meaning("deutsch", 0, min_height=h),
-    "open_sum": lambda h: _Meaning("deutsch", None, max_height=h),
-    "open_sum_limit": lambda: _Meaning("deutsch", None),
-    "psi0": lambda h: _Meaning("reversed", 0, max_height=h),
-    "psi": lambda h, i: _Meaning("reversed", i, max_height=h),
-    "reversed_sum": lambda h: _Meaning("reversed", None, max_height=h),
-    "area_A": lambda: _Meaning("deutsch", 0, statistic="area"),
-    "height_sum_closed": lambda order: _Meaning("deutsch", 0, statistic="height"),
-    "height_sum_open": lambda order: _Meaning("deutsch", None, statistic="height"),
-}
-
-
 def _meaning(fid: FormulaId) -> _Meaning:
-    if fid.name not in _MEANINGS:
+    meaning = CATALOG[fid.name].meaning
+    if meaning is None:
         raise BadParams(f"{fid} has no combinatorial meaning")
-    return _MEANINGS[fid.name](*fid.args)
+    return meaning(*fid.args)
 
 
 def _dp_prefix(m: _Meaning, n_max: int) -> list[int]:
@@ -425,8 +425,7 @@ def oracle_check(
         ]
 
     for fid, m in zip(ids, meanings):
-        obj = formula(fid)
-        series = obj if isinstance(obj, Series) else expand_in_z(obj, dp_max)
+        series = z_series(fid, dp_max)
         oracles = (
             ("DP", dp_max, _dp_prefix(m, dp_max)),
             ("enumeration", enum_max, [_enum_value(m, stats) for stats in enumerated[m.family]]),

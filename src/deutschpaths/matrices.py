@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algebra import KERNEL, Poly, RatFn, V
-from .formulas import phi, psi, psi0
+from .formulas import ONE_PLUS_V, _one_minus_v_pow, phi, psi, psi0
 from .reporting import VerificationReport
 
 
@@ -145,7 +145,7 @@ def det_closed_form(n: int) -> RatFn:
     """D_n = (1+v)^(n-1) / (1+v+v^2)^n * (1-v^(n+2))/(1-v)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return RatFn(Poly((1, 1)) ** (n - 1) * Poly.geometric(n + 2), KERNEL**n)
+    return RatFn(ONE_PLUS_V ** (n - 1) * Poly.geometric(n + 2), KERNEL**n)
 
 
 def verify_determinant(n_max: int = 12) -> VerificationReport:
@@ -189,7 +189,7 @@ def verify_det_recursion(
             "" if got == want else f"closed form {got!r} vs elimination {want!r}",
         )
     kern = RatFn(KERNEL)
-    wsq = RatFn(Poly((1, 1)) ** 2)
+    wsq = RatFn(ONE_PLUS_V**2)
     v = RatFn(V)
     for n in range(1, n_max - 1):
         lhs = kern**2 * closed_form(n + 2) - kern * wsq * closed_form(n + 1) + v * wsq * closed_form(n)
@@ -243,12 +243,9 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    one_plus_v = Poly((1, 1))
 
     def u_diag(i: int) -> RatFn:  # i is 1-based
-        return RatFn(
-            one_plus_v * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1)
-        )
+        return RatFn(ONE_PLUS_V * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
 
     if not transposed:
 
@@ -256,9 +253,7 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
             if i == j:
                 return _ONE
             if j == i - 1:
-                return RatFn(
-                    -V * Poly.geometric(i), one_plus_v * Poly.geometric(i + 1)
-                )
+                return RatFn(-V * Poly.geometric(i), ONE_PLUS_V * Poly.geometric(i + 1))
             return _ZERO
 
         def yoo(i: int, j: int) -> RatFn:
@@ -266,7 +261,7 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
                 return u_diag(i)
             if j > i:
                 return RatFn(
-                    -V * one_plus_v * Poly.geometric(i),
+                    -V * ONE_PLUS_V * Poly.geometric(i),
                     KERNEL * Poly.geometric(i + 1),
                 )
             return _ZERO
@@ -304,13 +299,9 @@ def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
     """((1+v)/(1+v+v^2))^n * (1-v^(n+offset))/(1-v^2) for offset 1 or 2."""
     return RatFn(
-        Poly((1, 1)) ** n * _one_minus(n + exponent_offset),
-        KERNEL**n * _one_minus(2),
+        ONE_PLUS_V**n * _one_minus_v_pow(n + exponent_offset),
+        KERNEL**n * _one_minus_v_pow(2),
     )
-
-
-def _one_minus(k: int) -> Poly:
-    return 1 - Poly.monomial(1, k)
 
 
 def verify_lu(n_max: int = 12) -> VerificationReport:

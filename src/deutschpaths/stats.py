@@ -38,14 +38,8 @@ class ZeroCount(ZeroDivisionError):
     """No paths to average over (e.g. closed paths of length 1)."""
 
 
-def closed_count(n: int) -> int:
-    """Closed Deutsch paths of length n."""
-    return coeff_closed(n)
-
-
-def open_count(n: int) -> int:
-    """Open Deutsch paths of length n (the Motzkin number)."""
-    return coeff_open(n)
+#: Closed Deutsch paths of length n, and open ones (the Motzkin numbers).
+closed_count, open_count = coeff_closed, coeff_open
 
 
 def height_total(n: int, family: str = "closed") -> int:

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from deutschpaths import __version__, algebra, cli, stats
 from deutschpaths.cli import CACHE_ENV_VAR, _num_str, main
-from deutschpaths.formulas import coeff_closed
+from deutschpaths.formulas import coeff_closed, height_sum_closed
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
 SCHEMA_PATH = (
@@ -177,7 +178,18 @@ class TestSeries:
         assert code == 2 and text == ""
         assert "--terms 10001 exceeds bound 10000" in err and "hint:" in err
 
-    @pytest.mark.parametrize("text", ["phi(2000,0)", "psi(101,1)", "reversed_sum(101)", "open_sum(5000)"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "phi(2000,0)",
+            "psi(101,1)",
+            "reversed_sum(101)",
+            "open_sum(5000)",
+            "phi0_bounded(101)",
+            "psi0(101)",
+            "closed_height_ge(101)",
+        ],
+    )
     def test_height_bound(self, text, capsys):
         # refused before the formula is built; phi(2000,0) used to run for over a minute
         code, out = run(["series", "--formula", text, "--terms", "3"])
@@ -194,6 +206,35 @@ class TestSeries:
     def test_unknown_formula(self):
         code, text = run(["series", "--formula", "zeta(2)", "--terms", "4"])
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["phi(1,,2)", "phi(--1,0)", "phi(1-2,0)", "phi( , )"])
+    def test_malformed_formula_id(self, text, capsys):
+        # these used to end in a ValueError traceback and exit 1
+        code, out = run(["series", "--formula", text, "--terms", "4"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert "error: formula parameters must be integers" in err and "hint:" in err
+
+    def test_height_sum_order_above_terms_is_built_only_through_terms(self):
+        t0 = time.perf_counter()
+        code, env = run_json(["series", "--formula", "height_sum_closed(100000)", "--terms", "3"])
+        assert time.perf_counter() - t0 < 1.0  # the order-100000 series used to be built whole
+        assert code == 0
+        assert env["payload"]["formula"] == "height_sum_closed(100000)"
+        assert env["payload"]["coefficients"] == [str(c) for c in height_sum_closed(3).coeffs]
+
+    def test_height_sum_order_below_terms_refused(self, capsys):
+        code, out = run(["series", "--formula", "height_sum_open(3)", "--terms", "5"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: height_sum_open(3) only defines coefficients through z^3\n"
+            "hint: use --formula 'height_sum_open(5)' or lower --terms\n"
+        )
+
+    def test_negative_height_sum_order_refused(self, capsys):
+        code, out = run(["series", "--formula", "height_sum_closed(-1)", "--terms", "3"])
+        assert code == 2 and out == ""
+        assert "error: order must be nonnegative, got -1\n" in capsys.readouterr().err
 
     def test_csv_rows(self):
         code, text = run(["series", "--formula", "motzkin", "--terms", "4", "--csv"])

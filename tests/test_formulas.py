@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -14,12 +15,12 @@ from deutschpaths.algebra import (
     KERNEL,
     Poly,
     RatFn,
-    Series,
     compose_with_v,
     expand_in_v,
     expand_in_z,
 )
 from deutschpaths.formulas import (
+    CATALOG,
     BadParams,
     FormulaId,
     _end_height_area,
@@ -32,6 +33,7 @@ from deutschpaths.formulas import (
     height_sum_closed,
     height_sum_open,
     oracle_check,
+    z_series,
 )
 from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths
 from deutschpaths.reporting import MismatchFound
@@ -192,6 +194,12 @@ class TestFormulaId:
             "motzkin_M(3)",
             "no_such_formula",
             "phi[2]",
+            "phi(1,,2)",  # malformed parameters used to escape as a bare ValueError
+            "phi(--1,0)",
+            "phi(1-2,0)",
+            "phi( , )",
+            "phi(4,)",
+            pytest.param("phi(1" + "0" * 5000 + ",0)", id="past-the-int-digit-limit"),
         ],
     )
     def test_bad_params(self, bad):
@@ -203,12 +211,24 @@ class TestFormulaId:
             formula("height_sum_closed(-1)")
 
 
+class TestCatalogTable:
+    def test_parameter_count_is_the_constructor_arity(self):
+        for name, record in CATALOG.items():
+            assert len(record.params) == len(inspect.signature(record.build).parameters), name
+            if record.meaning is not None:
+                assert len(record.params) == len(inspect.signature(record.meaning).parameters), name
+
+    def test_height_sum_is_built_only_through_the_order_asked(self):
+        assert z_series("height_sum_closed(100000)", 3) == height_sum_closed(3)
+        assert z_series(FormulaId("height_sum_open", (40,)), 9) == height_sum_open(9)
+        assert z_series("height_sum_open(9)", 9) == height_sum_open(9)
+
+
 class TestGoldenSeries:
     def test_every_golden_series_matches(self):
         order = GOLDEN["order"]
         for name, coeffs in GOLDEN["series"].items():
-            obj = formula(name)
-            series = obj if isinstance(obj, Series) else expand_in_z(obj, order)
+            series = z_series(name, order)
             assert [str(c) for c in series.coeffs] == coeffs, name
 
     def test_regen_script_renders_the_file_byte_for_byte(self):
@@ -220,9 +240,7 @@ class TestGoldenSeries:
 
     def test_golden_file_covers_every_formula_name(self):
         names = {FormulaId.parse(k).name for k in GOLDEN["series"]}
-        from deutschpaths.formulas import _SPECS
-
-        assert names == set(_SPECS)
+        assert names == set(CATALOG)
 
 
 class TestOracle:
@@ -239,18 +257,14 @@ class TestOracle:
 
     def test_counting_series_are_nonnegative_integers(self):
         for fid in combinatorial_ids(3, 20):
-            obj = formula(fid)
-            series = obj if isinstance(obj, Series) else expand_in_z(obj, 20)
+            series = z_series(fid, 20)
             assert series.is_integral(), fid
             assert all(c >= 0 for c in series.coeffs), fid
 
     def test_mismatch_raises_with_witness(self, monkeypatch):
-        import deutschpaths.formulas as formulas_mod
-
         wrong = RatFn(KERNEL, Poly((1, 2)))
-        monkeypatch.setitem(
-            formulas_mod._SPECS, "phi0_limit", (0, lambda: wrong)
-        )
+        wrong_record = CATALOG["phi0_limit"]._replace(build=lambda: wrong)
+        monkeypatch.setitem(CATALOG, "phi0_limit", wrong_record)
         with pytest.raises(MismatchFound) as exc:
             oracle_check(
                 ids=[FormulaId("phi0_limit")], enum_max=5, dp_max=10, h_max=2
@@ -266,9 +280,8 @@ class TestOracle:
         assert report.data["cells_checked"] == 2 * (13 + 7)
 
     def test_meanings_cover_every_counting_formula(self):
-        from deutschpaths.formulas import _MEANINGS, _SPECS
-
-        assert set(_MEANINGS) == set(_SPECS) - {"reversed_limit_formal"}
+        formal = [name for name, r in CATALOG.items() if r.meaning is None]
+        assert formal == ["reversed_limit_formal"]
 
     def test_formal_formula_has_no_meaning(self):
         with pytest.raises(BadParams):
