@@ -36,7 +36,7 @@ from .paths import (
 from .reporting import VerificationReport
 
 
-class NotAPath(ValueError):
+class NotAPath(PathError):
     """Input is not a valid path of the required family."""
 
 

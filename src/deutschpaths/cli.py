@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
@@ -24,7 +25,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, algebra
-from .bijection import NotAPath, certify, from_motzkin, to_motzkin
 from .formulas import (
     CATALOG,
     BadParams,
@@ -34,13 +34,6 @@ from .formulas import (
     coeff_open,
     oracle_check,
     z_series,
-)
-from .matrices import (
-    adjudicate_det_product,
-    verify_cramer,
-    verify_det_recursion,
-    verify_determinant,
-    verify_lu,
 )
 from .paths import (
     DEFAULT_DP_BOUND,
@@ -56,8 +49,9 @@ from .paths import (
     validate_path,
 )
 from .reporting import MismatchFound, VerificationReport
-from .selftest import run_selftest
-from .stats import LAWS, ZeroCount
+
+# bijection, matrices, selftest and stats are imported by the handlers that
+# run them, so that count, series, enumerate and --help never load them.
 
 CACHE_ENV_VAR = "DEUTSCHPATHS_CACHE_DIR"
 CONFIG_FORMAT = "deutschpaths-config"
@@ -206,6 +200,8 @@ def _cmd_series(args, config) -> dict:
 
 
 def _cmd_biject(args, config) -> dict:
+    from .bijection import from_motzkin, to_motzkin
+
     family = "motzkin" if args.inverse else "deutsch"
     try:
         path = validate_path(args.path, family)
@@ -223,15 +219,20 @@ def _cmd_biject(args, config) -> dict:
     }
 
 
+def _on_call(module: str, name: str) -> Callable[[int], VerificationReport]:
+    """deutschpaths.<module>.<name>, imported and looked up only when called."""
+    return lambda n: getattr(importlib.import_module(f".{module}", __package__), name)(n)
+
+
 #: Each battery: its call on --max-n, its default --max-n, the least it accepts.
 _BATTERIES = {
-    "det": (verify_determinant, 12, 1),
-    "recursion": (verify_det_recursion, 12, 3),
-    "cramer": (verify_cramer, 8, 1),
-    "lu": (verify_lu, 12, 1),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1),
+    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1),
     "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1),
-    "bijection": (certify, 8, 1),
-    "product": (adjudicate_det_product, 3, 1),
+    "bijection": (_on_call("bijection", "certify"), 8, 1),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 
@@ -240,6 +241,8 @@ def _run_verify(target: str, max_n: int | None) -> VerificationReport:
     if target == "all":
         if max_n is not None:
             raise UsageError("verify all takes no --max-n", "drop --max-n, or name one battery")
+        from .selftest import run_selftest
+
         return run_selftest()
     battery, default, least = _BATTERIES[target]
     if max_n is None:
@@ -266,6 +269,8 @@ def _cmd_verify(args, config) -> dict:
 
 
 def _cmd_stats(args, config) -> dict:
+    from .stats import LAWS, ZeroCount
+
     if args.n < 1:
         raise UsageError(
             f"--n must be >= 1, got {args.n}", "pass --n N with N >= 1 (N >= 2 for closed paths)"
@@ -500,7 +505,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             except (OSError, ValueError) as exc:
                 print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)
-    except (UsageError, QueryError, PathError, NotAPath, BadParams) as exc:
+    except (UsageError, QueryError, PathError, BadParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         hint = getattr(exc, "hint", "run with --help to see valid values")
         if hint:

@@ -1,0 +1,159 @@
+"""The package root loads nothing eagerly; each CLI subcommand imports only what it runs.
+
+The import-set checks run in a fresh interpreter: this test process has long
+since imported every submodule.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import deutschpaths
+from deutschpaths import bijection, cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+#: The submodules that only biject, verify, selftest and stats run.
+HEAVY = ("bijection", "matrices", "selftest", "stats")
+
+_LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('deutschpaths.'))"
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter importing this checkout; return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after_main(argv: list[str]) -> tuple[int, list[str]]:
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the submodules it loaded."""
+    return fresh(
+        f"""
+import contextlib, io, json, sys
+from deutschpaths import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, {_LOADED}]))
+"""
+    )
+
+
+HELPS = [["--help"]] + [[name, "--help"] for name in cli._SUBCOMMANDS]
+
+
+class TestImportSets:
+    def test_bare_import_loads_no_submodule(self):
+        assert fresh(f"import json, sys, deutschpaths; print(json.dumps({_LOADED}))") == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "deutsch", "--n", "12"],
+            ["count", "--family", "motzkin", "--n", "9", "--max-height", "2"],
+            ["series", "--formula", "area", "--terms", "12"],
+            ["series", "--formula", "height_sum_closed", "--terms", "12"],
+            ["enumerate", "--family", "deutsch", "--n", "4"],
+            *HELPS,
+        ],
+        ids=" ".join,
+    )
+    def test_query_and_help_load_none_of_the_heavy_modules(self, argv):
+        code, loaded = modules_after_main(argv)
+        assert code == 0
+        assert not set(HEAVY) & set(loaded), loaded
+
+    def test_stats_loads_only_stats(self):
+        code, loaded = modules_after_main(["stats", "height", "--n", "50"])
+        assert code == 0
+        assert "stats" in loaded
+        assert not {"matrices", "selftest", "bijection"} & set(loaded), loaded
+
+    def test_biject_loads_only_bijection(self):
+        code, loaded = modules_after_main(["biject", "--path", "U U D2 U"])
+        assert code == 0
+        assert "bijection" in loaded
+        assert not {"matrices", "selftest", "stats"} & set(loaded), loaded
+
+
+class TestLazyRoot:
+    def test_public_names_in_a_fresh_interpreter(self):
+        result = fresh(
+            f"""
+import importlib, json, sys
+import deutschpaths
+bare = {_LOADED}
+submodules = [deutschpaths.algebra.__name__, deutschpaths.cli.__name__]
+star = {{}}
+exec("from deutschpaths import *", star)
+names = [n for n in deutschpaths.__all__ if n != "__version__"]
+differ = [
+    n for n in names
+    if getattr(deutschpaths, n)
+    is not getattr(importlib.import_module("deutschpaths." + deutschpaths._MODULE_OF[n]), n)
+]
+print(json.dumps({{
+    "bare": bare,
+    "submodules": submodules,
+    "unbound": [n for n in deutschpaths.__all__ if n not in star],
+    "differ": differ,
+    "star_differ": [n for n in names if star[n] is not getattr(deutschpaths, n)],
+    "undirred": sorted(set(deutschpaths.__all__) - set(dir(deutschpaths))),
+}}))
+"""
+        )
+        assert result == {
+            "bare": [],
+            "submodules": ["deutschpaths.algebra", "deutschpaths.cli"],
+            "unbound": [],
+            "differ": [],
+            "star_differ": [],
+            "undirred": [],
+        }
+
+    def test_unknown_name_raises_the_standard_error(self):
+        with pytest.raises(AttributeError, match="^module 'deutschpaths' has no attribute 'nope'$"):
+            deutschpaths.nope
+        assert not hasattr(deutschpaths, "Tracer")
+        with pytest.raises(ImportError):
+            exec("from deutschpaths import nope", {})
+
+    def test_root_reads_the_current_attribute(self, monkeypatch):
+        # a benchmark tracer or a test patches the submodule; the root must not hold the old object
+        def patched(path):
+            return path
+
+        monkeypatch.setattr(bijection, "to_motzkin", patched)
+        assert deutschpaths.to_motzkin is patched
+        assert "to_motzkin" not in vars(deutschpaths)
+
+
+class TestRefusalParity:
+    def test_not_a_path_inside_biject_exits_2_with_the_default_hint(self, monkeypatch, capsys):
+        def refuse(path):
+            raise bijection.NotAPath("down size 3 inconsistent with inner end level 0")
+
+        monkeypatch.setattr(bijection, "to_motzkin", refuse)
+        out = io.StringIO()
+        assert cli.main(["biject", "--path", "U U D2"], out=out) == 2
+        assert out.getvalue() == ""
+        assert capsys.readouterr().err == (
+            "error: down size 3 inconsistent with inner end level 0\n"
+            "hint: run with --help to see valid values\n"
+        )
+
+    def test_not_a_path_is_a_path_error(self):
+        assert issubclass(bijection.NotAPath, deutschpaths.paths.PathError)
+        assert issubclass(bijection.NotAPath, ValueError)
