@@ -23,16 +23,11 @@ Motzkin U and turns each D into a down-step to that base.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .paths import (
-    DeutschPath,
-    MotzkinPath,
-    PathError,
-    PathFamilyQuery,
-    enumerate_paths,
-    validate_path,
-)
+from .paths import DeutschPath, MotzkinPath, PathError, PathFamilyQuery, _walk, validate_path
 from .reporting import VerificationReport
 
 
@@ -138,14 +133,18 @@ def _from_motzkin_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def returns_count(w) -> int:
-    """Number of returns-decompositions in w's recursion tree.
+    """Number of returns-decompositions in w's recursion tree."""
+    return _returns(_ensure(w, DeutschPath, "deutsch").levels)
 
-    The recursion of ``decompose`` on index ranges of w's level profile: the
+
+def _returns(levels: tuple[int, ...]) -> int:
+    """``returns_count`` on a level profile.
+
+    The recursion of ``decompose`` on index ranges of the profile: the
     subpath of steps a..b-1 starts at levels[a] and never dips below it, so
     its first return is the next time the profile is back at levels[a], if
     that is at most b.  One backward pass finds every such next time.
     """
-    levels = _ensure(w, DeutschPath, "deutsch").levels
     n = len(levels) - 1
     next_same, seen = [0] * (n + 1), {}
     for t in range(n, -1, -1):
@@ -169,41 +168,42 @@ def returns_count(w) -> int:
 def certify(n_max: int = 10) -> VerificationReport:
     """Exhaustively certify bijectivity and round trips for all n <= n_max.
 
-    Also records (without asserting any correspondence) the joint
-    distribution of the Deutsch path's end level against the image's flat
-    count, since the matching Motzkin statistic is an open question.
+    Paths are checked as step tuples; one per n also takes the typed round
+    trip through the public ``to_motzkin`` and ``from_motzkin``.  Also
+    records (without asserting any correspondence) the joint distribution
+    of the Deutsch path's end level against the image's flat count, since
+    the matching Motzkin statistic is an open question.
     """
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     report = VerificationReport("Deutsch-Motzkin bijection certification")
     counts = []
-    joint: dict[tuple[int, int], int] = {}
-
+    joint: Counter[tuple[int, int]] = Counter()
     for n in range(n_max + 1):
         dim = f"n={n}"
-        domain = enumerate_paths(PathFamilyQuery("deutsch", n))
-        codomain = enumerate_paths(PathFamilyQuery("motzkin", n))
-        images = [to_motzkin(w) for w in domain]
-        lengths_ok = all(len(img) == len(w) for img, w in zip(images, domain))
-        report.add("length preserved", dim, lengths_ok)
+        domain = _walk(PathFamilyQuery("deutsch", n))
+        codomain = _walk(PathFamilyQuery("motzkin", n))
+        images = [_to_motzkin_steps(w) for w in domain]
+        report.add("length preserved", dim, all(len(i) == len(w) for i, w in zip(images, domain)))
         report.add("injective", dim, len(set(images)) == len(images))
         report.add("image is every Motzkin path", dim, set(images) == set(codomain))
-        back_ok = all(from_motzkin(img) == w for img, w in zip(images, domain))
+        typed = DeutschPath(domain[-1])
+        back_ok = from_motzkin(to_motzkin(typed)) == typed and all(
+            _from_motzkin_steps(img) == w for img, w in zip(images, domain)
+        )
         report.add("from_motzkin(to_motzkin(w)) = w", dim, back_ok)
-        fwd_ok = all(to_motzkin(from_motzkin(m)) == m for m in codomain)
+        fwd_ok = all(_to_motzkin_steps(_from_motzkin_steps(m)) == m for m in codomain)
         report.add("to_motzkin(from_motzkin(m)) = m", dim, fwd_ok)
         counts_ok = len(domain) == len(codomain)
         report.add(
             "|open Deutsch| = |Motzkin|", dim, counts_ok,
             "" if counts_ok else f"{len(domain)} vs {len(codomain)}",
         )
-        ups_ok = all(
-            sum(1 for s in img.steps if s == 1) == returns_count(w)
-            for img, w in zip(images, domain)
-        )
+        levels = [tuple(accumulate(w, initial=0)) for w in domain]
+        ups_ok = all(img.count(1) == _returns(lv) for img, lv in zip(images, levels))
         report.add("image up-steps = returns in recursion tree", dim, ups_ok)
         counts.append(len(domain))
-        for w, img in zip(domain, images):
-            key = (w.end_level, sum(1 for s in img.steps if s == 0))
-            joint[key] = joint.get(key, 0) + 1
+        joint.update((lv[-1], img.count(0)) for lv, img in zip(levels, images))
     report.data["counts"] = counts
     report.data["end_level_vs_flats"] = {f"{e},{f}": c for (e, f), c in sorted(joint.items())}
     report.raise_if_failed()

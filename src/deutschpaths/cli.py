@@ -224,15 +224,16 @@ def _on_call(module: str, name: str) -> Callable[[int], VerificationReport]:
     return lambda n: getattr(importlib.import_module(f".{module}", __package__), name)(n)
 
 
-#: Each battery: its call on --max-n, its default --max-n, the least it accepts.
+#: Each battery: its call on --max-n, its default --max-n, the least and
+#: the most it accepts (None: no upper bound).
 _BATTERIES = {
-    "det": (_on_call("matrices", "verify_determinant"), 12, 1),
-    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3),
-    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1),
-    "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1),
-    "bijection": (_on_call("bijection", "certify"), 8, 1),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1, None),
+    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, None),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, None),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, None),
+    "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1, None),
+    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, None),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 
@@ -244,13 +245,18 @@ def _run_verify(target: str, max_n: int | None) -> VerificationReport:
         from .selftest import run_selftest
 
         return run_selftest()
-    battery, default, least = _BATTERIES[target]
+    battery, default, least, most = _BATTERIES[target]
     if max_n is None:
         return battery(default)
     if max_n < least:
         raise UsageError(
             f"--max-n must be >= {least} for verify {target}, got {max_n}",
             f"pass --max-n N with N >= {least}, or omit it for the default {default}",
+        )
+    if most is not None and max_n > most:
+        raise UsageError(
+            f"--max-n must be <= {most} for verify {target}, got {max_n}",
+            f"pass --max-n N with {least} <= N <= {most}, or omit it for the default {default}",
         )
     return battery(max_n)
 
@@ -405,7 +411,10 @@ _SUBCOMMANDS = {
         "run an exact identity battery",
         (
             _arg("target", choices=_VERIFY_TARGETS),
-            _arg("--max-n", type=int, default=None, help="largest dimension/length to check"),
+            _arg(
+                "--max-n", type=int, default=None,
+                help=f"largest dimension/length to check (bijection: at most {DEFAULT_ENUM_BOUND})",
+            ),
         ),
         _cmd_verify,
         _report_lines,

@@ -10,9 +10,13 @@ This module builds both matrices, computes determinants by Gaussian
 elimination over the rational-function field, and verifies the closed
 forms: the determinant D_n, its three-term recursion, the Cramer
 solutions (which must reproduce the phi/psi formula catalog), and the
-entrywise LU factorizations.  The product of U's diagonal retells the
-determinant; the adjudication helper pins down the one exponent in that
-product identity that the closed forms force.
+entrywise LU factorizations.  The Cramer solutions take a second,
+independent route: the system's entries are 1, -z and 0, so its
+determinants are integer polynomials in z, computed by fraction-free
+(Bareiss) elimination with exact divisions and mapped to v once each.
+The product of U's diagonal retells the determinant; the adjudication
+helper pins down the one exponent in that product identity that the
+closed forms force.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ Z_OF_V = RatFn(V, KERNEL)
 
 _ZERO = RatFn(Poly())
 _ONE = RatFn(Poly((1,)))
+
+#: 1, 0 and z as integer polynomials in z, the strip system's entries.
+_ONE_Z, _ZERO_Z, _Z = Poly((1,)), Poly(), Poly((0, 1))
 
 
 class QvMatrix:
@@ -150,6 +157,8 @@ def det_closed_form(n: int) -> RatFn:
 
 def verify_determinant(n_max: int = 12) -> VerificationReport:
     """Elimination determinant equals D_n, and transposition preserves it."""
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     report = VerificationReport("determinant closed form")
     for n in range(1, n_max + 1):
         want = det_closed_form(n)
@@ -201,18 +210,65 @@ def verify_det_recursion(
     return report
 
 
+def _bareiss(rows: list[list[Poly]]) -> Poly:
+    """Determinant over the integer polynomials by fraction-free (Bareiss)
+    elimination with row swaps; each division by the previous pivot is
+    exact.  ``rows`` is consumed."""
+    n = len(rows)
+    sign, prev = 1, _ONE_Z
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot_row is None:
+            return _ZERO_Z
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        top = rows[k]
+        pivot = top[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, n):
+                e = row[j] * pivot - f * top[j] if f else row[j] * pivot
+                row[j] = e.exact_div(prev) if k else e  # the first step divides by 1
+        prev = pivot
+    det = rows[-1][-1]
+    return det if sign > 0 else -det
+
+
+def _in_v(p: Poly, d: int) -> Poly:
+    """(1+v+v^2)^d * p(v/(1+v+v^2)) for a polynomial p in z of degree <= d."""
+    acc = _ZERO_Z
+    for k in range(d + 1):
+        acc = acc * KERNEL + Poly.monomial(p.coeff(k), k)
+    return acc
+
+
 def cramer_solve(n: int, transposed: bool = False) -> list[RatFn]:
-    """Solve A x = e_0 by literal determinant ratios."""
-    m = build_matrix(n, transposed)
-    det = determinant(m)
-    if det.is_zero():
+    """Solve A x = e_0 by literal determinant ratios x_j = det(A_j)/det(A).
+
+    A_j is A with column j replaced by e_0.  Every entry is 1, -z or 0, so
+    each determinant is an integer polynomial in z of degree <= n, computed
+    by ``_bareiss``; it is mapped once to v as (1+v+v^2)^n * p(v/(1+v+v^2)),
+    and each component is then one ``RatFn`` reduction.  This route shares
+    no elimination with ``determinant``.
+    """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    rows = _strip_rows(n, transposed, _ONE_Z, _ZERO_Z, _Z)
+    det = _in_v(_bareiss([list(r) for r in rows]), n)
+    if not det:
         raise SingularMatrix(f"system of dimension {n} is singular")
-    e0 = [_ONE] + [_ZERO] * (n - 1)
-    return [determinant(m.replace_column(j, e0)) / det for j in range(n)]
+    e0 = [_ONE_Z] + [_ZERO_Z] * (n - 1)
+    return [
+        RatFn(_in_v(_bareiss([r[:j] + [e] + r[j + 1 :] for r, e in zip(rows, e0)]), n), det)
+        for j in range(n)
+    ]
 
 
 def verify_cramer(h_max: int = 8) -> VerificationReport:
     """Cramer components reproduce phi (untransposed) and psi (transposed)."""
+    if h_max < 0:
+        raise ValueError(f"need h_max >= 0, got {h_max}")
     report = VerificationReport("Cramer solutions vs formula catalog")
     for h in range(h_max + 1):
         n = h + 1
@@ -238,62 +294,60 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
     """The closed-form LU pair (1-based index formulas, 0-based storage).
 
     Untransposed: L has one nonzero subdiagonal, U is dense upper; the
-    off-diagonal U formula applies to every j > i.  Transposed: L is dense
-    lower, U has one superdiagonal.
+    off-diagonal U formula depends on the row i only and applies to every
+    j > i.  Transposed: L is dense lower, its formula depending on the
+    column j only; U has one superdiagonal.  Each formula is built once.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-
-    def u_diag(i: int) -> RatFn:  # i is 1-based
-        return RatFn(ONE_PLUS_V * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
-
+    # diag[i-1] = U_ii
+    diag = [
+        RatFn(ONE_PLUS_V * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
+        for i in range(1, n + 1)
+    ]
     if not transposed:
+        # below[j-1] = L_(j+1),j and right[i-1] = U_ij for every j > i
+        below = [
+            RatFn(-V * Poly.geometric(i), ONE_PLUS_V * Poly.geometric(i + 1))
+            for i in range(2, n + 1)
+        ]
+        right = [
+            RatFn(-V * ONE_PLUS_V * Poly.geometric(i), KERNEL * Poly.geometric(i + 1))
+            for i in range(1, n)
+        ]
 
         def ell(i: int, j: int) -> RatFn:
-            if i == j:
-                return _ONE
-            if j == i - 1:
-                return RatFn(-V * Poly.geometric(i), ONE_PLUS_V * Poly.geometric(i + 1))
-            return _ZERO
+            return below[j] if j == i - 1 else _ZERO
 
         def yoo(i: int, j: int) -> RatFn:
-            if i == j:
-                return u_diag(i)
-            if j > i:
-                return RatFn(
-                    -V * ONE_PLUS_V * Poly.geometric(i),
-                    KERNEL * Poly.geometric(i + 1),
-                )
-            return _ZERO
+            return right[i] if j > i else _ZERO
 
     else:
+        # below[j-1] = L_ij for every i > j; U_i,(i+1) is one value
+        below = [RatFn(-V * Poly.geometric(j), Poly.geometric(j + 2)) for j in range(1, n)]
+        above = RatFn(-V, KERNEL)
 
         def ell(i: int, j: int) -> RatFn:
-            if i == j:
-                return _ONE
-            if j < i:
-                return RatFn(-V * Poly.geometric(j), Poly.geometric(j + 2))
-            return _ZERO
+            return below[j] if j < i else _ZERO
 
         def yoo(i: int, j: int) -> RatFn:
-            if i == j:
-                return u_diag(i)
-            if j == i + 1:
-                return RatFn(-V, KERNEL)
-            return _ZERO
+            return above if j == i + 1 else _ZERO
 
-    L = QvMatrix(tuple(tuple(ell(i, j) for j in range(1, n + 1)) for i in range(1, n + 1)))
-    U = QvMatrix(tuple(tuple(yoo(i, j) for j in range(1, n + 1)) for i in range(1, n + 1)))
+    L = QvMatrix(tuple(tuple(_ONE if i == j else ell(i, j) for j in range(n)) for i in range(n)))
+    U = QvMatrix(tuple(tuple(diag[i] if i == j else yoo(i, j) for j in range(n)) for i in range(n)))
     return L, U
+
+
+def _diagonal_product(U: QvMatrix) -> RatFn:
+    prod = _ONE
+    for i in range(U.dim):
+        prod = prod * U.entry(i, i)
+    return prod
 
 
 def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
     """The telescoping product U_11 * ... * U_nn."""
-    _, U = lu_formulas(n, transposed)
-    prod = _ONE
-    for i in range(n):
-        prod = prod * U.entry(i, i)
-    return prod
+    return _diagonal_product(lu_formulas(n, transposed)[1])
 
 
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
@@ -306,6 +360,8 @@ def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
 
 def verify_lu(n_max: int = 12) -> VerificationReport:
     """L*U = A entrywise for both variants, plus the diagonal-product identity."""
+    if n_max < 1:
+        raise ValueError(f"need n_max >= 1, got {n_max}")
     report = VerificationReport("LU factorization")
     for transposed in (False, True):
         label = "transposed" if transposed else "untransposed"
@@ -331,7 +387,7 @@ def verify_lu(n_max: int = 12) -> VerificationReport:
                 if witness:
                     break
             report.add(f"{label} L*U = A", f"n={n}", not witness, witness)
-            dp = u_diagonal_product(n, transposed)
+            dp = _diagonal_product(U)
             want = det_closed_form(n)
             report.add(
                 f"{label} prod U_ii = D_n", f"n={n}", dp == want,

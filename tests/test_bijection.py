@@ -25,6 +25,7 @@ from deutschpaths.paths import (
     enumerate_paths,
     validate_path,
 )
+from deutschpaths.reporting import MismatchFound
 
 
 def deutsch_paths(n):
@@ -169,6 +170,35 @@ class TestCertify:
         report = certify(8)
         assert report.ok
         assert report.data["counts"] == [1, 1, 2, 4, 9, 21, 51, 127, 323]
+
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError):
+            certify(-1)
+
+    def test_swapped_tuple_images_fail(self, monkeypatch):
+        # the images of "U U U" and "U U D1" trade places: still injective
+        # and onto, and neither path is the one that takes the typed round
+        # trip, so only the tuple checks can see it
+        import deutschpaths.bijection as bij
+
+        kernel = bij._to_motzkin_steps
+        swap = {(1, 1, 1): kernel((1, 1, -1)), (1, 1, -1): kernel((1, 1, 1))}
+        monkeypatch.setattr(bij, "_to_motzkin_steps", lambda steps: swap.get(steps) or kernel(steps))
+        with pytest.raises(MismatchFound) as exc:
+            certify(4)
+        failed = {(c.name, c.dimension) for c in exc.value.report.failures}
+        assert ("from_motzkin(to_motzkin(w)) = w", "n=3") in failed
+        assert {dim for _, dim in failed} == {"n=3"}
+        assert ("injective", "n=3") not in failed
+
+    def test_broken_public_map_fails_the_typed_round_trip(self, monkeypatch):
+        import deutschpaths.bijection as bij
+
+        monkeypatch.setattr(bij, "to_motzkin", lambda w: MotzkinPath([0] * len(w)))
+        with pytest.raises(MismatchFound) as exc:
+            certify(4)
+        failed = {c.name for c in exc.value.report.failures}
+        assert failed == {"from_motzkin(to_motzkin(w)) = w"}
 
 
 

@@ -332,6 +332,18 @@ class TestVerify:
         if least is not None:
             assert f"N >= {least}" in err
 
+    def test_bijection_past_the_enumeration_bound_refused(self, capsys):
+        code, text = run(["verify", "bijection", "--max-n", "15"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert text == ""
+        assert "hint: pass --max-n N with 1 <= N <= 14" in err
+
+    def test_help_states_the_bijection_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["verify", "--help"])
+        assert "bijection: at most 14" in " ".join(capsys.readouterr().out.split())
+
 
 class TestStats:
     def test_height(self):

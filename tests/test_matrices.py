@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from deutschpaths.algebra import KERNEL, Poly, RatFn, V
 from deutschpaths.formulas import formula
 from deutschpaths.matrices import (
     SingularMatrix,
+    _bareiss,
+    _in_v,
+    _strip_rows,
     adjudicate_det_product,
     build_matrix,
     cramer_solve,
@@ -83,6 +87,10 @@ class TestDeterminant:
         report = verify_determinant(8)
         assert report.ok
 
+    def test_empty_battery_refused(self):
+        with pytest.raises(ValueError):
+            verify_determinant(0)
+
     def test_determinant_of_singular_matrix_is_zero(self):
         from deutschpaths.matrices import QvMatrix
 
@@ -92,9 +100,10 @@ class TestDeterminant:
     def test_cramer_on_singular_system_raises(self, monkeypatch):
         import deutschpaths.matrices as mat
 
-        singular = mat.QvMatrix(((ZERO, ZERO), (ZERO, ONE)))
+        # cramer_solve builds its integer polynomial rows in z through
+        # _strip_rows; hand it a singular system instead
         monkeypatch.setattr(
-            mat, "build_matrix", lambda n, transposed=False: singular
+            mat, "_strip_rows", lambda n, transposed, one, zero, z: [[zero, zero], [zero, one]]
         )
         with pytest.raises(SingularMatrix):
             cramer_solve(2)
@@ -159,6 +168,54 @@ class TestCramer:
         report = verify_cramer(6)
         assert report.ok
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_rational_function_elimination(self, n, transposed):
+        # the same determinant ratios by Gaussian elimination over RatFn,
+        # an independent route kept as this test's oracle
+        m = build_matrix(n, transposed)
+        det = determinant(m)
+        e0 = [ONE] + [ZERO] * (n - 1)
+        want = [determinant(m.replace_column(j, e0)) / det for j in range(n)]
+        assert cramer_solve(n, transposed) == want
+
+    def test_empty_battery_refused(self):
+        with pytest.raises(ValueError):
+            verify_cramer(-1)
+
+
+class TestDeterminantInZ:
+    """The fraction-free determinant over Z[z] behind cramer_solve."""
+
+    @staticmethod
+    def det_in_z(n, transposed):
+        return _bareiss(_strip_rows(n, transposed, Poly((1,)), Poly(), Poly((0, 1))))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_mapped_to_v_matches_elimination(self, n, transposed):
+        p = self.det_in_z(n, transposed)
+        assert p.degree <= n
+        assert all(type(c) is int for c in p.coeffs)
+        assert RatFn(_in_v(p, n), KERNEL**n) == determinant(build_matrix(n, transposed))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_numeric_elimination(self, n, transposed):
+        rng = random.Random(1000 * n + transposed)
+        p = self.det_in_z(n, transposed)
+        for _ in range(3):
+            v0 = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+            z0 = v0 / (1 + v0 + v0 * v0)
+            assert p(z0) == determinant_at(n, v0, transposed)
+
+    def test_pivoting_through_a_zero_leading_entry(self):
+        z = Poly((0, 1))
+        one = Poly((1,))
+        # expanding along the first row: 0 - 1*(1 - 0) + z*(0 - z^2)
+        rows = [[Poly(), one, z], [one, z, Poly()], [z, Poly(), one]]
+        assert _bareiss(rows) == Poly((-1, 0, 0, -1))
+
 
 class TestLU:
     @pytest.mark.parametrize("n", range(1, 9))
@@ -189,6 +246,10 @@ class TestLU:
     def test_battery(self):
         report = verify_lu(8)
         assert report.ok
+
+    def test_empty_battery_refused(self):
+        with pytest.raises(ValueError):
+            verify_lu(0)
 
 
 class TestProductExponent:
