@@ -16,12 +16,10 @@ import argparse
 import functools
 import importlib
 import json
-import os
 import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__, algebra
@@ -53,10 +51,6 @@ from .reporting import MismatchFound, VerificationReport
 # bijection, matrices, selftest and stats are imported by the handlers that
 # run them, so that count, series, enumerate and --help never load them.
 
-CACHE_ENV_VAR = "DEUTSCHPATHS_CACHE_DIR"
-CONFIG_FORMAT = "deutschpaths-config"
-CONFIG_VERSION = 1
-
 FORMULA_ALIASES = {
     "area": "area_A",
     "motzkin": "motzkin_M",
@@ -84,40 +78,6 @@ def _num_str(x: int | Fraction) -> str:
     return str(Decimal(int(x)))
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}", "pass a readable JSON file")
-    if (
-        not isinstance(data, dict)
-        or data.get("format") != CONFIG_FORMAT
-        or data.get("version") != CONFIG_VERSION
-    ):
-        raise UsageError(
-            f"config file {path} is not a {CONFIG_FORMAT} v{CONFIG_VERSION} document",
-            'expected {"format": "deutschpaths-config", "version": 1, ...}',
-        )
-    for field, kind in (("enumeration_bound", int), ("cache_dir", str)):
-        value = data.get(field)
-        if value is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-            raise UsageError(
-                f"config field {field!r} must be {kind.__name__}, got {value!r}",
-                "enumeration_bound is an integer; cache_dir is a string",
-            )
-    return data
-
-
-def _resolve_cache_dir(args, config: dict) -> str | None:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    if os.environ.get(CACHE_ENV_VAR):
-        return os.environ[CACHE_ENV_VAR]
-    return config.get("cache_dir")
-
-
 # --- subcommand handlers (return JSON-safe payloads) -------------------------
 
 
@@ -139,7 +99,7 @@ _CLOSED_FORMS = {
 }
 
 
-def _cmd_count(args, config) -> dict:
+def _cmd_count(args) -> dict:
     query = _query_from_args(args)
     if query.n > DEFAULT_DP_BOUND:
         raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
@@ -156,9 +116,12 @@ def _cmd_count(args, config) -> dict:
     }
 
 
-def _cmd_enumerate(args, config) -> dict:
-    bound = config.get("enumeration_bound", DEFAULT_ENUM_BOUND)
-    paths = enumerate_paths(_query_from_args(args), bound=bound)
+def _cmd_enumerate(args) -> dict:
+    try:
+        paths = enumerate_paths(_query_from_args(args))
+    except BoundExceeded as exc:
+        exc.hint = f"pass --n N with N <= {DEFAULT_ENUM_BOUND}"
+        raise
     return {
         "count": _num_str(len(paths)),
         "paths": [p.tokens() for p in paths],
@@ -190,7 +153,7 @@ def _formula_from_args(args) -> tuple[FormulaId, Series]:
     return fid, z_series(fid, args.terms)
 
 
-def _cmd_series(args, config) -> dict:
+def _cmd_series(args) -> dict:
     fid, series = _formula_from_args(args)
     return {
         "formula": str(fid),
@@ -199,7 +162,7 @@ def _cmd_series(args, config) -> dict:
     }
 
 
-def _cmd_biject(args, config) -> dict:
+def _cmd_biject(args) -> dict:
     from .bijection import from_motzkin, to_motzkin
 
     family = "motzkin" if args.inverse else "deutsch"
@@ -225,15 +188,17 @@ def _on_call(module: str, name: str) -> Callable[[int], VerificationReport]:
 
 
 #: Each battery: its call on --max-n, its default --max-n, the least and
-#: the most it accepts (None: no upper bound).
+#: the most it accepts, and the seconds an in-process run at the most took on
+#: a 2-vCPU host (the slower of two runs).  Each most is the largest size that
+#: ran in about 5 s; for bijection it is also the enumeration bound.
 _BATTERIES = {
-    "det": (_on_call("matrices", "verify_determinant"), 12, 1, None),
-    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, None),
-    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, None),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, None),
-    "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1, None),
-    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, None),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 30, 4.5),
+    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 52, 4.2),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 5.0),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 30, 5.0),
+    "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1, 280, 4.4),
+    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 4.2),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 72, 3.4),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 
@@ -245,7 +210,7 @@ def _run_verify(target: str, max_n: int | None) -> VerificationReport:
         from .selftest import run_selftest
 
         return run_selftest()
-    battery, default, least, most = _BATTERIES[target]
+    battery, default, least, most, _ = _BATTERIES[target]
     if max_n is None:
         return battery(default)
     if max_n < least:
@@ -253,7 +218,7 @@ def _run_verify(target: str, max_n: int | None) -> VerificationReport:
             f"--max-n must be >= {least} for verify {target}, got {max_n}",
             f"pass --max-n N with N >= {least}, or omit it for the default {default}",
         )
-    if most is not None and max_n > most:
+    if max_n > most:
         raise UsageError(
             f"--max-n must be <= {most} for verify {target}, got {max_n}",
             f"pass --max-n N with {least} <= N <= {most}, or omit it for the default {default}",
@@ -268,13 +233,13 @@ def _report_payload(report: VerificationReport) -> dict:
     return d
 
 
-def _cmd_verify(args, config) -> dict:
+def _cmd_verify(args) -> dict:
     # selftest is verify all: it has neither a target nor --max-n
     report = _run_verify(getattr(args, "target", "all"), getattr(args, "max_n", None))
     return _report_payload(report)
 
 
-def _cmd_stats(args, config) -> dict:
+def _cmd_stats(args) -> dict:
     from .stats import LAWS, ZeroCount
 
     if args.n < 1:
@@ -358,7 +323,7 @@ class _Subcommand(NamedTuple):
 
     help: str
     arguments: tuple[tuple[tuple, dict], ...]
-    handler: Callable[[argparse.Namespace, dict], dict]
+    handler: Callable[[argparse.Namespace], dict]
     human: Callable[[dict], list[str]]
     csv_rows: Callable[[dict], list] | None = None
 
@@ -413,7 +378,11 @@ _SUBCOMMANDS = {
             _arg("target", choices=_VERIFY_TARGETS),
             _arg(
                 "--max-n", type=int, default=None,
-                help=f"largest dimension/length to check (bijection: at most {DEFAULT_ENUM_BOUND})",
+                help="largest dimension/length to check; "
+                + ", ".join(
+                    f"{name}: at most {most} ({seconds} s)"
+                    for name, (_, _, _, most, seconds) in _BATTERIES.items()
+                ),
             ),
         ),
         _cmd_verify,
@@ -479,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
         fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
-        p.add_argument("--cache-dir", help=f"trinomial-row cache directory (or ${CACHE_ENV_VAR})")
-        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--cache-dir", help="trinomial-row cache directory")
     return parser
 
 
@@ -500,17 +468,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 f"--csv is not available for {args.subcommand!r}",
                 f"csv output covers {', '.join(most)}, and {last}",
             )
-        config = _load_config(args.config)
-        cache_dir = _resolve_cache_dir(args, config)
-        if cache_dir:
+        if args.cache_dir:
             try:
-                algebra.load_cache(cache_dir)
+                algebra.load_cache(args.cache_dir)
             except (OSError, ValueError) as exc:
                 print(f"warning: ignoring cache: {exc}", file=sys.stderr)
-        payload = command.handler(args, config)
-        if cache_dir:
+        payload = command.handler(args)
+        if args.cache_dir:
             try:
-                algebra.save_cache(cache_dir)
+                algebra.save_cache(args.cache_dir)
             except (OSError, ValueError) as exc:
                 print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)

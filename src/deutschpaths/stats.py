@@ -124,8 +124,7 @@ class AsymptoticLaw:
 
     def ratio(self, n: int) -> float:
         """exact / approx as a float; exact arithmetic until the last step."""
-        a = self._law_at(n)
-        return float(Fraction(self.exact(n)) / Fraction(a))
+        return self.compare(n).ratio
 
     def compare(self, n: int) -> ComparisonRow:
         """Exact value, law and their ratio at n, computing the exact value once."""

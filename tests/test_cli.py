@@ -1,4 +1,4 @@
-"""Command-line interface: envelopes, formats, exit codes, config."""
+"""Command-line interface: envelopes, formats, exit codes, cache."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from deutschpaths import __version__, algebra, cli, stats
-from deutschpaths.cli import CACHE_ENV_VAR, _num_str, main
+from deutschpaths.cli import _num_str, build_parser, main
 from deutschpaths.formulas import coeff_closed, height_sum_closed
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
@@ -28,6 +29,7 @@ SCHEMA_PATH = (
     / "output_envelope.schema.json"
 )
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
+CLI_DOC = Path(__file__).parent.parent / "docs" / "cli.md"
 
 
 def run(argv):
@@ -141,6 +143,13 @@ class TestEnumerate:
     def test_bound_exceeded(self):
         code, text = run(["enumerate", "--family", "deutsch", "--n", "40"])
         assert code == 2
+
+    def test_bound_named_in_the_hint(self, capsys):
+        code, text = run(["enumerate", "--family", "deutsch", "--n", "15"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: n=15 exceeds enumeration bound 14\nhint: pass --n N with N <= 14\n"
+        )
 
     def test_csv(self):
         code, text = run(["enumerate", "--family", "motzkin", "--n", "2", "--csv"])
@@ -344,6 +353,31 @@ class TestVerify:
             run(["verify", "--help"])
         assert "bijection: at most 14" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("target", list(cli._BATTERIES))
+    def test_max_n_above_battery_maximum_refused(self, target, monkeypatch, capsys):
+        _, _, least, most, _ = cli._BATTERIES[target]
+
+        def must_not_run(n):
+            raise AssertionError(f"verify {target} ran at n={n}")
+
+        monkeypatch.setitem(cli._BATTERIES, target, (must_not_run, *cli._BATTERIES[target][1:]))
+        code, text = run(["verify", target, "--max-n", str(most + 1)])
+        assert (code, text) == (2, "")
+        assert f"hint: pass --max-n N with {least} <= N <= {most}" in capsys.readouterr().err
+
+    def test_product_runs_at_its_maximum(self):
+        most = cli._BATTERIES["product"][3]
+        code, env = run_json(["verify", "product", "--max-n", str(most)])
+        assert code == 0
+        assert env["payload"]["ok"] is True
+
+    def test_help_states_every_battery_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["verify", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for target, (_, _, _, most, seconds) in cli._BATTERIES.items():
+            assert f"{target}: at most {most} ({seconds} s)" in text
+
 
 class TestStats:
     def test_height(self):
@@ -451,11 +485,22 @@ class TestConfigAndCache:
         data = json.loads(cache.read_text())
         assert data["format"] == "deutschpaths-cache"
 
-    def test_cache_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        code, _ = run_json(["series", "--formula", "motzkin", "--terms", "8"])
-        assert code == 0
-        assert (tmp_path / "algebra_cache.json").exists()
+    def test_config_flag_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "deutschpaths-config", "version": 1}))
+        with pytest.raises(SystemExit) as exc:
+            run(["enumerate", "--family", "deutsch", "--n", "1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --config" in err
+
+    def test_cache_env_var_ignored(self, tmp_path, monkeypatch):
+        argv = ["series", "--formula", "closed", "--terms", "12"]
+        without = run(argv)
+        monkeypatch.setenv("DEUTSCHPATHS_CACHE_DIR", str(tmp_path))
+        assert run(argv) == without
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_roundtrip_is_consistent(self, tmp_path):
         _, first = run_json(
@@ -488,45 +533,6 @@ class TestConfigAndCache:
         assert code == 0
         assert "exact=4065/232" in text
         assert "warning: ignoring cache" in capsys.readouterr().err
-
-    def test_config_enumeration_bound(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "format": "deutschpaths-config",
-                    "version": 1,
-                    "enumeration_bound": 4,
-                }
-            )
-        )
-        code, _ = run(
-            ["enumerate", "--family", "deutsch", "--n", "6", "--config", str(cfg)]
-        )
-        assert code == 2
-        code, _ = run(
-            ["enumerate", "--family", "deutsch", "--n", "4", "--config", str(cfg)]
-        )
-        assert code == 0
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"format": "something-else", "version": 1},
-            [],
-            {"format": "deutschpaths-config", "version": 1, "enumeration_bound": "x"},
-            {"format": "deutschpaths-config", "version": 1, "enumeration_bound": True},
-            {"format": "deutschpaths-config", "version": 1, "cache_dir": 5},
-        ],
-        ids=["header", "not_an_object", "bound_str", "bound_bool", "cache_dir_int"],
-    )
-    def test_config_bad_format_rejected(self, tmp_path, data, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(data))
-        code, text = run(["enumerate", "--family", "deutsch", "--n", "1", "--config", str(cfg)])
-        assert code == 2
-        assert text == ""
-        assert "hint:" in capsys.readouterr().err
 
     def test_unencodable_cache_row_warns_and_answers(self, tmp_path, monkeypatch, capsys):
         # a row with an integer past json's 4300-digit limit, as for n > 9000
@@ -604,7 +610,7 @@ class TestPinnedOutput:
         code_s, selftest = run_json(["selftest"])
         assert code_a == code_s == 0
         assert verify_all["payload"] == selftest["payload"]
-        assert selftest["command"]["args"] == {"cache_dir": None, "config": None}
+        assert selftest["command"]["args"] == {"cache_dir": None}
 
     @pytest.mark.parametrize(
         "argv",
@@ -669,3 +675,26 @@ class TestNumStr:
                 assert _num_str(Fraction(x, 7 * x + 1)) == f"{x}/{7 * x + 1}"
         assert _num_str(0) == "0"
         assert _num_str(Fraction(12, 4)) == "3"
+
+
+class TestDocs:
+    def test_shared_flags_table_matches_the_parser(self):
+        def options(p):
+            return {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+
+        # the options every subcommand takes, plus the top-level --version
+        parser = build_parser()
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        shared = set.intersection(*map(options, subparsers.choices.values())) | options(parser)
+        text = CLI_DOC.read_text()
+        table = text.split("## Shared flags", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(--[a-z-]+)", table, re.MULTILINE))
+        assert documented == shared
+
+    def test_battery_bounds_table_matches_the_batteries(self):
+        text = CLI_DOC.read_text()
+        rows = dict(re.findall(r"^\| `(\w+)` \| (\d+ \| [\d.]+) s \|$", text, re.MULTILINE))
+        assert rows == {
+            target: f"{most} | {seconds}"
+            for target, (_, _, _, most, seconds) in cli._BATTERIES.items()
+        }
