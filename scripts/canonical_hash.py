@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 over the canonical forms of the formulas and strip matrices.
+
+A change to the algebra kernel that keeps every canonical form keeps this
+value.  Run it on both sides of the change and compare:
+
+    PYTHONPATH=src python scripts/canonical_hash.py
+
+Each value enters as its typed coefficients (``int`` or ``Fraction``), the
+numerator and then the denominator of a ``RatFn``, so a coefficient that
+changes only from ``int`` to an equal ``Fraction`` changes the hash too.
+Hashed, in this order:
+
+- ``formula(id)`` for every catalog id whose parameters are at most
+  ``MAX_H`` (end levels 0..h); an id the catalog refuses enters as the
+  name of its exception;
+- ``determinant(build_matrix(n, t))`` and ``cramer_solve(n, t)`` for
+  n <= ``MAX_CRAMER``, and every entry of ``L @ U`` from
+  ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from deutschpaths.algebra import RatFn
+from deutschpaths.formulas import CATALOG, FormulaId, formula
+from deutschpaths.matrices import build_matrix, cramer_solve, determinant, lu_formulas
+
+MAX_H = 20
+MAX_CRAMER = 8
+MAX_LU = 10
+
+
+def _typed(coeffs) -> str:
+    return ",".join(f"{type(c).__name__}:{c}" for c in coeffs)
+
+
+def _canonical(value) -> str:
+    if isinstance(value, RatFn):
+        return f"{_typed(value.num.coeffs)}/{_typed(value.den.coeffs)}"
+    return _typed(value.coeffs)  # a Series
+
+
+def _formula_ids():
+    for name, record in CATALOG.items():
+        if record.params == ("h", "i"):
+            args = [(h, i) for h in range(MAX_H + 1) for i in range(h + 1)]
+        elif record.params:
+            args = [(h,) for h in range(MAX_H + 1)]
+        else:
+            args = [()]
+        for a in args:
+            yield FormulaId(name, a)
+
+
+def items():
+    """(label, canonical text) for every hashed value, in a fixed order."""
+    for fid in _formula_ids():
+        try:
+            yield str(fid), _canonical(formula(fid))
+        except ValueError as exc:
+            yield str(fid), type(exc).__name__
+    for t in (False, True):
+        for n in range(1, MAX_CRAMER + 1):
+            yield f"det({n},{t})", _canonical(determinant(build_matrix(n, t)))
+            for j, x in enumerate(cramer_solve(n, t)):
+                yield f"cramer({n},{t})[{j}]", _canonical(x)
+        for n in range(1, MAX_LU + 1):
+            L, U = lu_formulas(n, t)
+            for i, row in enumerate((L @ U).rows):
+                for j, e in enumerate(row):
+                    yield f"LU({n},{t})[{i},{j}]", _canonical(e)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    count = 0
+    for label, text in items():
+        digest.update(f"{label}={text}\n".encode())
+        count += 1
+    print(f"{digest.hexdigest()}  ({count} values)")
+
+
+if __name__ == "__main__":
+    main()

@@ -182,6 +182,30 @@ def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
     return [1] if b else a
 
 
+def _convolve(a, b, top: int) -> list:
+    """Coefficients 0..top of the product of the coefficient sequences a and b;
+    zero terms of either are skipped."""
+    out = [0] * (top + 1)
+    for i, x in enumerate(a[: top + 1]):
+        if x:
+            for k, y in enumerate(b[: top + 1 - i], i):
+                if y:
+                    out[k] += x * y
+    return out
+
+
+def _power(base, e: int, one):
+    """base**e for e >= 0 by repeated squaring, from the unit one."""
+    result = one
+    while True:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 class Poly:
     """Dense univariate polynomial in v with exact rational coefficients.
 
@@ -277,28 +301,14 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        return Poly(_convolve(a, b, len(a) + len(b) - 2))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial; use RatFn")
-        result = Poly((1,))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, _UNIT)
 
     def __divmod__(self, other: "Poly"):
         if isinstance(other, (int, Fraction)):
@@ -669,15 +679,7 @@ class Series:
             return Series(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        out = [0] * (n + 1)
-        for i, ca in enumerate(self.coeffs[: n + 1]):
-            if ca:
-                for j in range(n + 1 - i):
-                    cb = other.coeffs[j]
-                    if cb:
-                        out[i + j] += ca * cb
-        return Series(out)
+        return Series(_convolve(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     __rmul__ = __mul__
 
@@ -703,14 +705,7 @@ class Series:
     def __pow__(self, e: int) -> "Series":
         if e < 0:
             raise ValueError("negative series power; divide instead")
-        result = Series.from_poly(Poly((1,)), self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, Series.from_poly(_UNIT, self.order))
 
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
@@ -830,10 +825,7 @@ def expand_in_z(f: RatFn | Poly, order: int) -> Series:
     t = j - e  # mn, or mn + 1 for a constant denominator
     top = order + t
     zv = [0, 0][: top + 1] + [-c // 2 for c in _sqrt_series(top)[2:]]  # (1 - z - S)/2
-    w = list(Series.from_poly(p, top).coeffs)
-    for i, c in enumerate(q.coeffs[: top + 1]):
-        if c:
-            w[i:] = [a + c * b for a, b in zip(w[i:], zv)]
+    w = [a + b for a, b in zip(Series.from_poly(p, top).coeffs, _convolve(q.coeffs, zv, top))]
     if any(w[:t]):
         raise ArithmeticError(f"normal form of {f!r} does not vanish through z^{t - 1}")
     return Series(w[t:]) / Series.from_poly(Poly(norm.coeffs[j:]), order)

@@ -67,6 +67,17 @@ class UsageError(ValueError):
         super().__init__(message)
 
 
+def _in_range(flag: str, value: int, least: int, most: int, default: int | None = None) -> int:
+    """value, if least <= value <= most; otherwise a UsageError naming the range."""
+    if least <= value <= most:
+        return value
+    hint = f"pass {flag} N with {least} <= N <= {most}"
+    if default is not None:
+        hint += f", or omit it for the default {default}"
+    side = f">= {least}" if value < least else f"<= {most}"
+    raise UsageError(f"{flag} must be {side}, got {value}", hint)
+
+
 def _num_str(x: int | Fraction) -> str:
     """Exact decimal text of an int or Fraction ("p/q") of any length.
 
@@ -100,9 +111,8 @@ _CLOSED_FORMS = {
 
 
 def _cmd_count(args) -> dict:
+    _in_range("--n", args.n, 0, DEFAULT_DP_BOUND)
     query = _query_from_args(args)
-    if query.n > DEFAULT_DP_BOUND:
-        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
     key = (query.family, _target_levels(query))
     closed_form = _CLOSED_FORMS.get(key) if query.max_height is None else None
     return {
@@ -117,11 +127,8 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    try:
-        paths = enumerate_paths(_query_from_args(args))
-    except BoundExceeded as exc:
-        exc.hint = f"pass --n N with N <= {DEFAULT_ENUM_BOUND}"
-        raise
+    _in_range("--n", args.n, 0, DEFAULT_ENUM_BOUND)
+    paths = enumerate_paths(_query_from_args(args))
     return {
         "count": _num_str(len(paths)),
         "paths": [p.tokens() for p in paths],
@@ -135,10 +142,7 @@ MAX_FORMULA_HEIGHT = 100
 
 
 def _formula_from_args(args) -> tuple[FormulaId, Series]:
-    if args.terms < 0:
-        raise UsageError(f"--terms must be >= 0, got {args.terms}", "pass --terms N with N >= 0")
-    if args.terms > DEFAULT_DP_BOUND:
-        raise BoundExceeded(f"--terms {args.terms} exceeds bound {DEFAULT_DP_BOUND}")
+    _in_range("--terms", args.terms, 0, DEFAULT_DP_BOUND)
     text = FORMULA_ALIASES.get(args.formula.strip(), args.formula.strip())
     bare = CATALOG.get(text)
     if bare is not None and bare.params == ("order",):  # a bare series name takes --terms
@@ -211,19 +215,7 @@ def _run_verify(target: str, max_n: int | None) -> VerificationReport:
 
         return run_selftest()
     battery, default, least, most, _ = _BATTERIES[target]
-    if max_n is None:
-        return battery(default)
-    if max_n < least:
-        raise UsageError(
-            f"--max-n must be >= {least} for verify {target}, got {max_n}",
-            f"pass --max-n N with N >= {least}, or omit it for the default {default}",
-        )
-    if max_n > most:
-        raise UsageError(
-            f"--max-n must be <= {most} for verify {target}, got {max_n}",
-            f"pass --max-n N with {least} <= N <= {most}, or omit it for the default {default}",
-        )
-    return battery(max_n)
+    return battery(default if max_n is None else _in_range("--max-n", max_n, least, most, default))
 
 
 def _report_payload(report: VerificationReport) -> dict:
@@ -242,12 +234,7 @@ def _cmd_verify(args) -> dict:
 def _cmd_stats(args) -> dict:
     from .stats import LAWS, ZeroCount
 
-    if args.n < 1:
-        raise UsageError(
-            f"--n must be >= 1, got {args.n}", "pass --n N with N >= 1 (N >= 2 for closed paths)"
-        )
-    if args.n > DEFAULT_DP_BOUND:
-        raise BoundExceeded(f"--n {args.n} exceeds bound {DEFAULT_DP_BOUND}")
+    _in_range("--n", args.n, 1, DEFAULT_DP_BOUND)
     if args.metric == "height":
         law = LAWS["avg_height_closed" if args.family == "closed" else "avg_height_open"]
     else:
@@ -309,13 +296,14 @@ def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
     return flags, kwargs
 
 
-#: count and enumerate select paths with the same flags.
-_SELECTION = (
-    _arg("--family", choices=FAMILIES, required=True),
-    _arg("--n", type=int, required=True, help="path length (number of steps)"),
-    _arg("--end-level", type=int, default=None),
-    _arg("--max-height", type=int, default=None),
-)
+def _selection(most: int) -> tuple:
+    """The flags count and enumerate select paths with; most bounds --n."""
+    return (
+        _arg("--family", choices=FAMILIES, required=True),
+        _arg("--n", type=int, required=True, help=f"path length N (steps), 0 <= N <= {most}"),
+        _arg("--end-level", type=int, default=None),
+        _arg("--max-height", type=int, default=None),
+    )
 
 
 class _Subcommand(NamedTuple):
@@ -331,14 +319,14 @@ class _Subcommand(NamedTuple):
 _SUBCOMMANDS = {
     "count": _Subcommand(
         "count paths by family, length, end level, height bound",
-        _SELECTION,
+        _selection(DEFAULT_DP_BOUND),
         _cmd_count,
         lambda p: [p["count"]],
         lambda p: [("count",), (p["count"],)],
     ),
     "enumerate": _Subcommand(
         "list all matching paths in deterministic order",
-        _SELECTION,
+        _selection(DEFAULT_ENUM_BOUND),
         _cmd_enumerate,
         lambda p: p["paths"],
         lambda p: [("index", "tokens"), *enumerate(p["paths"])],
@@ -357,7 +345,10 @@ _SUBCOMMANDS = {
                 + "; aliases: "
                 + ", ".join(f"{k}={v}" for k, v in FORMULA_ALIASES.items()),
             ),
-            _arg("--terms", type=int, default=10, help="series order N (prints N+1 coefficients)"),
+            _arg(
+                "--terms", type=int, default=10, metavar="N",
+                help=f"series order N (prints N+1 coefficients), 0 <= N <= {DEFAULT_DP_BOUND}",
+            ),
         ),
         _cmd_series,
         lambda p: [", ".join(p["coefficients"])],
@@ -392,7 +383,10 @@ _SUBCOMMANDS = {
         "exact statistic vs asymptotic law",
         (
             _arg("metric", choices=("height", "area")),
-            _arg("--n", type=int, required=True),
+            _arg(
+                "--n", type=int, required=True,
+                help=f"path length N, 1 <= N <= {DEFAULT_DP_BOUND} (N >= 2 for closed paths)",
+            ),
             _arg("--family", choices=("closed", "open"), default="closed"),
         ),
         _cmd_stats,

@@ -350,14 +350,14 @@ def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple
     return out
 
 
-def count_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
+def count_dp(query: PathFamilyQuery) -> int:
     """Number of paths matching the query, by level-vector iteration.
 
     Runs one pass per step over the strip [0, h]; suffix/prefix sums keep
     each pass linear in the strip width.
     """
-    if query.n > bound:
-        raise BoundExceeded(f"n={query.n} exceeds DP bound {bound}")
+    if query.n > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
     for counts in _dp_vector(_FAMILIES[query.family], _height_cap(query), query.n):
         pass
     return _read(counts, _target_levels(query))
@@ -416,14 +416,14 @@ def _prefix(query: PathFamilyQuery, statistic: str = "count") -> list[int]:
     return out
 
 
-def total_area_dp(query: PathFamilyQuery, bound: int = DEFAULT_DP_BOUND) -> int:
+def total_area_dp(query: PathFamilyQuery) -> int:
     """Sum of areas over all paths matching the query."""
-    if query.n > bound:
-        raise BoundExceeded(f"n={query.n} exceeds DP bound {bound}")
+    if query.n > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
     return _prefix(query, "area")[-1]
 
 
-def total_height_dp(n: int, family: str = "closed", bound: int = DEFAULT_DP_BOUND) -> int:
+def total_height_dp(n: int, family: str = "closed") -> int:
     """Sum of heights over closed or open Deutsch paths of length n.
 
     Uses sum_{h>=1} #{paths with height >= h}, each term obtained as a
@@ -433,6 +433,6 @@ def total_height_dp(n: int, family: str = "closed", bound: int = DEFAULT_DP_BOUN
         end = {"closed": 0, "open": None}[family]
     except KeyError:
         raise QueryError("family must be 'closed' or 'open'") from None
-    if n > bound:
-        raise BoundExceeded(f"n={n} exceeds DP bound {bound}")
+    if n > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"n={n} exceeds DP bound {DEFAULT_DP_BOUND}")
     return _prefix(PathFamilyQuery("deutsch", n, end_level=end), "height")[-1]

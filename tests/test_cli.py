@@ -19,7 +19,13 @@ jsonschema = pytest.importorskip("jsonschema")
 from deutschpaths import __version__, algebra, cli, stats
 from deutschpaths.cli import _num_str, build_parser, main
 from deutschpaths.formulas import coeff_closed, height_sum_closed
-from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
+from deutschpaths.paths import (
+    DEFAULT_DP_BOUND,
+    DEFAULT_ENUM_BOUND,
+    PathFamilyQuery,
+    _prefix,
+    count_dp,
+)
 
 SCHEMA_PATH = (
     Path(__file__).parent.parent
@@ -41,6 +47,49 @@ def run(argv):
 def run_json(argv):
     code, text = run(argv + ["--json"])
     return code, json.loads(text)
+
+
+def forbid_work(monkeypatch):
+    """Make the work of every handler fail if it starts."""
+
+    def must_not_run(*args):
+        raise AssertionError(f"work started on {args}")
+
+    for key in cli._CLOSED_FORMS:
+        monkeypatch.setitem(cli._CLOSED_FORMS, key, must_not_run)
+    for name in ("count_dp", "enumerate_paths", "z_series"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    for name, law in stats.LAWS.items():
+        monkeypatch.setitem(stats.LAWS, name, dataclasses.replace(law, exact=must_not_run))
+    for target, battery in cli._BATTERIES.items():
+        monkeypatch.setitem(cli._BATTERIES, target, (must_not_run, *battery[1:]))
+
+
+def assert_out_of_range(argv, flag, value, least, most, capsys, default=None):
+    """argv, whose flag has the given value, exits 2 with the range hint and no output."""
+    code, text = run(argv)
+    side = f">= {least}" if value < least else f"<= {most}"
+    hint = f"pass {flag} N with {least} <= N <= {most}"
+    if default is not None:
+        hint += f", or omit it for the default {default}"
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} must be {side}, got {value}\nhint: {hint}\n"
+
+
+#: Every bounded flag but verify's --max-n, by case name: the command line
+#: before the value, the flag, and the least and the most it accepts.  count
+#: runs each of its three routes: a closed form for closed and for open
+#: paths, and the DP.
+RANGES = {
+    "count_closed": (["count", "--family", "deutsch", "--end-level", "0"], "--n", 0, DEFAULT_DP_BOUND),
+    "count_open": (["count", "--family", "deutsch"], "--n", 0, DEFAULT_DP_BOUND),
+    "count_dp": (["count", "--family", "deutsch", "--max-height", "3"], "--n", 0, DEFAULT_DP_BOUND),
+    "enumerate": (["enumerate", "--family", "deutsch"], "--n", 0, DEFAULT_ENUM_BOUND),
+    "series_area": (["series", "--formula", "area"], "--terms", 0, DEFAULT_DP_BOUND),
+    "series_sum": (["series", "--formula", "height_sum_closed"], "--terms", 0, DEFAULT_DP_BOUND),
+    "stats_height": (["stats", "height"], "--n", 1, DEFAULT_DP_BOUND),
+    "stats_area": (["stats", "area"], "--n", 1, DEFAULT_DP_BOUND),
+}
 
 
 def int_of(text: str) -> int:
@@ -128,28 +177,11 @@ class TestCount:
         assert len(text.strip()) > 4300
         assert int_of(text.strip()) == coeff_closed(9990)
 
-    @pytest.mark.parametrize("extra", [["--end-level", "0"], [], ["--max-height", "3"]])
-    def test_dp_bound_applies_to_every_route(self, extra, capsys):
-        code, _ = run(["count", "--family", "deutsch", "--n", "10001"] + extra)
-        assert code == 2
-        assert "exceeds DP bound 10000" in capsys.readouterr().err
-
 
 class TestEnumerate:
     def test_listing_order(self):
         code, env = run_json(["enumerate", "--family", "deutsch", "--n", "3"])
         assert env["payload"]["paths"] == ["U U U", "U U D1", "U U D2", "U D1 U"]
-
-    def test_bound_exceeded(self):
-        code, text = run(["enumerate", "--family", "deutsch", "--n", "40"])
-        assert code == 2
-
-    def test_bound_named_in_the_hint(self, capsys):
-        code, text = run(["enumerate", "--family", "deutsch", "--n", "15"])
-        assert (code, text) == (2, "")
-        assert capsys.readouterr().err == (
-            "error: n=15 exceeds enumeration bound 14\nhint: pass --n N with N <= 14\n"
-        )
 
     def test_csv(self):
         code, text = run(["enumerate", "--family", "motzkin", "--n", "2", "--csv"])
@@ -178,14 +210,6 @@ class TestSeries:
     def test_height_sum_names(self):
         code, env = run_json(["series", "--formula", "height_sum_closed", "--terms", "6"])
         assert env["payload"]["coefficients"] == ["0", "0", "1", "2", "6", "16", "44"]
-
-    @pytest.mark.parametrize("name", ["area", "height_sum_closed"])
-    def test_terms_bound(self, name, capsys):
-        # refused before any expansion; it used to run for minutes
-        code, text = run(["series", "--formula", name, "--terms", "10001"])
-        err = capsys.readouterr().err
-        assert code == 2 and text == ""
-        assert "--terms 10001 exceeds bound 10000" in err and "hint:" in err
 
     @pytest.mark.parametrize(
         "text",
@@ -332,14 +356,15 @@ class TestVerify:
             ("all", "4", None),
         ],
     )
-    def test_max_n_below_battery_minimum_refused(self, target, max_n, least, capsys):
-        code, text = run(["verify", target, "--max-n", max_n])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert text == ""
-        assert "hint:" in err
-        if least is not None:
-            assert f"N >= {least}" in err
+    def test_max_n_below_battery_minimum_refused(self, target, max_n, least, monkeypatch, capsys):
+        forbid_work(monkeypatch)
+        argv = ["verify", target, "--max-n", max_n]
+        if least is None:
+            assert run(argv) == (2, "")
+            assert "hint: drop --max-n, or name one battery" in capsys.readouterr().err
+            return
+        _, default, _, most, _ = cli._BATTERIES[target]
+        assert_out_of_range(argv, "--max-n", int(max_n), int(least), most, capsys, default)
 
     def test_bijection_past_the_enumeration_bound_refused(self, capsys):
         code, text = run(["verify", "bijection", "--max-n", "15"])
@@ -355,15 +380,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("target", list(cli._BATTERIES))
     def test_max_n_above_battery_maximum_refused(self, target, monkeypatch, capsys):
-        _, _, least, most, _ = cli._BATTERIES[target]
-
-        def must_not_run(n):
-            raise AssertionError(f"verify {target} ran at n={n}")
-
-        monkeypatch.setitem(cli._BATTERIES, target, (must_not_run, *cli._BATTERIES[target][1:]))
-        code, text = run(["verify", target, "--max-n", str(most + 1)])
-        assert (code, text) == (2, "")
-        assert f"hint: pass --max-n N with {least} <= N <= {most}" in capsys.readouterr().err
+        _, default, least, most, _ = cli._BATTERIES[target]
+        forbid_work(monkeypatch)
+        argv = ["verify", target, "--max-n", str(most + 1)]
+        assert_out_of_range(argv, "--max-n", most + 1, least, most, capsys, default)
 
     def test_product_runs_at_its_maximum(self):
         most = cli._BATTERIES["product"][3]
@@ -399,14 +419,6 @@ class TestStats:
         assert len(lines) == 2
         assert lines[0].startswith("metric,")
 
-    @pytest.mark.parametrize("metric", ["height", "area"])
-    def test_n_bound(self, metric, capsys):
-        # refused before any work, as count and series are
-        code, text = run(["stats", metric, "--n", "10001"])
-        err = capsys.readouterr().err
-        assert (code, text) == (2, "")
-        assert "--n 10001 exceeds bound 10000" in err and "hint:" in err
-
     def test_exact_value_computed_once_per_request(self, monkeypatch):
         calls = []
 
@@ -437,6 +449,31 @@ class TestStats:
         assert (code, text) == (2, "")
         assert "error: the exact value at n=9500 has more than 4300 digits" in err
         assert "hint: pass a smaller --n" in err
+
+
+class TestRanges:
+    """Every flag with a range refuses values outside it with one hint format."""
+
+    @pytest.mark.parametrize(
+        "before, flag, least, most, value",
+        [
+            pytest.param(*row, value, id=f"{name}={value}")
+            for name, row in RANGES.items()
+            for value in (row[2] - 1, row[3] + 1)
+        ],
+    )
+    def test_refused_before_any_work(self, before, flag, least, most, value, monkeypatch, capsys):
+        forbid_work(monkeypatch)
+        assert_out_of_range(before + [flag, str(value)], flag, value, least, most, capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag, least, most", sorted({(b[0], *r) for b, *r in RANGES.values()})
+    )
+    def test_help_states_the_range(self, command, flag, least, most, capsys):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"{flag} N " in help_text and f"{least} <= N <= {most}" in help_text
 
 
 class TestErrors:
@@ -690,6 +727,14 @@ class TestDocs:
         table = text.split("## Shared flags", 1)[1].split("\n## ", 1)[0]
         documented = set(re.findall(r"^\| `(--[a-z-]+)", table, re.MULTILINE))
         assert documented == shared
+
+    def test_range_table_matches_the_bounds(self):
+        # the Exit status table: least and most of every ranged flag but --max-n
+        text = CLI_DOC.read_text().split("## Exit status", 1)[1]
+        rows = re.findall(r"^\| `(\w+ --[a-z]+)` \| (\d+) \| ([\d ]+) \|$", text, re.MULTILINE)
+        documented = {flag: (int(least), int(most.replace(" ", ""))) for flag, least, most in rows}
+        want = {f"{b[0]} {flag}": (least, most) for b, flag, least, most in RANGES.values()}
+        assert documented == want
 
     def test_battery_bounds_table_matches_the_batteries(self):
         text = CLI_DOC.read_text()
