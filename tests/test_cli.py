@@ -183,6 +183,17 @@ class TestEnumerate:
         code, env = run_json(["enumerate", "--family", "deutsch", "--n", "3"])
         assert env["payload"]["paths"] == ["U U U", "U U D1", "U U D2", "U D1 U"]
 
+    def test_bound_exceeded(self):
+        code, text = run(["enumerate", "--family", "deutsch", "--n", "40"])
+        assert (code, text) == (2, "")
+
+    def test_bound_named_in_the_hint(self, capsys):
+        code, text = run(["enumerate", "--family", "deutsch", "--n", "15"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --n must be <= 14, got 15\nhint: pass --n N with 0 <= N <= 14\n"
+        )
+
     def test_csv(self):
         code, text = run(["enumerate", "--family", "motzkin", "--n", "2", "--csv"])
         assert code == 0
