@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 over the canonical forms of the formulas and strip matrices.
+"""Print one SHA-256 over the canonical forms and the verification reports.
 
 A change to the algebra kernel that keeps every canonical form keeps this
-value.  Run it on both sides of the change and compare:
+value, and so does a change to the batteries that keeps every report.  Run it on both sides of the change and compare:
 
     PYTHONPATH=src python scripts/canonical_hash.py
 
@@ -16,16 +16,21 @@ Hashed, in this order:
   name of its exception;
 - ``determinant(build_matrix(n, t))`` and ``cramer_solve(n, t)`` for
   n <= ``MAX_CRAMER``, and every entry of ``L @ U`` from
-  ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True.
+  ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True;
+- ``to_dict()`` of every ``verify`` battery at its default size, and of
+  ``run_selftest()``, as sorted-key JSON.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
+from deutschpaths import cli
 from deutschpaths.algebra import RatFn
 from deutschpaths.formulas import CATALOG, FormulaId, formula
 from deutschpaths.matrices import build_matrix, cramer_solve, determinant, lu_formulas
+from deutschpaths.selftest import run_selftest
 
 MAX_H = 20
 MAX_CRAMER = 8
@@ -71,6 +76,9 @@ def items():
             for i, row in enumerate((L @ U).rows):
                 for j, e in enumerate(row):
                     yield f"LU({n},{t})[{i},{j}]", _canonical(e)
+    for target, (battery, default, *_) in cli._BATTERIES.items():
+        yield f"verify {target}", json.dumps(battery(default).to_dict(), sort_keys=True)
+    yield "selftest", json.dumps(run_selftest().to_dict(), sort_keys=True)
 
 
 def main() -> None:

@@ -206,5 +206,4 @@ def certify(n_max: int = 10) -> VerificationReport:
         joint.update((lv[-1], img.count(0)) for lv, img in zip(levels, images))
     report.data["counts"] = counts
     report.data["end_level_vs_flats"] = {f"{e},{f}": c for (e, f), c in sorted(joint.items())}
-    report.raise_if_failed()
-    return report
+    return report.raise_if_failed()

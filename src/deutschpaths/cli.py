@@ -36,6 +36,7 @@ from .formulas import (
 from .paths import (
     DEFAULT_DP_BOUND,
     DEFAULT_ENUM_BOUND,
+    DEFAULT_LIST_BOUND,
     FAMILIES,
     BoundExceeded,
     PathError,
@@ -93,12 +94,10 @@ def _num_str(x: int | Fraction) -> str:
 
 
 def _query_from_args(args) -> PathFamilyQuery:
-    return PathFamilyQuery(
-        family=args.family,
-        n=args.n,
-        end_level=args.end_level,
-        max_height=args.max_height,
-    )
+    for flag, value in (("--end-level", args.end_level), ("--max-height", args.max_height)):
+        if value is not None:
+            _in_range(flag, value, 0, DEFAULT_DP_BOUND)
+    return PathFamilyQuery(args.family, args.n, args.end_level, args.max_height)
 
 
 #: Unbounded counts with a trinomial closed form, by (family, end level); the rest run count_dp.
@@ -128,7 +127,12 @@ def _cmd_count(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     _in_range("--n", args.n, 0, DEFAULT_ENUM_BOUND)
-    paths = enumerate_paths(_query_from_args(args))
+    query = _query_from_args(args)
+    count = count_dp(query)
+    if count > DEFAULT_LIST_BOUND:
+        message = f"enumerate would list {count} paths, more than {DEFAULT_LIST_BOUND}"
+        raise UsageError(message, "lower --n or --max-height, or run count for the number alone")
+    paths = enumerate_paths(query)
     return {
         "count": _num_str(len(paths)),
         "paths": [p.tokens() for p in paths],
@@ -232,9 +236,9 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_stats(args) -> dict:
-    from .stats import LAWS, ZeroCount
+    from .stats import LAWS
 
-    _in_range("--n", args.n, 1, DEFAULT_DP_BOUND)
+    _in_range("--n", args.n, 2 if args.family == "closed" else 1, DEFAULT_DP_BOUND)
     if args.metric == "height":
         law = LAWS["avg_height_closed" if args.family == "closed" else "avg_height_open"]
     else:
@@ -244,10 +248,7 @@ def _cmd_stats(args) -> dict:
                 "drop --family or pass --family closed",
             )
         law = LAWS["avg_area"]
-    try:
-        row = law.compare(args.n)
-    except ZeroCount as exc:
-        raise UsageError(str(exc), "closed paths need n >= 2")
+    row = law.compare(args.n)
     exact = _num_str(row.exact)
     # Unlike count and series, stats prints no part longer than int() can read back
     # (above n of about 9020): perfbench/checks.py reads "exact" with Fraction(),
@@ -298,11 +299,12 @@ def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
 
 def _selection(most: int) -> tuple:
     """The flags count and enumerate select paths with; most bounds --n."""
+    level = f"0 <= N <= {DEFAULT_DP_BOUND}"
     return (
         _arg("--family", choices=FAMILIES, required=True),
         _arg("--n", type=int, required=True, help=f"path length N (steps), 0 <= N <= {most}"),
-        _arg("--end-level", type=int, default=None),
-        _arg("--max-height", type=int, default=None),
+        _arg("--end-level", type=int, metavar="N", help=f"end level N, {level}"),
+        _arg("--max-height", type=int, metavar="N", help=f"strip bound N, {level}"),
     )
 
 
@@ -385,7 +387,8 @@ _SUBCOMMANDS = {
             _arg("metric", choices=("height", "area")),
             _arg(
                 "--n", type=int, required=True,
-                help=f"path length N, 1 <= N <= {DEFAULT_DP_BOUND} (N >= 2 for closed paths)",
+                help=f"path length N: 2 <= N <= {DEFAULT_DP_BOUND} for closed paths, "
+                f"1 <= N <= {DEFAULT_DP_BOUND} for --family open",
             ),
             _arg("--family", choices=("closed", "open"), default="closed"),
         ),

@@ -440,5 +440,4 @@ def oracle_check(
             report.add(f"{fid} vs {oracle}", f"n<={bound}", not witness, witness)
     report.data["formulas_checked"] = len(ids)
     report.data["cells_checked"] = len(ids) * (dp_max + 1 + n_enum + 1)
-    report.raise_if_failed()
-    return report
+    return report.raise_if_failed()

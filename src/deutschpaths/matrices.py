@@ -162,18 +162,10 @@ def verify_determinant(n_max: int = 12) -> VerificationReport:
     report = VerificationReport("determinant closed form")
     for n in range(1, n_max + 1):
         want = det_closed_form(n)
-        got = determinant(build_matrix(n))
-        got_t = determinant(build_matrix(n, transposed=True))
-        report.add(
-            "det(A_n) = D_n", f"n={n}", got == want,
-            "" if got == want else f"elimination {got!r} vs closed form {want!r}",
-        )
-        report.add(
-            "det(A_n^T) = D_n", f"n={n}", got_t == want,
-            "" if got_t == want else f"elimination {got_t!r} vs closed form {want!r}",
-        )
-    report.raise_if_failed()
-    return report
+        for name, transposed in (("det(A_n) = D_n", False), ("det(A_n^T) = D_n", True)):
+            got = determinant(build_matrix(n, transposed))
+            report.expect(name, f"n={n}", got, want, "elimination", "closed form")
+    return report.raise_if_failed()
 
 
 def verify_det_recursion(
@@ -191,11 +183,9 @@ def verify_det_recursion(
         raise ValueError("need n_max >= 3 to exercise the recursion")
     report = VerificationReport("determinant three-term recursion")
     for n in (1, 2):
-        want = determinant(build_matrix(n))
-        got = closed_form(n)
-        report.add(
-            "base case anchors elimination determinant", f"n={n}", got == want,
-            "" if got == want else f"closed form {got!r} vs elimination {want!r}",
+        report.expect(
+            "base case anchors elimination determinant", f"n={n}",
+            closed_form(n), determinant(build_matrix(n)), "closed form", "elimination",
         )
     kern = RatFn(KERNEL)
     wsq = RatFn(ONE_PLUS_V**2)
@@ -206,8 +196,7 @@ def verify_det_recursion(
             "recursion", f"n={n}", lhs.is_zero(),
             "" if lhs.is_zero() else f"residual {lhs!r}",
         )
-    report.raise_if_failed()
-    return report
+    return report.raise_if_failed()
 
 
 def _bareiss(rows: list[list[Poly]]) -> Poly:
@@ -272,22 +261,12 @@ def verify_cramer(h_max: int = 8) -> VerificationReport:
     report = VerificationReport("Cramer solutions vs formula catalog")
     for h in range(h_max + 1):
         n = h + 1
-        x = cramer_solve(n)
-        for i in range(n):
-            want = phi(h, i)
-            report.add(
-                "x_i = phi(h,i)", f"h={h}, i={i}", x[i] == want,
-                "" if x[i] == want else f"cramer {x[i]!r} vs formula {want!r}",
-            )
-        xt = cramer_solve(n, transposed=True)
-        for i in range(n):
+        for i, x in enumerate(cramer_solve(n)):
+            report.expect("x_i = phi(h,i)", f"h={h}, i={i}", x, phi(h, i), "cramer", "formula")
+        for i, x in enumerate(cramer_solve(n, transposed=True)):
             want = psi0(h) if i == 0 else psi(h, i)
-            report.add(
-                "x_i = psi(h,i)", f"h={h}, i={i}", xt[i] == want,
-                "" if xt[i] == want else f"cramer {xt[i]!r} vs formula {want!r}",
-            )
-    report.raise_if_failed()
-    return report
+            report.expect("x_i = psi(h,i)", f"h={h}, i={i}", x, want, "cramer", "formula")
+    return report.raise_if_failed()
 
 
 def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
@@ -387,14 +366,11 @@ def verify_lu(n_max: int = 12) -> VerificationReport:
                 if witness:
                     break
             report.add(f"{label} L*U = A", f"n={n}", not witness, witness)
-            dp = _diagonal_product(U)
-            want = det_closed_form(n)
-            report.add(
-                f"{label} prod U_ii = D_n", f"n={n}", dp == want,
-                "" if dp == want else f"product {dp!r} vs determinant {want!r}",
+            report.expect(
+                f"{label} prod U_ii = D_n", f"n={n}",
+                _diagonal_product(U), det_closed_form(n), "product", "determinant",
             )
-    report.raise_if_failed()
-    return report
+    return report.raise_if_failed()
 
 
 def adjudicate_det_product(n: int = 3) -> VerificationReport:
@@ -425,8 +401,7 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
         f"prod U_ii for n={n} equals ((1+v)/(1+v+v^2))^n * (1-v^({verified}))/(1-v^2); "
         f"the (1-v^(n+{1 if verified == 'n+2' else 2})) variant does not match"
     )
-    report.raise_if_failed()
-    return report
+    return report.raise_if_failed()
 
 
 def determinant_at(n: int, v0: Fraction, transposed: bool = False) -> Fraction:

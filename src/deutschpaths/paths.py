@@ -42,6 +42,9 @@ from typing import ClassVar, Iterable, NamedTuple
 #: Largest length accepted by exhaustive enumeration unless overridden.
 DEFAULT_ENUM_BOUND = 14
 
+#: Most paths the command line lists: the open Deutsch paths of length 14.
+DEFAULT_LIST_BOUND = 113_634
+
 #: Largest length accepted by the dynamic-programming counters.
 DEFAULT_DP_BOUND = 10_000
 
@@ -287,6 +290,9 @@ class PathFamilyQuery:
 
 def _height_cap(query: PathFamilyQuery) -> int:
     """Smallest strip that loses no path matching the query."""
+    # every strip is sized here, so the DP bound is checked once, here
+    if query.n > DEFAULT_DP_BOUND:
+        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
     up, down = _FAMILIES[query.family][:2]
     caps = [] if query.max_height is None else [query.max_height]
     if up is not None:
@@ -356,8 +362,6 @@ def count_dp(query: PathFamilyQuery) -> int:
     Runs one pass per step over the strip [0, h]; suffix/prefix sums keep
     each pass linear in the strip width.
     """
-    if query.n > DEFAULT_DP_BOUND:
-        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
     for counts in _dp_vector(_FAMILIES[query.family], _height_cap(query), query.n):
         pass
     return _read(counts, _target_levels(query))
@@ -418,8 +422,6 @@ def _prefix(query: PathFamilyQuery, statistic: str = "count") -> list[int]:
 
 def total_area_dp(query: PathFamilyQuery) -> int:
     """Sum of areas over all paths matching the query."""
-    if query.n > DEFAULT_DP_BOUND:
-        raise BoundExceeded(f"n={query.n} exceeds DP bound {DEFAULT_DP_BOUND}")
     return _prefix(query, "area")[-1]
 
 
@@ -433,6 +435,4 @@ def total_height_dp(n: int, family: str = "closed") -> int:
         end = {"closed": 0, "open": None}[family]
     except KeyError:
         raise QueryError("family must be 'closed' or 'open'") from None
-    if n > DEFAULT_DP_BOUND:
-        raise BoundExceeded(f"n={n} exceeds DP bound {DEFAULT_DP_BOUND}")
     return _prefix(PathFamilyQuery("deutsch", n, end_level=end), "height")[-1]

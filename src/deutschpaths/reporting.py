@@ -2,8 +2,8 @@
 
 Every identity checker returns a VerificationReport: a list of CheckResult
 rows, one per (identity, size) pair, each carrying a witness string when
-the check failed.  Callers either inspect ``report.ok`` or call
-``raise_if_failed`` to turn the first failure into a MismatchFound.
+the check failed (``expect`` writes it for an equality).  Callers inspect
+``report.ok``, or call ``raise_if_failed`` to raise MismatchFound on failure.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ class VerificationReport:
     def add(self, name: str, dimension, passed: bool, witness: str = "") -> None:
         self.checks.append(CheckResult(name, str(dimension), bool(passed), witness))
 
+    def expect(self, name: str, dimension, got, want, got_from: str, want_from: str) -> None:
+        """Add the check ``got == want``, naming both routes in the witness if it fails."""
+        passed = got == want
+        witness = "" if passed else f"{got_from} {got!r} vs {want_from} {want!r}"
+        self.add(name, dimension, passed, witness)
+
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -52,7 +58,7 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def raise_if_failed(self) -> None:
+    def raise_if_failed(self) -> VerificationReport:
         bad = self.failures
         if bad:
             first = bad[0]
@@ -63,6 +69,7 @@ class VerificationReport:
             )
             exc.report = self
             raise exc
+        return self
 
     def to_dict(self) -> dict:
         return {

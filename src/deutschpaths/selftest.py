@@ -38,5 +38,4 @@ def run_selftest() -> VerificationReport:
 
     adjudication = report.data.get("det_product_adjudication", {})
     report.data["det_product_statement"] = adjudication.get("statement", "adjudication missing")
-    report.raise_if_failed()
-    return report
+    return report.raise_if_failed()

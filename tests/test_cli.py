@@ -79,16 +79,24 @@ def assert_out_of_range(argv, flag, value, least, most, capsys, default=None):
 #: Every bounded flag but verify's --max-n, by case name: the command line
 #: before the value, the flag, and the least and the most it accepts.  count
 #: runs each of its three routes: a closed form for closed and for open
-#: paths, and the DP.
+#: paths, and the DP.  stats --n has a least per family: there is no closed
+#: path of length 1.
 RANGES = {
     "count_closed": (["count", "--family", "deutsch", "--end-level", "0"], "--n", 0, DEFAULT_DP_BOUND),
     "count_open": (["count", "--family", "deutsch"], "--n", 0, DEFAULT_DP_BOUND),
     "count_dp": (["count", "--family", "deutsch", "--max-height", "3"], "--n", 0, DEFAULT_DP_BOUND),
+    "count_end": (["count", "--family", "deutsch", "--n", "3"], "--end-level", 0, DEFAULT_DP_BOUND),
+    "count_height": (["count", "--family", "reversed", "--n", "3"], "--max-height", 0, DEFAULT_DP_BOUND),
     "enumerate": (["enumerate", "--family", "deutsch"], "--n", 0, DEFAULT_ENUM_BOUND),
+    "enumerate_end": (["enumerate", "--family", "deutsch", "--n", "3"], "--end-level", 0, DEFAULT_DP_BOUND),
+    "enumerate_height": (
+        ["enumerate", "--family", "reversed", "--n", "3"], "--max-height", 0, DEFAULT_DP_BOUND
+    ),
     "series_area": (["series", "--formula", "area"], "--terms", 0, DEFAULT_DP_BOUND),
     "series_sum": (["series", "--formula", "height_sum_closed"], "--terms", 0, DEFAULT_DP_BOUND),
-    "stats_height": (["stats", "height"], "--n", 1, DEFAULT_DP_BOUND),
-    "stats_area": (["stats", "area"], "--n", 1, DEFAULT_DP_BOUND),
+    "stats_height": (["stats", "height"], "--n", 2, DEFAULT_DP_BOUND),
+    "stats_height_open": (["stats", "height", "--family", "open"], "--n", 1, DEFAULT_DP_BOUND),
+    "stats_area": (["stats", "area"], "--n", 2, DEFAULT_DP_BOUND),
 }
 
 
@@ -193,6 +201,20 @@ class TestEnumerate:
         assert capsys.readouterr().err == (
             "error: --n must be <= 14, got 15\nhint: pass --n N with 0 <= N <= 14\n"
         )
+
+    def test_listing_bound(self, monkeypatch, capsys):
+        # 390 321 219 paths match; the bound is the 113 634 of the next call
+        monkeypatch.setattr(cli, "enumerate_paths", lambda q: pytest.fail("listing started"))
+        code, text = run(["enumerate", "--family", "reversed", "--n", "14", "--max-height", "14"])
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: enumerate would list 390321219 paths, more than 113634\n"
+            "hint: lower --n or --max-height, or run count for the number alone\n"
+        )
+        listed = []
+        monkeypatch.setattr(cli, "enumerate_paths", lambda q: listed.append(q) or [])
+        assert run(["enumerate", "--family", "deutsch", "--n", "14"]) == (0, "")
+        assert listed == [PathFamilyQuery("deutsch", 14)]
 
     def test_csv(self):
         code, text = run(["enumerate", "--family", "motzkin", "--n", "2", "--csv"])
@@ -513,13 +535,23 @@ class TestErrors:
         ],
     )
     def test_out_of_range_lengths_refused(self, argv, capsys):
-        code, text = run(argv)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert text == ""
-        assert "error:" in err
-        assert "hint:" in err
-        assert "n = 0" not in err
+        # every one is a range refusal; closed paths (stats' default) need n >= 2
+        flag, value = argv[-2], int(argv[-1])
+        least = 0 if flag == "--terms" else 2
+        assert_out_of_range(argv, flag, value, least, DEFAULT_DP_BOUND, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "reversed", "--n", "3", "--end-level"],
+            ["count", "--family", "reversed", "--n", "3", "--max-height"],
+            ["enumerate", "--family", "reversed", "--n", "3", "--max-height"],
+        ],
+    )
+    def test_huge_level_refused_without_traceback(self, argv, capsys):
+        # such a strip once ended in an OverflowError: its width does not fit an index
+        value = 10**20
+        assert_out_of_range(argv + [str(value)], argv[-1], value, 0, DEFAULT_DP_BOUND, capsys)
 
 
 class TestConfigAndCache:
@@ -742,9 +774,14 @@ class TestDocs:
     def test_range_table_matches_the_bounds(self):
         # the Exit status table: least and most of every ranged flag but --max-n
         text = CLI_DOC.read_text().split("## Exit status", 1)[1]
-        rows = re.findall(r"^\| `(\w+ --[a-z]+)` \| (\d+) \| ([\d ]+) \|$", text, re.MULTILINE)
+        rows = re.findall(
+            r"^\| `(\w+ --[a-z-]+(?: --family open)?)` \| (\d+) \| ([\d ]+) \|$", text, re.MULTILINE
+        )
         documented = {flag: (int(least), int(most.replace(" ", ""))) for flag, least, most in rows}
-        want = {f"{b[0]} {flag}": (least, most) for b, flag, least, most in RANGES.values()}
+        want = {}
+        for before, flag, least, most in RANGES.values():
+            family = " --family open" if before[-2:] == ["--family", "open"] else ""
+            want[f"{before[0]} {flag}{family}"] = (least, most)
         assert documented == want
 
     def test_battery_bounds_table_matches_the_batteries(self):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deutschpaths.paths import (
+    DEFAULT_ENUM_BOUND,
+    DEFAULT_LIST_BOUND,
     BadStep,
     BoundExceeded,
     DeutschPath,
@@ -165,6 +167,23 @@ class TestQuery:
         with pytest.raises(BoundExceeded):
             count_dp(PathFamilyQuery("deutsch", 10_001))
         assert len(enumerate_paths(PathFamilyQuery("deutsch", 15), bound=15)) > 0
+
+    @pytest.mark.parametrize(
+        "dp",
+        [
+            lambda n: count_dp(PathFamilyQuery("deutsch", n)),
+            lambda n: total_area_dp(PathFamilyQuery("deutsch", n, end_level=0)),
+            total_height_dp,
+        ],
+        ids=["count_dp", "total_area_dp", "total_height_dp"],
+    )
+    def test_dp_bound_refused_in_one_format(self, dp):
+        with pytest.raises(BoundExceeded) as exc:
+            dp(10_001)
+        assert str(exc.value) == "n=10001 exceeds DP bound 10000"
+
+    def test_list_bound_is_the_open_deutsch_count_at_the_enumeration_bound(self):
+        assert DEFAULT_LIST_BOUND == count_dp(PathFamilyQuery("deutsch", DEFAULT_ENUM_BOUND))
 
 
 class TestCounts:

@@ -37,7 +37,31 @@ class TestVerificationReport:
     def test_clean_report_does_not_raise(self):
         r = VerificationReport("demo")
         r.add("good", "n=1", True)
-        r.raise_if_failed()
+        assert r.raise_if_failed() is r
+
+    def test_expect_pass(self):
+        r = VerificationReport("demo")
+        r.expect("x = y", "n=2", 3, 3, "route", "closed form")
+        assert r.checks == [CheckResult("x = y", "n=2", True, "")]
+
+    def test_expect_fail_names_both_routes(self):
+        r = VerificationReport("demo")
+        r.expect("x = y", 2, "3", 4, "elimination", "closed form")
+        assert r.checks == [CheckResult("x = y", "2", False, "elimination '3' vs closed form 4")]
+        with pytest.raises(MismatchFound) as exc:
+            r.raise_if_failed()
+        assert str(exc.value) == "demo: x = y failed at 2 (elimination '3' vs closed form 4)"
+
+    def test_expect_compares_once(self):
+        class Counted:
+            calls = 0
+
+            def __eq__(self, other):
+                Counted.calls += 1
+                return True
+
+        VerificationReport("demo").expect("x", 1, Counted(), 0, "a", "b")
+        assert Counted.calls == 1
 
     def test_to_dict_shape(self):
         r = VerificationReport("demo", data={"k": 1})
