@@ -24,8 +24,8 @@ Motzkin U and turns each D into a down-step to that base.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .paths import DeutschPath, MotzkinPath, PathError, PathFamilyQuery, _walk, validate_path
 from .reporting import VerificationReport
@@ -46,8 +46,7 @@ def _ensure(path, cls, family: str):
     raise NotAPath(f"expected a {family} path, got {type(path).__name__}")
 
 
-@dataclass(frozen=True)
-class FirstReturnDecomposition:
+class FirstReturnDecomposition(NamedTuple):
     """One recursion step: w = empty, U*tail, or U*inner*D(d)*remainder."""
 
     kind: str  # empty | no_return | returns

@@ -18,21 +18,9 @@ import importlib
 import json
 import sys
 import time
-from decimal import Decimal
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import __version__, algebra
-from .formulas import (
-    CATALOG,
-    BadParams,
-    FormulaId,
-    Series,
-    coeff_closed,
-    coeff_open,
-    oracle_check,
-    z_series,
-)
+from . import __version__
 from .paths import (
     DEFAULT_DP_BOUND,
     DEFAULT_ENUM_BOUND,
@@ -49,8 +37,9 @@ from .paths import (
 )
 from .reporting import MismatchFound, VerificationReport
 
-# bijection, matrices, selftest and stats are imported by the handlers that
-# run them, so that count, series, enumerate and --help never load them.
+# algebra, formulas, bijection, matrices, selftest and stats are imported by
+# the code that runs them: count with --max-height, enumerate and biject load
+# no algebra, and count, series, enumerate and --help no verification battery.
 
 FORMULA_ALIASES = {
     "area": "area_A",
@@ -79,15 +68,22 @@ def _in_range(flag: str, value: int, least: int, most: int, default: int | None 
     raise UsageError(f"{flag} must be {side}, got {value}", hint)
 
 
-def _num_str(x: int | Fraction) -> str:
-    """Exact decimal text of an int or Fraction ("p/q") of any length.
+def _int_str(i: int) -> str:
+    """str(i), or past the int-to-str digit limit (4300 by default) str(Decimal(i)):
+    exact, plain digits, and held to no limit."""
+    try:
+        return str(i)
+    except ValueError:
+        from decimal import Decimal
 
-    Decimal(int) is exact and its str() is plain digits: unlike str(int), neither
-    is held to the interpreter's int-to-str digit limit (4300 by default).
-    """
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
-    return str(Decimal(int(x)))
+        return str(Decimal(i))
+
+
+def _num_str(x) -> str:
+    """Exact decimal text of an int or Fraction ("p/q") of any length."""
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 # --- subcommand handlers (return JSON-safe payloads) -------------------------
@@ -100,12 +96,22 @@ def _query_from_args(args) -> PathFamilyQuery:
     return PathFamilyQuery(args.family, args.n, args.end_level, args.max_height)
 
 
+def _load(module: str, name: str):
+    """deutschpaths.<module>.<name>, importing the module if it is not loaded yet."""
+    return getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+def _on_call(module: str, name: str) -> Callable[[int], object]:
+    """deutschpaths.<module>.<name>, imported and looked up only when called."""
+    return lambda n: _load(module, name)(n)
+
+
 #: Unbounded counts with a trinomial closed form, by (family, end level); the rest run count_dp.
 _CLOSED_FORMS = {
-    ("deutsch", 0): coeff_closed,
-    ("deutsch", None): coeff_open,
-    ("reversed", 0): coeff_closed,
-    ("motzkin", 0): coeff_open,
+    ("deutsch", 0): _on_call("formulas", "coeff_closed"),
+    ("deutsch", None): _on_call("formulas", "coeff_open"),
+    ("reversed", 0): _on_call("formulas", "coeff_closed"),
+    ("motzkin", 0): _on_call("formulas", "coeff_open"),
 }
 
 
@@ -145,7 +151,10 @@ def _cmd_enumerate(args) -> dict:
 MAX_FORMULA_HEIGHT = 100
 
 
-def _formula_from_args(args) -> tuple[FormulaId, Series]:
+def _formula_from_args(args) -> tuple:
+    """The formula id and its z-series through --terms."""
+    from .formulas import CATALOG, FormulaId, z_series
+
     _in_range("--terms", args.terms, 0, DEFAULT_DP_BOUND)
     text = FORMULA_ALIASES.get(args.formula.strip(), args.formula.strip())
     bare = CATALOG.get(text)
@@ -190,11 +199,6 @@ def _cmd_biject(args) -> dict:
     }
 
 
-def _on_call(module: str, name: str) -> Callable[[int], VerificationReport]:
-    """deutschpaths.<module>.<name>, imported and looked up only when called."""
-    return lambda n: getattr(importlib.import_module(f".{module}", __package__), name)(n)
-
-
 #: Each battery: its call on --max-n, its default --max-n, the least and
 #: the most it accepts, and the seconds an in-process run at the most took on
 #: a 2-vCPU host (the slower of two runs).  Each most is the largest size that
@@ -204,7 +208,10 @@ _BATTERIES = {
     "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 52, 4.2),
     "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 5.0),
     "lu": (_on_call("matrices", "verify_lu"), 12, 1, 30, 5.0),
-    "oracle": (lambda n: oracle_check(enum_max=min(8, n), dp_max=n, h_max=4), 30, 1, 280, 4.4),
+    "oracle": (
+        lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
+        30, 1, 280, 4.4,
+    ),
     "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 4.2),
     "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 72, 3.4),
 }
@@ -293,6 +300,17 @@ def _report_lines(payload: dict) -> list[str]:
 _STATS_COLUMNS = ("metric", "family", "n", "exact", "asymptotic", "ratio")
 
 
+class _FormulaHelp(str):
+    """The --formula help: argparse expands it with %, and only then is the catalog read."""
+
+    def __mod__(self, params) -> str:
+        from .formulas import CATALOG
+
+        ids = (f"{name}({','.join(r.params)})" if r.params else name for name, r in CATALOG.items())
+        aliases = (f"{k}={v}" for k, v in FORMULA_ALIASES.items())
+        return f"formula id, one of {', '.join(ids)}; aliases: {', '.join(aliases)}" % params
+
+
 def _arg(*flags, **kwargs) -> tuple[tuple, dict]:
     return flags, kwargs
 
@@ -336,17 +354,7 @@ _SUBCOMMANDS = {
     "series": _Subcommand(
         "z-expansion of a catalog generating function",
         (
-            _arg(
-                "--formula",
-                required=True,
-                help="formula id, one of "
-                + ", ".join(
-                    f"{name}({','.join(r.params)})" if r.params else name
-                    for name, r in CATALOG.items()
-                )
-                + "; aliases: "
-                + ", ".join(f"{k}={v}" for k, v in FORMULA_ALIASES.items()),
-            ),
+            _arg("--formula", required=True, help=_FormulaHelp("formula id")),
             _arg(
                 "--terms", type=int, default=10, metavar="N",
                 help=f"series order N (prints N+1 coefficients), 0 <= N <= {DEFAULT_DP_BOUND}",
@@ -466,6 +474,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
                 f"csv output covers {', '.join(most)}, and {last}",
             )
         if args.cache_dir:
+            from . import algebra
+
             try:
                 algebra.load_cache(args.cache_dir)
             except (OSError, ValueError) as exc:
@@ -477,7 +487,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             except (OSError, ValueError) as exc:
                 print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)
-    except (UsageError, QueryError, PathError, BadParams) as exc:
+    except (UsageError, QueryError, PathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         hint = getattr(exc, "hint", "run with --help to see valid values")
         if hint:

@@ -24,7 +24,6 @@ from the oracle battery.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -39,11 +38,11 @@ from .algebra import (
     expand_in_z,
     trinomial,
 )
-from .paths import _FAMILIES, PathFamilyQuery, _prefix, _walk
+from .paths import _FAMILIES, PathFamilyQuery, QueryError, _prefix, _walk
 from .reporting import VerificationReport
 
 
-class BadParams(ValueError):
+class BadParams(QueryError):
     """Formula parameters outside their valid range."""
 
 
@@ -240,20 +239,32 @@ CATALOG = {
 _ID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\(([-0-9,\s]*)\))?$")
 
 
-@dataclass(frozen=True)
-class FormulaId:
-    """A formula name plus its integer parameters, e.g. phi(4, 1)."""
-
+class _IdFields(NamedTuple):
     name: str
     args: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        record = CATALOG.get(self.name)
+
+class FormulaId(_IdFields):
+    """A formula name plus its integer parameters, e.g. phi(4, 1).
+
+    An immutable named tuple, validated however it is built (``_replace``
+    and ``_make`` go through the constructor).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, args=()):
+        record = CATALOG.get(name)
         if record is None:
-            raise BadParams(f"unknown formula {self.name!r}; known: {', '.join(CATALOG)}")
+            raise BadParams(f"unknown formula {name!r}; known: {', '.join(CATALOG)}")
         arity = len(record.params)
-        if len(self.args) != arity:
-            raise BadParams(f"{self.name} takes {arity} parameter(s), got {len(self.args)}")
+        if len(args) != arity:
+            raise BadParams(f"{name} takes {arity} parameter(s), got {len(args)}")
+        return super().__new__(cls, name, args)
+
+    @classmethod
+    def _make(cls, iterable) -> FormulaId:
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "FormulaId":
@@ -301,7 +312,7 @@ def z_series(fid: FormulaId | str, order: int) -> Series:
         exc = BadParams(f"{fid} only defines coefficients through z^{own}")
         exc.hint = f"use --formula '{fid.name}({order})' or lower --terms"
         raise exc
-    return formula(replace(fid, args=(order,)))
+    return formula(fid._replace(args=(order,)))
 
 
 # --- trinomial coefficient closed forms -------------------------------------
@@ -368,7 +379,7 @@ def _dp_prefix(m: _Meaning, n_max: int) -> list[int]:
     query = PathFamilyQuery(m.family, n_max, end_level=m.end, max_height=m.max_height)
     values = _prefix(query, m.statistic)
     if m.min_height:
-        below = _prefix(replace(query, max_height=m.min_height - 1), m.statistic)
+        below = _prefix(query._replace(max_height=m.min_height - 1), m.statistic)
         values = [a - b for a, b in zip(values, below)]
     return values
 

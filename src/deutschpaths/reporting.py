@@ -8,15 +8,14 @@ the check failed (``expect`` writes it for an equality).  Callers inspect
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class MismatchFound(AssertionError):
     """An identity that should hold exactly failed at some size."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one exact check at one size/dimension."""
 
     name: str
@@ -25,21 +24,16 @@ class CheckResult:
     witness: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dimension": self.dimension,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return self._asdict()
 
 
-@dataclass
 class VerificationReport:
     """Collected check results plus free-form summary data."""
 
-    title: str
-    checks: list[CheckResult] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    def __init__(self, title: str, checks: list[CheckResult] | None = None, data=None):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.data = {} if data is None else data
 
     def add(self, name: str, dimension, passed: bool, witness: str = "") -> None:
         self.checks.append(CheckResult(name, str(dimension), bool(passed), witness))

@@ -8,7 +8,9 @@ import io
 import json
 import random
 import re
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +18,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from deutschpaths import __version__, algebra, cli, stats
+from deutschpaths import __version__, algebra, cli, formulas, paths, stats
 from deutschpaths.cli import _num_str, build_parser, main
-from deutschpaths.formulas import coeff_closed, height_sum_closed
+from deutschpaths.formulas import coeff_closed, coeff_open, height_sum_closed
 from deutschpaths.paths import (
     DEFAULT_DP_BOUND,
     DEFAULT_ENUM_BOUND,
@@ -50,15 +52,23 @@ def run_json(argv):
 
 
 def forbid_work(monkeypatch):
-    """Make the work of every handler fail if it starts."""
+    """Make the work of every handler fail if it starts, where the handler looks it up.
 
-    def must_not_run(*args):
-        raise AssertionError(f"work started on {args}")
+    count, enumerate and biject bind their paths functions in cli; the algebra
+    routes (closed forms, series, the oracle battery) are looked up in
+    formulas when they run.
+    """
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"work started on {args} {kwargs}")
 
     for key in cli._CLOSED_FORMS:
         monkeypatch.setitem(cli._CLOSED_FORMS, key, must_not_run)
-    for name in ("count_dp", "enumerate_paths", "z_series"):
+    for name in ("count_dp", "enumerate_paths"):
         monkeypatch.setattr(cli, name, must_not_run)
+    monkeypatch.setattr(paths, "count_dp", must_not_run)
+    for name in ("z_series", "coeff_closed", "coeff_open", "oracle_check"):
+        monkeypatch.setattr(formulas, name, must_not_run)
     for name, law in stats.LAWS.items():
         monkeypatch.setitem(stats.LAWS, name, dataclasses.replace(law, exact=must_not_run))
     for target, battery in cli._BATTERIES.items():
@@ -178,6 +188,35 @@ class TestCount:
             assert code == 0 and env["payload"]["count"] == str(want[n]), (family, end, n)
         for n in (0, 1, 2, 57, n_max):
             assert want[n] == count_dp(PathFamilyQuery(family, n, end_level=end))
+
+    @pytest.mark.parametrize(
+        "flags, cap",
+        [
+            (["--family", "deutsch", "--n", "10000", "--max-height", "10000"], 10000),
+            (["--family", "deutsch", "--n", "10000", "--end-level", "1"], 10000),
+            (["--family", "motzkin", "--n", "2000", "--max-height", "1999"], 1999),
+            (["--family", "reversed", "--n", "2000", "--end-level", "1"], 2001),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_dp_past_the_cell_bound_refused_before_the_sweep(self, flags, cap, monkeypatch, capsys):
+        def no_sweep(*args):
+            raise AssertionError("the DP sweep started")
+
+        monkeypatch.setattr(paths, "_dp_vector", no_sweep)
+        n = int(flags[3])
+        assert run(["count", *flags]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: n={n} with height cap {cap} needs {(n + 1) * (cap + 1)} DP cells, "
+            "more than 4000000\n"
+            "hint: lower --n or --max-height: (n+1)*(cap+1) must be at most 4000000\n"
+        )
+
+    def test_dp_at_the_cell_bound_answers(self):
+        # (1999+1) * (1999+1) cells, the most the DP sweeps
+        code, text = run(["count", "--family", "motzkin", "--n", "1999", "--max-height", "1999"])
+        assert code == 0
+        assert int_of(text.strip()) == coeff_open(1999)
 
     def test_count_past_the_digit_limit(self, fresh_rows):
         code, text = run(["count", "--family", "deutsch", "--n", "9990", "--end-level", "0"])
@@ -756,6 +795,34 @@ class TestNumStr:
         assert _num_str(0) == "0"
         assert _num_str(Fraction(12, 4)) == "3"
 
+    @staticmethod
+    def decimal_text(x) -> str:
+        """The earlier formatter: every part through Decimal, whatever its length."""
+        if isinstance(x, Fraction) and x.denominator != 1:
+            return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+        return str(Decimal(int(x)))
+
+    @pytest.fixture
+    def default_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield 4300
+        sys.set_int_max_str_digits(old)
+
+    def test_at_and_one_digit_past_the_limit(self, default_limit):
+        at, past = 10**default_limit - 1, 10**default_limit  # 4300 and 4301 digits
+        cases = [
+            at, -at, 10 ** (default_limit - 1), past, -past, past + 7,
+            Fraction(past + 1, 3), Fraction(-(past + 1), 3), Fraction(1, past + 3),
+            Fraction(at, past + 3), Fraction(-at, 7), Fraction(2, at), Fraction(past * 3, 3),
+        ]
+        for x in cases:
+            assert _num_str(x) == self.decimal_text(x)
+        with pytest.raises(ValueError):
+            str(past)
+        assert _num_str(-past) == "-1" + "0" * default_limit
+        assert _num_str(Fraction(1, past + 3)) == "1/1" + "0" * (default_limit - 1) + "3"
+
 
 class TestDocs:
     def test_shared_flags_table_matches_the_parser(self):
@@ -783,6 +850,12 @@ class TestDocs:
             family = " --family open" if before[-2:] == ["--family", "open"] else ""
             want[f"{before[0]} {flag}{family}"] = (least, most)
         assert documented == want
+
+    def test_range_table_states_the_cell_bound(self):
+        text = CLI_DOC.read_text().split("## Exit status", 1)[1]
+        (most,) = re.findall(r"^\| DP cells \(N\+1\)·\(cap\+1\) .*\| — \| ([\d ]+) \|$", text, re.M)
+        assert int(most.replace(" ", "")) == paths.DEFAULT_CELL_BOUND
+        assert f"must be at most {paths.DEFAULT_CELL_BOUND}" in text
 
     def test_battery_bounds_table_matches_the_batteries(self):
         text = CLI_DOC.read_text()

@@ -35,7 +35,7 @@ from deutschpaths.formulas import (
     oracle_check,
     z_series,
 )
-from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths
+from deutschpaths.paths import PathFamilyQuery, QueryError, count_dp, enumerate_paths
 from deutschpaths.reporting import MismatchFound
 from deutschpaths.stats import height_total
 
@@ -209,6 +209,54 @@ class TestFormulaId:
     def test_height_sum_orders_validated(self):
         with pytest.raises(BadParams):
             formula("height_sum_closed(-1)")
+
+
+class TestFormulaIdRecord:
+    """FormulaId is an immutable named tuple that no route builds unchecked."""
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("no_such_formula", ()), ("phi", (4,)), ("motzkin_M", (3,)), ("psi", (1, 2, 3))],
+    )
+    def test_invalid_values_refused_on_every_route(self, name, args):
+        with pytest.raises(BadParams):
+            FormulaId(name, args)
+        with pytest.raises(BadParams):
+            FormulaId("phi", (4, 1))._replace(name=name, args=args)
+        with pytest.raises(BadParams):
+            FormulaId._make((name, args))
+
+    def test_replace_checks_arity_against_the_new_name(self):
+        with pytest.raises(BadParams):
+            FormulaId("phi", (4, 1))._replace(name="phi0_limit")
+        assert FormulaId("phi", (4, 1))._replace(args=(5, 2)) == FormulaId("phi", (5, 2))
+        assert type(FormulaId._make(("phi0_limit", ()))) is FormulaId
+
+    def test_fields_cannot_be_set(self):
+        fid = FormulaId("phi", (4, 1))
+        for name in ("name", "args", "other"):
+            with pytest.raises(AttributeError):
+                setattr(fid, name, "x")
+        assert fid == FormulaId("phi", (4, 1))
+
+    @pytest.mark.parametrize("text", ["phi(4,1)", "motzkin_M", "height_sum_open(7)", "psi(3,3)"])
+    def test_parse_str_round_trip(self, text):
+        fid = FormulaId.parse(text)
+        assert str(fid) == text
+        assert FormulaId.parse(str(fid)) == fid
+
+    def test_tuple_behaviour(self):
+        fid = FormulaId("phi", (4, 1))
+        assert fid == ("phi", (4, 1))
+        name, args = fid
+        assert (name, args) == ("phi", (4, 1))
+        assert repr(fid) == "FormulaId(name='phi', args=(4, 1))"
+        assert FormulaId("phi0_limit").args == ()
+
+    def test_bad_params_is_a_query_error(self):
+        # the CLI refuses both with exit status 2 through one except clause
+        assert issubclass(BadParams, QueryError)
+        assert issubclass(BadParams, ValueError)
 
 
 class TestCatalogTable:

@@ -6,6 +6,7 @@ since imported every submodule.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -16,11 +17,15 @@ from pathlib import Path
 import pytest
 
 import deutschpaths
-from deutschpaths import bijection, cli
+from deutschpaths import bijection, cli, formulas
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 #: The submodules that only biject, verify, selftest and stats run.
 HEAVY = ("bijection", "matrices", "selftest", "stats")
+#: The exact-arithmetic kernel: only closed-form counts, series, stats and verify need it.
+ALGEBRA = ("algebra", "formulas")
+#: Standard-library modules that cost a cold start several milliseconds each.
+STDLIB = ("dataclasses", "decimal", "fractions")
 
 _LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('deutschpaths.'))"
 
@@ -35,8 +40,9 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def modules_after_main(argv: list[str]) -> tuple[int, list[str]]:
-    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the submodules it loaded."""
+def modules_after_main(argv: list[str], stdlib: tuple[str, ...] = ()) -> tuple[int, list[str]]:
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the submodules it
+    loaded, followed by those of the ``stdlib`` modules it loaded."""
     return fresh(
         f"""
 import contextlib, io, json, sys
@@ -46,7 +52,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main({argv!r})
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, {_LOADED}]))
+print(json.dumps([code, {_LOADED} + [m for m in {stdlib!r} if m in sys.modules]]))
 """
     )
 
@@ -86,6 +92,105 @@ class TestImportSets:
         assert code == 0
         assert "bijection" in loaded
         assert not {"matrices", "selftest", "stats"} & set(loaded), loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "deutsch", "--n", "12", "--max-height", "3"],
+            ["count", "--family", "deutsch", "--n", "12", "--end-level", "2"],
+            ["count", "--family", "reversed", "--n", "6", "--end-level", "1"],
+            ["enumerate", "--family", "deutsch", "--n", "4"],
+            ["enumerate", "--family", "motzkin", "--n", "4", "--json"],
+            ["biject", "--path", "U U D2 U"],
+            ["biject", "--inverse", "--path", "U F D"],
+            ["count", "--family", "deutsch", "--n", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_dp_enumerate_and_biject_load_no_algebra(self, argv):
+        code, loaded = modules_after_main(argv, STDLIB)
+        assert code in (0, 2)
+        assert not {*ALGEBRA, *STDLIB} & set(loaded), loaded
+
+    @pytest.mark.parametrize("argv", [h for h in HELPS if h != ["series", "--help"]], ids=" ".join)
+    def test_help_reads_no_catalog(self, argv):
+        code, loaded = modules_after_main(argv, STDLIB)
+        assert code == 0
+        assert not {*ALGEBRA, *STDLIB} & set(loaded), loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "deutsch", "--n", "12"],
+            ["count", "--family", "motzkin", "--n", "9", "--max-height", "2"],
+            ["enumerate", "--family", "deutsch", "--n", "4"],
+            ["series", "--formula", "area", "--terms", "12"],
+            ["series", "--formula", "height_sum_open", "--terms", "12", "--csv"],
+            ["biject", "--path", "U U D2 U"],
+            ["verify", "det", "--max-n", "3"],
+            ["verify", "oracle", "--max-n", "4"],
+            ["verify", "bijection", "--max-n", "4"],
+            ["selftest", "--json"],
+            ["stats", "height", "--n", "50"],
+            ["stats", "area", "--n", "50", "--json"],
+            *HELPS,
+        ],
+        ids=" ".join,
+    )
+    def test_only_stats_loads_dataclasses(self, argv):
+        code, loaded = modules_after_main(argv, ("dataclasses",))
+        assert code == 0
+        assert ("dataclasses" in loaded) == (argv[0] == "stats" and argv[1:] != ["--help"]), loaded
+
+
+class TestLazyHelp:
+    def test_series_help_is_the_eagerly_built_text(self, monkeypatch, capsys):
+        # the --formula help as it was built when cli was imported: from the
+        # catalog and the aliases, with argparse's own % expansion
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["series", "--help"])
+        printed = capsys.readouterr().out
+        eager = (
+            "formula id, one of "
+            + ", ".join(
+                f"{name}({','.join(r.params)})" if r.params else name
+                for name, r in formulas.CATALOG.items()
+            )
+            + "; aliases: "
+            + ", ".join(f"{k}={v}" for k, v in cli.FORMULA_ALIASES.items())
+        )
+        (subparsers,) = (
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        series = subparsers.choices["series"]
+        (flag,) = (a for a in series._actions if "--formula" in a.option_strings)
+        assert type(flag.help) is not str
+        flag.help = eager
+        assert printed == series.format_help()
+        assert "phi(h,i)" in printed and "area=area_A" in printed
+
+    def test_series_help_in_a_fresh_interpreter(self):
+        code, loaded = modules_after_main(["series", "--help"])
+        assert code == 0
+        assert "formulas" in loaded
+
+
+class TestNumStrImports:
+    def test_decimal_is_imported_only_past_the_digit_limit(self):
+        seen = fresh(
+            """
+import json, sys
+sys.set_int_max_str_digits(4300)
+from deutschpaths.cli import _num_str
+seen = []
+for x in (10**4300 - 1, -(10**4300 - 1), 10**4299, -(10**4299), -(10**4300)):
+    _num_str(x)
+    seen.append("decimal" in sys.modules)
+print(json.dumps(seen))
+"""
+        )
+        assert seen == [False, False, False, False, True]
 
 
 class TestLazyRoot:

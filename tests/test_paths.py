@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deutschpaths.paths as paths_module
 from deutschpaths.paths import (
+    DEFAULT_CELL_BOUND,
+    DEFAULT_DP_BOUND,
     DEFAULT_ENUM_BOUND,
     DEFAULT_LIST_BOUND,
     BadStep,
@@ -21,6 +24,7 @@ from deutschpaths.paths import (
     PathFamilyQuery,
     QueryError,
     ReversedDeutschPath,
+    _height_cap,
     _prefix,
     _walk,
     count_dp,
@@ -184,6 +188,85 @@ class TestQuery:
 
     def test_list_bound_is_the_open_deutsch_count_at_the_enumeration_bound(self):
         assert DEFAULT_LIST_BOUND == count_dp(PathFamilyQuery("deutsch", DEFAULT_ENUM_BOUND))
+
+
+class TestQueryRecord:
+    """PathFamilyQuery is an immutable named tuple that no route builds unchecked."""
+
+    BAD = [
+        {"n": -1},
+        {"end_level": -1},
+        {"max_height": -1},
+        {"end_level": 4, "max_height": 2},
+        {"family": "motzkin", "end_level": 1},
+        {"family": "nosuch"},
+    ]
+
+    @pytest.mark.parametrize("change", BAD, ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+    def test_invalid_values_refused_on_every_route(self, change):
+        fields = dict(PathFamilyQuery("deutsch", 3)._asdict(), **change)
+        with pytest.raises(QueryError):
+            PathFamilyQuery(**fields)
+        with pytest.raises(QueryError):
+            PathFamilyQuery("deutsch", 3)._replace(**change)
+        with pytest.raises(QueryError):
+            PathFamilyQuery._make(fields.values())
+
+    def test_valid_routes_agree(self):
+        q = PathFamilyQuery("reversed", 5, end_level=1, max_height=3)
+        assert q._replace(n=6) == PathFamilyQuery("reversed", 6, 1, 3)
+        assert PathFamilyQuery._make(q) == q
+        assert type(q._replace(n=6)) is type(PathFamilyQuery._make(q)) is PathFamilyQuery
+
+    def test_fields_cannot_be_set(self):
+        q = PathFamilyQuery("deutsch", 3)
+        for name in ("family", "n", "end_level", "max_height", "other"):
+            with pytest.raises(AttributeError):
+                setattr(q, name, 1)
+        assert q == PathFamilyQuery("deutsch", 3)
+
+    def test_tuple_behaviour(self):
+        q = PathFamilyQuery("deutsch", 3, end_level=0)
+        assert q == ("deutsch", 3, 0, None)
+        family, n, end, height = q
+        assert (family, n, end, height) == ("deutsch", 3, 0, None)
+        assert hash(q) == hash(("deutsch", 3, 0, None))
+        assert repr(q) == "PathFamilyQuery(family='deutsch', n=3, end_level=0, max_height=None)"
+
+
+class TestCellBound:
+    """The level-vector DP refuses a strip of more than DEFAULT_CELL_BOUND cells."""
+
+    def test_largest_accepted_strips(self):
+        # (n+1)*(cap+1) at the bound, one strip per way the cap is set
+        assert (1999 + 1) * (1999 + 1) == DEFAULT_CELL_BOUND
+        assert _height_cap(PathFamilyQuery("deutsch", 1999, end_level=1)) == 1999
+        assert _height_cap(PathFamilyQuery("reversed", 3, max_height=999_999)) == 999_999
+        assert _height_cap(PathFamilyQuery("reversed", 1999, end_level=0)) == 1999
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            PathFamilyQuery("deutsch", 2000, end_level=1),
+            PathFamilyQuery("deutsch", DEFAULT_DP_BOUND, max_height=DEFAULT_DP_BOUND),
+            PathFamilyQuery("motzkin", DEFAULT_DP_BOUND),
+            PathFamilyQuery("reversed", 3, max_height=1_000_000),
+            PathFamilyQuery("reversed", 1999, end_level=1),
+        ],
+        ids=str,
+    )
+    def test_refused_before_the_sweep(self, query, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the DP sweep started")
+
+        monkeypatch.setattr(paths_module, "_dp_vector", no_sweep)
+        for dp in (count_dp, total_area_dp, _prefix):
+            with pytest.raises(BoundExceeded) as exc:
+                dp(query)
+            assert "DP cells, more than 4000000" in str(exc.value)
+            assert exc.value.hint == (
+                "lower --n or --max-height: (n+1)*(cap+1) must be at most 4000000"
+            )
 
 
 class TestCounts:

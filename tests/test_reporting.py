@@ -74,3 +74,49 @@ class TestVerificationReport:
 
     def test_mismatch_is_assertion_error(self):
         assert issubclass(MismatchFound, AssertionError)
+
+
+class TestRecordsUnchanged:
+    """The payloads verify and selftest print, key for key and in order."""
+
+    def test_check_result_to_dict(self):
+        d = CheckResult("identity", "n=3", False, "got 1").to_dict()
+        assert list(d.items()) == [
+            ("name", "identity"),
+            ("dimension", "n=3"),
+            ("passed", False),
+            ("witness", "got 1"),
+        ]
+        assert type(d) is dict
+
+    def test_check_result_is_an_immutable_record(self):
+        c = CheckResult("identity", "n=3", True)
+        assert c == ("identity", "n=3", True, "")
+        with pytest.raises(AttributeError):
+            c.passed = False
+
+    def test_report_to_dict(self):
+        r = VerificationReport("demo", data={"k": 1})
+        r.add("a", 1, True)
+        r.expect("b", "n=2", 3, 4, "elimination", "closed form")
+        assert r.to_dict() == {
+            "title": "demo",
+            "ok": False,
+            "checks": [
+                {"name": "a", "dimension": "1", "passed": True, "witness": ""},
+                {
+                    "name": "b",
+                    "dimension": "n=2",
+                    "passed": False,
+                    "witness": "elimination 3 vs closed form 4",
+                },
+            ],
+            "data": {"k": 1},
+        }
+        assert list(r.to_dict()) == ["title", "ok", "checks", "data"]
+
+    def test_reports_do_not_share_their_lists(self):
+        a, b = VerificationReport("a"), VerificationReport("b")
+        a.add("x", 1, True)
+        a.data["k"] = 1
+        assert (b.checks, b.data) == ([], {})
