@@ -170,11 +170,6 @@ class TestLazyHelp:
         assert printed == series.format_help()
         assert "phi(h,i)" in printed and "area=area_A" in printed
 
-    def test_series_help_in_a_fresh_interpreter(self):
-        code, loaded = modules_after_main(["series", "--help"])
-        assert code == 0
-        assert "formulas" in loaded
-
 
 class TestNumStrImports:
     def test_decimal_is_imported_only_past_the_digit_limit(self):
