@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import json
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -414,6 +413,8 @@ _SUBCOMMANDS = {
 def _emit(args, payload: dict, elapsed: float, out) -> None:
     command = _SUBCOMMANDS[args.subcommand]
     if args.json:
+        import json
+
         skip = ("subcommand", "json", "csv")
         echo = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
         envelope = {

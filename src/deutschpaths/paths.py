@@ -446,10 +446,21 @@ def total_height_dp(n: int, family: str = "closed") -> int:
     """Sum of heights over closed or open Deutsch paths of length n.
 
     Uses sum_{h>=1} #{paths with height >= h}, each term obtained as a
-    difference of strip-bounded counts.
+    difference of strip-bounded counts.  The sweep runs one strip per height
+    below the cap as well as the full one, (n+1)*(cap+1)*(cap+2)/2 cells in
+    all, and that total is held to DEFAULT_CELL_BOUND before any strip runs.
     """
     try:
         end = {"closed": 0, "open": None}[family]
     except KeyError:
         raise QueryError("family must be 'closed' or 'open'") from None
-    return _prefix(PathFamilyQuery("deutsch", n, end_level=end), "height")[-1]
+    query = PathFamilyQuery("deutsch", n, end_level=end)
+    cap = _height_cap(query)
+    cells = (n + 1) * (cap + 1) * (cap + 2) // 2
+    if cells > DEFAULT_CELL_BOUND:
+        exc = BoundExceeded(
+            f"height sweep at n={n} needs {cells} DP cells, more than {DEFAULT_CELL_BOUND}"
+        )
+        exc.hint = f"lower n: (n+1)*(n+1)*(n+2)/2 must be at most {DEFAULT_CELL_BOUND}"
+        raise exc
+    return _prefix(query, "height")[-1]

@@ -43,16 +43,19 @@ def fresh(code: str):
 def modules_after_main(argv: list[str], stdlib: tuple[str, ...] = ()) -> tuple[int, list[str]]:
     """Exit code of ``cli.main(argv)`` in a fresh interpreter, and the submodules it
     loaded, followed by those of the ``stdlib`` modules it loaded."""
+    # json is imported only to print the result, after the stdlib modules are read
     return fresh(
         f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 from deutschpaths import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         code = cli.main({argv!r})
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, {_LOADED} + [m for m in {stdlib!r} if m in sys.modules]]))
+loaded = [code, {_LOADED} + [m for m in {stdlib!r} if m in sys.modules]]
+import json
+print(json.dumps(loaded))
 """
     )
 
@@ -111,6 +114,23 @@ class TestImportSets:
         code, loaded = modules_after_main(argv, STDLIB)
         assert code in (0, 2)
         assert not {*ALGEBRA, *STDLIB} & set(loaded), loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--family", "deutsch", "--n", "12", "--max-height", "3"],
+            ["count", "--family", "motzkin", "--n", "9", "--max-height", "2", "--csv"],
+            ["enumerate", "--family", "deutsch", "--n", "4"],
+            ["enumerate", "--family", "motzkin", "--n", "4", "--csv"],
+            ["biject", "--path", "U U D2 U"],
+            ["biject", "--inverse", "--path", "U F D"],
+        ],
+        ids=" ".join,
+    )
+    def test_human_and_csv_output_load_no_json(self, argv):
+        code, loaded = modules_after_main(argv, ("json",))
+        assert code == 0
+        assert "json" not in loaded, loaded
 
     @pytest.mark.parametrize("argv", [h for h in HELPS if h != ["series", "--help"]], ids=" ".join)
     def test_help_reads_no_catalog(self, argv):

@@ -186,6 +186,14 @@ class TestQuery:
             dp(10_001)
         assert str(exc.value) == "n=10001 exceeds DP bound 10000"
 
+    @pytest.mark.parametrize("family", ["closed", "open"])
+    def test_height_sweep_is_charged_before_it_runs(self, family):
+        # one strip per height: (n+1)*(n+1)*(n+2)/2 cells, past the bound from n = 199;
+        # unchecked, the n = 200 sweep ran for about half a second
+        with pytest.raises(BoundExceeded, match="height sweep at n=200 needs 4080501 DP cells") as exc:
+            total_height_dp(200, family)
+        assert exc.value.hint
+
     def test_list_bound_is_the_open_deutsch_count_at_the_enumeration_bound(self):
         assert DEFAULT_LIST_BOUND == count_dp(PathFamilyQuery("deutsch", DEFAULT_ENUM_BOUND))
 

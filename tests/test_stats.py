@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,8 @@ class TestCounts:
 class TestTotals:
     @pytest.mark.parametrize("n", range(9))
     def test_height_totals_match_enumeration(self, n):
+        # n <= 2s+2 (4 closed, 6 open) is the boundary where the weights
+        # c[n+s-j] - 2c[n-j] + c[n-s-j] read c below index 0 or in its zero head c[0..2]
         hc, _, _ = brute_totals(n, "closed")
         ho, _, _ = brute_totals(n, "open")
         assert height_total(n, "closed") == hc
@@ -89,6 +92,12 @@ class TestTotals:
     @pytest.mark.parametrize("n", [1000, 3001, 9481])
     @pytest.mark.parametrize("family", ["closed", "open"])
     def test_height_totals_match_lacunary_double_sum(self, n, family, fresh_rows):
+        assert height_total(n, family) == lacunary_height_total(n, family)
+
+    @pytest.mark.parametrize("n", sorted(random.Random(2000).sample(range(61, 2001), 12)))
+    @pytest.mark.parametrize("family", ["closed", "open"])
+    def test_height_totals_match_lacunary_between_dp_and_large_n(self, n, family):
+        # the lengths no other route-equality test reaches
         assert height_total(n, family) == lacunary_height_total(n, family)
 
     @pytest.mark.parametrize("n", range(9))
