@@ -47,12 +47,15 @@ optionally persisted to a versioned JSON cache file (56 MB at n = 9000).
 The canonical form of a RatFn (numerator and denominator coprime,
 denominator monic) is computed with integers only.  Each polynomial is split
 once into a positive rational content and a primitive integer part (integer
-coefficients with gcd 1); ``poly_gcd`` runs a primitive pseudo-remainder
-sequence on the primitive parts (Knuth, TAOCP vol. 2, 4.6.1), both parts are
-divided by the gcd exactly over the integers (Gauss's lemma), and one
-rational scale, content(num) / (content(den) * lead(den / gcd)), is applied
-at the end.  ``Poly.exact_div`` is the same integer division times the
-ratio of the contents.
+coefficients with gcd 1); ``poly_gcd`` takes the gcd of the primitive parts
+by the heuristic GCDHEU (Char, Geddes and Gonnet, 1989): one integer gcd of
+their values at a large integer point, read back in that base and accepted
+only when it divides both exactly.  When no point gives a proof it falls back
+to the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
+Both parts are divided by the gcd exactly over the integers (Gauss's
+lemma), and one rational scale, content(num) / (content(den) *
+lead(den / gcd)), is applied at the end.  ``Poly.exact_div`` is the same
+integer division times the ratio of the contents.
 
 The public constructor ``RatFn(num, den)`` runs that whole reduction.  The
 operators keep canonical operands canonical with smaller gcds, by Henrici's
@@ -172,7 +175,7 @@ def _prem_primitive(a: list[int], b: list[int]) -> list[int]:
     return r if g == 1 else [x // g for x in r]
 
 
-def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
+def _gcd_prs(a: list[int], b: list[int]) -> list[int]:
     """gcd of two nonzero primitive integer polynomials, up to sign, by the
     primitive pseudo-remainder sequence."""
     if len(a) < len(b):
@@ -180,6 +183,51 @@ def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
     while len(b) > 1:
         a, b = b, _prem_primitive(a, b)
     return [1] if b else a
+
+
+def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
+    """gcd of two nonzero primitive integer polynomials, up to sign, by
+    GCDHEU (Char, Geddes and Gonnet, 1989); None when no point proves one.
+
+    Both are evaluated at an integer xi > 2*min(|a|, |b|) + 2 (max norms),
+    one integer gcd is taken, and its symmetric xi-adic digits are read
+    back as a polynomial.  By the method's theorem, the primitive part of
+    that polynomial is the gcd as soon as it divides a and b exactly; each
+    failed proof retries at a larger xi.
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 3
+    for _ in range(6):
+        gamma = math.gcd(_at(a, xi), _at(b, xi))
+        g = []
+        while gamma:
+            c = gamma % xi
+            if 2 * c > xi:
+                c -= xi
+            g.append(c)
+            gamma = (gamma - c) // xi
+        k = math.gcd(*g)
+        g = [c // k for c in g]
+        try:
+            _exact_quo(a, g)
+            _exact_quo(b, g)
+            return g
+        except ValueError:
+            xi = xi * 73794 // 27011  # the method's growth factor, about 2.73
+    return None
+
+
+def _at(p: list[int], x: int) -> int:
+    """The integer polynomial p at the integer x, by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two nonzero primitive integer polynomials, up to sign:
+    GCDHEU first, the primitive pseudo-remainder sequence when it fails."""
+    return _gcd_heuristic(a, b) or _gcd_prs(a, b)
 
 
 def _convolve(a, b, top: int) -> list:
@@ -399,8 +447,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """gcd over Q[v], normalized to primitive integer coefficients with the
     lowest-order nonzero coefficient positive (so gcd(1-v^4, 1-v^6) = 1-v^2).
 
-    Computed with integers only: a primitive pseudo-remainder sequence on the
-    primitive parts of a and b.  gcd(0, 0) is 0.
+    Computed with integers only, on the primitive parts of a and b: GCDHEU,
+    else a primitive pseudo-remainder sequence.  gcd(0, 0) is 0.
     """
     parts = [_split(p.coeffs)[2] for p in (a, b) if p]
     if not parts:

@@ -203,16 +203,16 @@ def _cmd_biject(args) -> dict:
 #: a 2-vCPU host (the slower of two runs).  Each most is the largest size that
 #: ran in about 5 s; for bijection it is also the enumeration bound.
 _BATTERIES = {
-    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 30, 4.5),
-    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 52, 4.2),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 50, 4.8),
+    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 5.6),
     "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 5.0),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 30, 5.0),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 40, 3.6),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
         30, 1, 280, 4.4,
     ),
     "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 4.2),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 72, 3.4),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 300, 3.6),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 

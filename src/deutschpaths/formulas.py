@@ -143,13 +143,29 @@ def area_gf() -> RatFn:
     return RatFn(num, den)
 
 
-def divisor_counts(m_max: int) -> list[int]:
-    """c[0..m_max] with c[m] = #{d >= 3 : d divides m} (c[0] = 0), by a sieve."""
-    c = [0] * (m_max + 1)
-    for d in range(3, m_max + 1):
-        for m in range(d, m_max + 1, d):
-            c[m] += 1
+#: c[0..] of ``divisor_counts``: one sieve kept for the process, grown on demand.
+_DIVISOR_SIEVE: tuple[int, ...] = (0,)
+
+
+def _divisor_sieve(m_max: int) -> tuple[int, ...]:
+    """The kept sieve, rebuilt at twice its length or more when it ends
+    before m_max; immutable, so it is handed out as it is."""
+    global _DIVISOR_SIEVE
+    c = _DIVISOR_SIEVE
+    if m_max >= len(c):
+        top = max(m_max, 2 * len(c))
+        grown = [0] * (top + 1)
+        for d in range(3, top + 1):
+            for m in range(d, top + 1, d):
+                grown[m] += 1
+        c = _DIVISOR_SIEVE = tuple(grown)
     return c
+
+
+def divisor_counts(m_max: int) -> list[int]:
+    """c[0..m_max] with c[m] = #{d >= 3 : d divides m} (c[0] = 0), a fresh
+    list read from the kept sieve."""
+    return list(_divisor_sieve(m_max)[: max(m_max + 1, 0)])
 
 
 def _height_sum_series(order: int, prefactor: RatFn, shift: int) -> Series:

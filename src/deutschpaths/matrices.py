@@ -79,11 +79,18 @@ class QvMatrix:
     def __matmul__(self, other: "QvMatrix") -> "QvMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        n = self.dim
         cols = other.transpose().rows
+        products = {}  # (a, b) -> a * b, over this product's nonzero terms
+
+        def term(a: RatFn, b: RatFn) -> RatFn:
+            p = products.get((a, b))
+            if p is None:
+                p = products[a, b] = a * b
+            return p
+
         return QvMatrix(
             tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), _ZERO) for col in cols)
+                tuple(sum((term(a, b) for a, b in zip(row, col) if a and b), _ZERO) for col in cols)
                 for row in self.rows
             )
         )
@@ -124,9 +131,15 @@ def build_matrix(n: int, transposed: bool = False) -> QvMatrix:
 
 def _eliminate(rows: list[list], one):
     """Determinant by Gaussian elimination with row swaps, over any field
-    whose zero is falsy (RatFn or Fraction); ``rows`` is consumed."""
+    whose zero is falsy (RatFn or Fraction); ``rows`` is consumed.
+
+    The strip rows are constant right of the diagonal, so many updates
+    e - f*p repeat: each distinct (e, f, p) is computed once per call.
+    An entry whose pivot-row entry p is zero is left as it is.
+    """
     n = len(rows)
     det = one
+    updates = {}  # (e, f, p) -> e - f*p
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
@@ -134,12 +147,20 @@ def _eliminate(rows: list[list], one):
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
-        pivot = rows[col][col]
+        top = rows[col]
+        pivot = top[col]
         det = det * pivot
-        for r in range(col + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [rows[r][k] - factor * rows[col][k] for k in range(n)]
+        for row in rows[col + 1 :]:
+            f = row[col] / pivot
+            if f:
+                for k in range(col, n):
+                    p = top[k]
+                    if p:
+                        key = (row[k], f, p)
+                        e = updates.get(key)
+                        if e is None:
+                            e = updates[key] = row[k] - f * p
+                        row[k] = e
     return det
 
 

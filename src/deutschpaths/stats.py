@@ -37,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable
 
 from .algebra import coeff_of_z, trinomial_row
-from .formulas import area_gf, coeff_closed, coeff_open, divisor_counts
+from .formulas import _divisor_sieve, area_gf, coeff_closed, coeff_open
 
 
 class ZeroCount(ZeroDivisionError):
@@ -69,14 +69,15 @@ def height_total(n: int, family: str = "closed") -> int:
     if n < 0:
         raise ValueError("length must be nonnegative")
     s = 1 if family == "closed" else 2
-    c = [0] * s + divisor_counts(n + s)  # c[m + s] = c_m, and c_m = 0 for m < 0
-    # j runs from n down to 0: a, b, d = c_(n+s-j), c_(n-j), c_(n-s-j) read the padded c
-    # forwards, and T(j) = T(2n-j) comes from the row's upper half.  Each bucket opens
-    # with its largest entry and keeps about that size, so an addition can reuse the
-    # block the previous one freed and the heap does not grow.
+    c = _divisor_sieve(n + s)  # c[m] = c_m through at least m = n + s
+    # j runs from n down to 0: a, b, d = c_(n+s-j), c_(n-j), c_(n-s-j) read c forwards
+    # (d behind s zeros, as c_m = 0 for m < 0), and T(j) = T(2n-j) comes from the row's
+    # upper half, whose n + 1 entries end the zip.  Each bucket opens with its largest
+    # entry and keeps about that size, so an addition can reuse the block the previous
+    # one freed and the heap does not grow.
     upper = islice(trinomial_row(n), n, None)
     buckets: dict[int, int] = {}
-    for a, b, d, t in zip(islice(c, 2 * s, None), islice(c, s, None), c, upper):
+    for a, b, d, t in zip(islice(c, s, None), c, chain((0,) * s, c), upper):
         w = a - 2 * b + d
         if w:
             buckets[w] = buckets.get(w, 0) + t

@@ -52,6 +52,18 @@ rational_polys = st.builds(
 )
 
 
+int_polys = st.lists(st.integers(-60, 60), min_size=1, max_size=8).filter(any)
+ONE_PLUS_V = Poly((1, 1))
+
+
+def primitive(p: Poly) -> list[int]:
+    return algebra._split(p.coeffs)[2]
+
+
+def up_to_sign(g: list[int]) -> list[int]:
+    return g if g[-1] > 0 else [-c for c in g]
+
+
 def reference_gcd(a: Poly, b: Poly) -> Poly:
     """Euclid over Fraction, then primitive with the low coefficient positive:
     the gcd before the integer kernel, kept as the reference."""
@@ -190,6 +202,47 @@ class TestGcd:
         if not b.is_zero() and not (a % b).is_zero():
             with pytest.raises(ValueError):
                 a.exact_div(b)
+
+    @given(int_polys, int_polys, int_polys)
+    @example([1, 2, 1], [1, 0, -1], [3, -1, 0, 2])
+    @example([-34, -17], [57, -42, -17, -25, 58, 29], [-21, 27])  # the first point's candidate fails
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_gcd_matches_prs(self, a, b, c):
+        pa, pb = primitive(Poly(a) * Poly(c)), primitive(Poly(b) * Poly(c))
+        assert up_to_sign(algebra._gcd_primitive(pa, pb)) == up_to_sign(algebra._gcd_prs(pa, pb))
+
+    @given(st.integers(0, 200))
+    @example(200)
+    @example(2)  # the first point reads gcd 4 back as 1 - v, which the proof rejects
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_gcd_of_binomial_against_one_minus_power(self, h):
+        # (1+v)^h against 1 - v^(h+3): the gcd is 1+v when h+3 is even, else 1.
+        # The PRS reference is checked up to h = 120, where it takes about 0.2 s.
+        a, b = primitive(ONE_PLUS_V**h), primitive(1 - Poly.monomial(1, h + 3))
+        g = up_to_sign(algebra._gcd_primitive(a, b))
+        assert g == ([1, 1] if h % 2 else [1])
+        if h <= 120:
+            assert g == up_to_sign(algebra._gcd_prs(a, b))
+
+    def test_prs_answers_when_no_point_proves_a_candidate(self, monkeypatch):
+        pairs = [
+            (Poly((1, 0, 0, 0, -1)), Poly((1, 0, 0, 0, 0, 0, -1))),
+            (ONE_PLUS_V**7, 1 - Poly.monomial(1, 10)),
+            (Poly((2, -3, 1)) * KERNEL, Poly((1, 4)) * KERNEL**2),
+            (Poly((1, 1)), Poly((1, -1))),
+        ]
+        want = [poly_gcd(a, b) for a, b in pairs]
+        proofs = []
+
+        def refuse(a, b):
+            proofs.append((a, b))
+            raise ValueError("not divisible")
+
+        monkeypatch.setattr(algebra, "_exact_quo", refuse)
+        a, b = (primitive(p) for p in pairs[0])
+        assert algebra._gcd_heuristic(a, b) is None
+        assert len(proofs) > 1  # every point was tried, and refused
+        assert [poly_gcd(a, b) for a, b in pairs] == want
 
     @given(small_polys, small_polys)
     @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deutschpaths import formulas
 from deutschpaths.algebra import (
     KERNEL,
     Poly,
@@ -29,6 +30,7 @@ from deutschpaths.formulas import (
     coeff_open,
     coeff_reversed_formal,
     combinatorial_ids,
+    divisor_counts,
     formula,
     height_sum_closed,
     height_sum_open,
@@ -289,6 +291,41 @@ class TestGoldenSeries:
     def test_golden_file_covers_every_formula_name(self):
         names = {FormulaId.parse(k).name for k in GOLDEN["series"]}
         assert names == set(CATALOG)
+
+
+def sieve_loop(m_max: int) -> list[int]:
+    """The sieve run afresh for one m_max: divisor_counts before it kept one."""
+    c = [0] * (m_max + 1)
+    for d in range(3, m_max + 1):
+        for m in range(d, m_max + 1, d):
+            c[m] += 1
+    return c
+
+
+class TestDivisorCounts:
+    def test_grown_sieve_matches_the_loop(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_DIVISOR_SIEVE", (0,))
+        want = sieve_loop(10002)
+        for m in range(2001):
+            assert divisor_counts(m) == want[: m + 1]
+        assert divisor_counts(10002) == want
+        assert divisor_counts(-1) == []
+
+    def test_height_totals_do_not_depend_on_the_kept_length(self, monkeypatch):
+        # stats reads the kept sieve in place; it may be longer than n + s
+        monkeypatch.setattr(formulas, "_DIVISOR_SIEVE", (0,))
+        first = [height_total(n, family) for n in (0, 1, 2, 40) for family in ("closed", "open")]
+        divisor_counts(5000)
+        assert [height_total(n, family) for n in (0, 1, 2, 40) for family in ("closed", "open")] == first
+
+    def test_each_call_gets_a_fresh_list(self, monkeypatch):
+        monkeypatch.setattr(formulas, "_DIVISOR_SIEVE", (0,))
+        first = divisor_counts(12)  # the sieve is built to exactly 12
+        first[6] = 99
+        first.append(1)
+        again = divisor_counts(12)
+        assert again is not first
+        assert again == sieve_loop(12)
 
 
 class TestOracle:

@@ -10,6 +10,7 @@ import pytest
 from deutschpaths.algebra import KERNEL, Poly, RatFn, V
 from deutschpaths.formulas import formula
 from deutschpaths.matrices import (
+    QvMatrix,
     SingularMatrix,
     _bareiss,
     _in_v,
@@ -182,6 +183,66 @@ class TestCramer:
     def test_empty_battery_refused(self):
         with pytest.raises(ValueError):
             verify_cramer(-1)
+
+
+def det_by_minors(rows) -> Fraction:
+    """Determinant by expansion over column subsets, O(n 2^n): a reference
+    that shares nothing with Gaussian elimination."""
+    n = len(rows)
+    acc = {0: Fraction(1)}
+    for i in range(n):
+        nxt = {}
+        for used, d in acc.items():
+            for j in range(n):
+                if not used >> j & 1 and rows[i][j]:
+                    sign = -1 if bin(used >> j).count("1") % 2 else 1
+                    key = used | 1 << j
+                    nxt[key] = nxt.get(key, 0) + sign * d * rows[i][j]
+        acc = nxt
+    return acc.get((1 << n) - 1, Fraction(0))
+
+
+class TestEliminationMemo:
+    """_eliminate computes each distinct update e - f*p once per call."""
+
+    @staticmethod
+    def check_at_random_points(m: QvMatrix, seed: int):
+        det = determinant(m)
+        rng = random.Random(seed)
+        for _ in range(3):
+            v0 = Fraction(rng.randint(2, 40), rng.randint(1, 40)) * rng.choice((1, -1))
+            if v0 == 1:
+                continue
+            assert det(v0) == det_by_minors([[e(v0) for e in row] for row in m.rows])
+
+    def test_shared_entries_with_different_factors(self):
+        a, b, c = Z, RatFn(1 + V), RatFn(Poly((1,)), 1 - V)
+        # rows 1 and 2 agree right of column 0 but have different factors b and
+        # c there, so the same (entry, pivot-row entry) pair meets two factors
+        m = QvMatrix(
+            (
+                (ONE, a, a, a),
+                (b, c, a, b),
+                (c, c, a, b),
+                (a, b, c, ONE),
+            )
+        )
+        assert determinant(m)
+        self.check_at_random_points(m, 1)
+
+    def test_matrix_without_repeated_entries(self):
+        rng = random.Random(2)
+        pairs = rng.sample([(x, y) for x in range(-9, 10) for y in range(1, 10)], 100)
+        m = QvMatrix(tuple(tuple(RatFn(Poly(p)) for p in pairs[10 * i : 10 * i + 10]) for i in range(10)))
+        self.check_at_random_points(m, 3)
+
+    def test_strip_system_matches_minors(self):
+        rng = random.Random(4)
+        for n, transposed in ((6, False), (7, True)):
+            v0 = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            z0 = v0 / (1 + v0 + v0 * v0)
+            rows = _strip_rows(n, transposed, Fraction(1), Fraction(0), z0)
+            assert determinant_at(n, v0, transposed) == det_by_minors(rows)
 
 
 class TestDeterminantInZ:
