@@ -17,6 +17,7 @@ Hashed, in this order:
 - ``determinant(build_matrix(n, t))`` and ``cramer_solve(n, t)`` for
   n <= ``MAX_CRAMER``, and every entry of ``L @ U`` from
   ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True;
+- the closed form ``det_closed_form(n)`` for n <= ``MAX_LU``;
 - ``to_dict()`` of every ``verify`` battery at its default size, and of
   ``run_selftest()``, as sorted-key JSON.
 """
@@ -29,7 +30,13 @@ import json
 from deutschpaths import cli
 from deutschpaths.algebra import RatFn
 from deutschpaths.formulas import CATALOG, FormulaId, formula
-from deutschpaths.matrices import build_matrix, cramer_solve, determinant, lu_formulas
+from deutschpaths.matrices import (
+    build_matrix,
+    cramer_solve,
+    det_closed_form,
+    determinant,
+    lu_formulas,
+)
 from deutschpaths.selftest import run_selftest
 
 MAX_H = 20
@@ -76,6 +83,8 @@ def items():
             for i, row in enumerate((L @ U).rows):
                 for j, e in enumerate(row):
                     yield f"LU({n},{t})[{i},{j}]", _canonical(e)
+    for n in range(1, MAX_LU + 1):
+        yield f"D({n})", _canonical(det_closed_form(n))
     for target, (battery, default, *_) in cli._BATTERIES.items():
         yield f"verify {target}", json.dumps(battery(default).to_dict(), sort_keys=True)
     yield "selftest", json.dumps(run_selftest().to_dict(), sort_keys=True)

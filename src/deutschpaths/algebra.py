@@ -50,19 +50,21 @@ once into a positive rational content and a primitive integer part (integer
 coefficients with gcd 1); ``poly_gcd`` takes the gcd of the primitive parts
 by the heuristic GCDHEU (Char, Geddes and Gonnet, 1989): one integer gcd of
 their values at a large integer point, read back in that base and accepted
-only when it divides both exactly.  When no point gives a proof it falls back
-to the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
-Both parts are divided by the gcd exactly over the integers (Gauss's
-lemma), and one rational scale, content(num) / (content(den) *
-lead(den / gcd)), is applied at the end.  ``Poly.exact_div`` is the same
-integer division times the ratio of the contents.
+only when it divides both exactly.  The quotients of that proof are the
+cofactors, which ``poly_gcd(a, b, cofactors=True)`` hands back with the gcd;
+when no point gives a proof, the primitive pseudo-remainder sequence (Knuth,
+TAOCP vol. 2, 4.6.1) finds the gcd and divides once each.  One rational
+scale, content(num) / (content(den) * lead(den / gcd)), is applied at the end.
 
 The public constructor ``RatFn(num, den)`` runs that whole reduction.  The
 operators keep canonical operands canonical with smaller gcds, by Henrici's
-method (Knuth, TAOCP vol. 2, 4.5.1): a*c/(b*d) cancels gcd(a, d) and
-gcd(c, b); a/b + c/d with g = gcd(b, d) needs no further gcd when g = 1 and
-otherwise only the gcd of the new numerator with g; a zero, constant or
-polynomial operand, a negation and a power need no gcd at all.
+method (Knuth, TAOCP vol. 2, 4.5.1), and divide only through the cofactors:
+a*c/(b*d) cancels gcd(a, d) and gcd(c, b); a/b + c/d with g = gcd(b, d)
+needs no further gcd when g = 1 and otherwise only the gcd of the new
+numerator with g; a zero, constant or polynomial operand, a negation and a
+power need no gcd at all.  Every closed form of the package is
+sign * v^a * prod Phi_d^e_d over cyclotomic polynomials Phi_d, and
+``cyclotomic_product`` builds it from that exponent map already reduced.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ import numbers
 import os
 import threading
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 
@@ -185,15 +188,16 @@ def _gcd_prs(a: list[int], b: list[int]) -> list[int]:
     return [1] if b else a
 
 
-def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
-    """gcd of two nonzero primitive integer polynomials, up to sign, by
-    GCDHEU (Char, Geddes and Gonnet, 1989); None when no point proves one.
+def _gcd_heuristic(a: list[int], b: list[int]) -> tuple[list[int], ...] | None:
+    """(g, a/g, b/g), g the gcd of two nonzero primitive integer polynomials
+    up to sign, by GCDHEU (Char, Geddes and Gonnet, 1989); None when no
+    point proves one.
 
     Both are evaluated at an integer xi > 2*min(|a|, |b|) + 2 (max norms),
     one integer gcd is taken, and its symmetric xi-adic digits are read
     back as a polynomial.  By the method's theorem, the primitive part of
-    that polynomial is the gcd as soon as it divides a and b exactly; each
-    failed proof retries at a larger xi.
+    that polynomial is the gcd as soon as it divides a and b exactly, the
+    two quotients being the cofactors; else it retries at a larger xi.
     """
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 3
     for _ in range(6):
@@ -208,9 +212,7 @@ def _gcd_heuristic(a: list[int], b: list[int]) -> list[int] | None:
         k = math.gcd(*g)
         g = [c // k for c in g]
         try:
-            _exact_quo(a, g)
-            _exact_quo(b, g)
-            return g
+            return g, _exact_quo(a, g), _exact_quo(b, g)
         except ValueError:
             xi = xi * 73794 // 27011  # the method's growth factor, about 2.73
     return None
@@ -224,10 +226,15 @@ def _at(p: list[int], x: int) -> int:
     return acc
 
 
-def _gcd_primitive(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two nonzero primitive integer polynomials, up to sign:
-    GCDHEU first, the primitive pseudo-remainder sequence when it fails."""
-    return _gcd_heuristic(a, b) or _gcd_prs(a, b)
+def _gcd_primitive(a: list[int], b: list[int], cofactors: bool = False):
+    """gcd of two nonzero primitive integer polynomials, up to sign, or with
+    ``cofactors`` (g, a/g, b/g): GCDHEU first, the primitive PRS when it
+    fails, which then divides once each for the cofactors."""
+    found = _gcd_heuristic(a, b)
+    if found is None:
+        g = _gcd_prs(a, b)
+        found = (g, _exact_quo(a, g), _exact_quo(b, g)) if cofactors else (g,)
+    return found if cofactors else found[0]
 
 
 def _convolve(a, b, top: int) -> list:
@@ -334,11 +341,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, (int, Fraction, Poly)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -414,24 +417,12 @@ class Poly:
         return result
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
         terms = []
         for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(f"{c}")
-            else:
+            if c:
                 mono = "v" if k == 1 else f"v^{k}"
-                if c == 1:
-                    terms.append(mono)
-                elif c == -1:
-                    terms.append(f"-{mono}")
-                else:
-                    terms.append(f"{c}*{mono}")
-        out = " + ".join(terms)
-        return out.replace("+ -", "- ")
+                terms.append(f"{c}" if k == 0 else {1: mono, -1: f"-{mono}"}.get(c, f"{c}*{mono}"))
+        return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 #: The polynomial v.
@@ -443,13 +434,24 @@ KERNEL = Poly((1, 1, 1))
 _UNIT = Poly((1,))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
+def poly_gcd(a: Poly, b: Poly, *, cofactors: bool = False):
     """gcd over Q[v], normalized to primitive integer coefficients with the
     lowest-order nonzero coefficient positive (so gcd(1-v^4, 1-v^6) = 1-v^2).
 
     Computed with integers only, on the primitive parts of a and b: GCDHEU,
-    else a primitive pseudo-remainder sequence.  gcd(0, 0) is 0.
+    else a primitive pseudo-remainder sequence.  gcd(0, 0) is 0.  With
+    ``cofactors=True``, for nonzero a and b, it is (g, a/g, b/g) with g made
+    monic instead, the quotients those of GCDHEU's proof (the PRS divides).
     """
+    if cofactors:
+        if not (a and b):
+            raise ValueError("cofactors need two nonzero polynomials")
+        (gn, dn, p), (hn, hd, q) = _split(a.coeffs), _split(b.coeffs)
+        g, p, q = _gcd_primitive(p, q, cofactors=True)
+        if len(g) == 1:
+            return _UNIT, a, b
+        s = g[-1]  # the monic gcd is g/s
+        return Poly(_scaled(1, s, g)), Poly(_scaled(gn * s, dn, p)), Poly(_scaled(hn * s, hd, q))
     parts = [_split(p.coeffs)[2] for p in (a, b) if p]
     if not parts:
         return Poly()
@@ -459,25 +461,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(g)
 
 
-def _common_factor(a: Poly, b: Poly) -> Poly | None:
-    """poly_gcd(a, b) if it has positive degree, else None; no gcd is run
-    when either operand is a constant."""
-    if a.degree < 1 or b.degree < 1:
-        return None
-    g = poly_gcd(a, b)
-    return g if g.degree > 0 else None
-
-
-def _quo(p: Poly, g: Poly) -> Poly:
-    """p divided by the monic associate of g, a primitive integer factor of p."""
-    gn, dn, prim = _split(p.coeffs)
-    return Poly(_scaled(gn * g.coeffs[-1], dn, _exact_quo(prim, g.coeffs)))
-
-
-def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """a and b divided by the monic associate of their gcd."""
-    g = _common_factor(a, b)
-    return (a, b) if g is None else (_quo(a, g), _quo(b, g))
+def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) with g the monic gcd; no gcd is run for a constant."""
+    return (_UNIT, a, b) if a.degree < 1 or b.degree < 1 else poly_gcd(a, b, cofactors=True)
 
 
 class RatFn:
@@ -501,14 +487,11 @@ class RatFn:
         else:
             # num/den = (gn/dn)/(hn/hd) * p/q with p, q primitive integer
             # parts; divide both by their gcd, then make q monic
-            gn, dn, p = _split(num.coeffs)
-            hn, hd, q = _split(den.coeffs)
-            g = poly_gcd(Poly(p), Poly(q)).coeffs
-            if len(g) > 1:
-                p, q = _exact_quo(p, g), _exact_quo(q, g)
-            lead = q[-1]
-            num = Poly(_scaled(gn * hd, dn * hn * lead, p))
-            den = Poly(_scaled(1, lead, q))
+            (gn, dn, p), (hn, hd, q) = _split(num.coeffs), _split(den.coeffs)
+            _, p, q = _cancel(Poly(p), Poly(q))
+            lead = q.coeffs[-1]
+            num = Poly(_scaled(gn * hd, dn * hn * lead, p.coeffs))
+            den = Poly(_scaled(1, lead, q.coeffs))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -578,18 +561,13 @@ class RatFn:
             return self
         if not self.num:
             return o
-        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
-        g = _common_factor(b, d)
-        if g is not None:
-            # with b = b'*g and d = d'*g, a/b + c/d = (a*d' + c*b')/(b'*d'*g),
-            # and the numerator is prime to b' and d': only g can share a factor
-            b = _quo(b, g)
-            t = a * _quo(d, g) + c * b
-            h = _common_factor(t, g)
-            if h is not None:
-                t, d = _quo(t, h), _quo(d, h)
-        else:
-            t = a * d + c * b
+        # with b = b'*g and d = d'*g, a/b + c/d = (a*d' + c*b')/(b'*d'*g); the
+        # numerator t is prime to b' and d', so only gcd(t, g) is left to cancel
+        g, b, d = _cancel(self.den, o.den)
+        t = self.num * d + o.num * b
+        if g.degree > 0:
+            _, t, g = _cancel(t, g)
+            d = d * g
         return self._of(t, b * d) if t else self._of(t)
 
     __radd__ = __add__
@@ -611,8 +589,8 @@ class RatFn:
             return self._of(Poly())
         # a/b and c/d are reduced, so once gcd(a, d) and gcd(c, b) are
         # cancelled the product is too
-        a, d = _cancel(self.num, o.den)
-        c, b = _cancel(o.num, self.den)
+        _, a, d = _cancel(self.num, o.den)
+        _, c, b = _cancel(o.num, self.den)
         return self._of(a * c, b * d)
 
     __rmul__ = __mul__
@@ -650,6 +628,33 @@ class RatFn:
         if self.is_polynomial():
             return f"({self.num!r})"
         return f"({self.num!r}) / ({self.den!r})"
+
+
+@cache
+def _cyclotomic(d: int) -> Poly:
+    """Phi_d, built once per process: v^d - 1 over the Phi_k of its proper divisors k."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d // 2 + 1):
+        if d % k == 0:
+            p = _exact_quo(p, _cyclotomic(k).coeffs)
+    return Poly(p)
+
+
+def cyclotomic_product(sign: int, a: int, exponents) -> RatFn:
+    """sign * v^a * prod Phi_d^e over the pairs (d, e) of ``exponents``, d >= 1
+    (a d given twice adds its exponents), canonical without a gcd: the Phi_d
+    are monic, irreducible and prime to v, so the positive exponents give a
+    numerator prime to the monic denominator that the negative ones give."""
+    total: dict[int, int] = {}
+    for d, e in exponents:
+        total[d] = total.get(d, 0) + e
+    num, den = Poly.monomial(sign, a), _UNIT
+    for d, e in total.items():
+        if e > 0:
+            num = num * _cyclotomic(d) ** e
+        elif e < 0:
+            den = den * _cyclotomic(d) ** -e
+    return RatFn._of(num, den)
 
 
 class Series:
@@ -715,9 +720,7 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Series)):
-            return self + (-other if isinstance(other, Series) else -other)
-        return NotImplemented
+        return self + (-other) if isinstance(other, (int, Fraction, Series)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other

@@ -145,8 +145,8 @@ def _cmd_enumerate(args) -> dict:
 
 
 #: The largest "h" parameter (a height bound) of a formula that ``series``
-#: accepts: the degree-h gcds and products grow steeply with h, from about
-#: 0.1 s at h = 100 to over a second at h = 160.
+#: accepts: expanding a degree-h formula grows steeply with h, from about
+#: 0.01 s at h = 100 to 5 s at h = 1000; building it takes milliseconds.
 MAX_FORMULA_HEIGHT = 100
 
 
@@ -203,16 +203,16 @@ def _cmd_biject(args) -> dict:
 #: a 2-vCPU host (the slower of two runs).  Each most is the largest size that
 #: ran in about 5 s; for bijection it is also the enumeration bound.
 _BATTERIES = {
-    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 50, 4.8),
-    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 5.6),
-    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 5.0),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 40, 3.6),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 50, 3.3),
+    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 3.1),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 3.3),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 40, 3.2),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
-        30, 1, 280, 4.4,
+        30, 1, 280, 3.7,
     ),
-    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 4.2),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 300, 3.6),
+    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 2.6),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 300, 2.7),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 

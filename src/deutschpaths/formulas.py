@@ -1,7 +1,10 @@
 """Closed-form generating functions for Deutsch-path counting.
 
 Every formula is expressed in the substitution variable v (recall
-z = v/(1+v+v^2)).  ``CATALOG`` is the one table of formulas: each record
+z = v/(1+v+v^2)), each rational one as sign * v^a * prod Phi_d^e_d over
+cyclotomic polynomials (1+v+v^2 = Phi_3, 1+v = Phi_2, 1-v = -Phi_1 and
+1-v^k = -prod_{d | k} Phi_d), built already reduced by ``cyclotomic_product``
+with no gcd.  ``CATALOG`` is the one table of formulas: each record
 holds its parameter kinds ("h" a height bound, "i" an end level, "order" a
 series order), its constructor, and what its [z^n] counts, so the whole
 catalog can be checked against the brute-force and transfer-matrix oracles
@@ -28,12 +31,10 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .algebra import (
-    KERNEL,
-    Poly,
     RatFn,
     Series,
-    V,
     compose_with_v,
+    cyclotomic_product,
     expand_in_v,
     expand_in_z,
     trinomial,
@@ -46,13 +47,11 @@ class BadParams(QueryError):
     """Formula parameters outside their valid range."""
 
 
-ONE_PLUS_V = Poly((1, 1))
-
-
-def _one_minus_v_pow(k: int) -> Poly:
+def _binomial(k: int, e: int = 1) -> list[tuple[int, int]]:
+    """The pairs (d, e) for the divisors d of k: (1 - v^k)^e = (-1)^e * prod Phi_d^e."""
     if k < 1:
         raise BadParams(f"exponent must be positive, got {k}")
-    return 1 - Poly.monomial(1, k)
+    return [(d, e) for d in range(1, k + 1) if k % d == 0]
 
 
 # --- the catalog ------------------------------------------------------------
@@ -60,87 +59,81 @@ def _one_minus_v_pow(k: int) -> Poly:
 
 def motzkin_gf() -> RatFn:
     """Motzkin paths: M(v) = 1 + v + v^2 under z = v/(1+v+v^2)."""
-    return RatFn(KERNEL)
+    return cyclotomic_product(1, 0, [(3, 1)])
 
 
 def phi(h: int, i: int) -> RatFn:
-    """Deutsch paths of height <= h ending at level i."""
+    """Deutsch paths of height <= h ending at level i:
+    v^i (1+v+v^2) (1-v^(h-i+2)) / ((1+v)^(i+1) (1-v^(h+3)))."""
     if not 0 <= i <= h:
         raise BadParams(f"phi needs 0 <= i <= h, got h={h}, i={i}")
-    num = Poly.monomial(1, i) * KERNEL * _one_minus_v_pow(h - i + 2)
-    den = ONE_PLUS_V ** (i + 1) * _one_minus_v_pow(h + 3)
-    return RatFn(num, den)
+    exponents = [(3, 1), (2, -i - 1), *_binomial(h - i + 2), *_binomial(h + 3, -1)]
+    return cyclotomic_product(1, i, exponents)
 
 
 def phi0_bounded(h: int) -> RatFn:
-    """Closed Deutsch paths of height <= h."""
+    """Closed Deutsch paths of height <= h: phi(h, 0)."""
     if h < 0:
         raise BadParams(f"height bound must be nonnegative, got {h}")
-    return RatFn(KERNEL * _one_minus_v_pow(h + 2), ONE_PLUS_V * _one_minus_v_pow(h + 3))
+    return cyclotomic_product(1, 0, [(3, 1), (2, -1), *_binomial(h + 2), *_binomial(h + 3, -1)])
 
 
 def phi0_limit() -> RatFn:
-    """Closed Deutsch paths, no height bound."""
-    return RatFn(KERNEL, ONE_PLUS_V)
+    """Closed Deutsch paths, no height bound: (1+v+v^2)/(1+v)."""
+    return cyclotomic_product(1, 0, [(3, 1), (2, -1)])
 
 
 def closed_height_ge(h: int) -> RatFn:
-    """Closed Deutsch paths of height >= h (h >= 1)."""
+    """Closed Deutsch paths of height >= h (h >= 1):
+    v^(h+1) (1+v+v^2) (1-v) / ((1+v) (1-v^(h+2)))."""
     if h < 1:
         raise BadParams(f"closed_height_ge needs h >= 1, got {h}")
-    num = KERNEL * Poly.monomial(1, h + 1) * Poly((1, -1))
-    den = ONE_PLUS_V * _one_minus_v_pow(h + 2)
-    return RatFn(num, den)
+    return cyclotomic_product(1, h + 1, [(3, 1), (1, 1), (2, -1), *_binomial(h + 2, -1)])
 
 
 def open_sum(h: int) -> RatFn:
-    """Deutsch paths of height <= h, any end level (sum of phi(h, i))."""
+    """Deutsch paths of height <= h, any end level (sum of phi(h, i)):
+    (1+v+v^2) (1-v^(h+1)) / (1-v^(h+3))."""
     if h < 0:
         raise BadParams(f"height bound must be nonnegative, got {h}")
-    return RatFn(KERNEL * _one_minus_v_pow(h + 1), _one_minus_v_pow(h + 3))
+    return cyclotomic_product(1, 0, [(3, 1), *_binomial(h + 1), *_binomial(h + 3, -1)])
 
 
 def open_sum_limit() -> RatFn:
     """Deutsch paths with any end level, no bound: the Motzkin function."""
-    return RatFn(KERNEL)
+    return motzkin_gf()
 
 
 def psi0(h: int) -> RatFn:
     """Closed reversed Deutsch paths of height <= h (equals phi0_bounded)."""
-    if h < 0:
-        raise BadParams(f"height bound must be nonnegative, got {h}")
     return phi0_bounded(h)
 
 
 def psi(h: int, i: int) -> RatFn:
-    """Reversed Deutsch paths of height <= h ending at level i >= 1.
-
-    At i = 1 the factor (1+v)^(i-2) is a genuine rational function; RatFn
-    arithmetic needs no special case.
-    """
+    """Reversed Deutsch paths of height <= h ending at level i >= 1:
+    v (1+v+v^2) (1+v)^(i-2) (1-v^(h+1-i)) / (1-v^(h+3)), with 1/(1+v) at i = 1."""
     if not 1 <= i <= h:
         raise BadParams(f"psi needs 1 <= i <= h, got h={h}, i={i}")
-    base = RatFn(V * KERNEL * _one_minus_v_pow(h + 1 - i), _one_minus_v_pow(h + 3))
-    return base * RatFn(ONE_PLUS_V) ** (i - 2)
+    exponents = [(3, 1), (2, i - 2), *_binomial(h + 1 - i), *_binomial(h + 3, -1)]
+    return cyclotomic_product(1, 1, exponents)
 
 
 def reversed_sum(h: int) -> RatFn:
-    """Reversed Deutsch paths of height <= h, any end level."""
+    """Reversed Deutsch paths of height <= h, any end level:
+    (1+v+v^2) (1+v)^h (1-v) / (1-v^(h+3))."""
     if h < 0:
         raise BadParams(f"height bound must be nonnegative, got {h}")
-    return RatFn(KERNEL * ONE_PLUS_V**h * Poly((1, -1)), _one_minus_v_pow(h + 3))
+    return cyclotomic_product(1, 0, [(3, 1), (2, h), (1, 1), *_binomial(h + 3, -1)])
 
 
 def reversed_limit_formal() -> RatFn:
-    """Formal h -> infinity form of reversed_sum; not a counting series."""
-    return RatFn(KERNEL * Poly((1, -1)))
+    """Formal h -> infinity form of reversed_sum, (1+v+v^2)(1-v); not a counting series."""
+    return cyclotomic_product(-1, 0, [(3, 1), (1, 1)])
 
 
 def area_gf() -> RatFn:
     """Total area of closed Deutsch paths: A = v^2(1+v+v^2)^2 / ((1+v)^3 (1-v)^2)."""
-    num = Poly.monomial(1, 2) * KERNEL**2
-    den = ONE_PLUS_V**3 * Poly((1, -1)) ** 2
-    return RatFn(num, den)
+    return cyclotomic_product(1, 2, [(3, 2), (2, -3), (1, -2)])
 
 
 #: c[0..] of ``divisor_counts``: one sieve kept for the process, grown on demand.
@@ -169,6 +162,8 @@ def divisor_counts(m_max: int) -> list[int]:
 
 
 def _height_sum_series(order: int, prefactor: RatFn, shift: int) -> Series:
+    if order < 0:
+        raise BadParams(f"order must be nonnegative, got {order}")
     # Summing 1/(1-v^(h+2)) over h >= 1 leaves c[m+shift] at v^m (d = h+2 divides
     # m+shift); every such d is at most order+shift: exact through v^order.
     w = expand_in_v(prefactor, order) * Series(divisor_counts(order + shift)[shift:])
@@ -184,9 +179,7 @@ def height_sum_closed(order: int) -> Series:
     sum_m c_m v^m, with c_m the number of divisors d >= 3 of m+1 (d = h+2):
     the divisor-count form of de Bruijn, Knuth and Rice (1972).
     """
-    if order < 0:
-        raise BadParams(f"order must be nonnegative, got {order}")
-    return _height_sum_series(order, RatFn(KERNEL * Poly((1, -1)), ONE_PLUS_V), 1)
+    return _height_sum_series(order, cyclotomic_product(-1, 0, [(3, 1), (1, 1), (2, -1)]), 1)
 
 
 def height_sum_open(order: int) -> Series:
@@ -196,9 +189,7 @@ def height_sum_open(order: int) -> Series:
     sum over h >= 1 is (1+v+v^2)(1-v^2) times sum_m c_m v^m, with c_m the
     number of divisors d >= 3 of m+2.
     """
-    if order < 0:
-        raise BadParams(f"order must be nonnegative, got {order}")
-    return _height_sum_series(order, RatFn(KERNEL * Poly((1, 0, -1))), 2)
+    return _height_sum_series(order, cyclotomic_product(-1, 0, [(3, 1), (1, 1), (2, 1)]), 2)
 
 
 # --- the catalog table -------------------------------------------------------

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import KERNEL, Poly, RatFn, V
-from .formulas import ONE_PLUS_V, _one_minus_v_pow, phi, psi, psi0
+from .algebra import KERNEL, Poly, RatFn, V, cyclotomic_product
+from .formulas import _binomial, phi, psi, psi0
 from .reporting import VerificationReport
 
 
@@ -35,6 +35,8 @@ class SingularMatrix(ZeroDivisionError):
 
 #: z expressed in the substitution variable.
 Z_OF_V = RatFn(V, KERNEL)
+
+ONE_PLUS_V = Poly((1, 1))
 
 _ZERO = RatFn(Poly())
 _ONE = RatFn(Poly((1,)))
@@ -170,10 +172,10 @@ def determinant(m: QvMatrix) -> RatFn:
 
 
 def det_closed_form(n: int) -> RatFn:
-    """D_n = (1+v)^(n-1) / (1+v+v^2)^n * (1-v^(n+2))/(1-v)."""
+    """D_n = (1+v)^(n-1) / (1+v+v^2)^n * (1-v^(n+2))/(1-v), built reduced."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return RatFn(ONE_PLUS_V ** (n - 1) * Poly.geometric(n + 2), KERNEL**n)
+    return cyclotomic_product(1, 0, [(2, n - 1), (3, -n), *_binomial(n + 2), (1, -1)])
 
 
 def verify_determinant(n_max: int = 12) -> VerificationReport:
@@ -203,20 +205,22 @@ def verify_det_recursion(
     if n_max < 3:
         raise ValueError("need n_max >= 3 to exercise the recursion")
     report = VerificationReport("determinant three-term recursion")
-    for n in (1, 2):
+    d0, d1 = closed_form(1), closed_form(2)  # a window of D_n, D_(n+1), D_(n+2): each built once
+    for n, d in ((1, d0), (2, d1)):
         report.expect(
             "base case anchors elimination determinant", f"n={n}",
-            closed_form(n), determinant(build_matrix(n)), "closed form", "elimination",
+            d, determinant(build_matrix(n)), "closed form", "elimination",
         )
-    kern = RatFn(KERNEL)
-    wsq = RatFn(ONE_PLUS_V**2)
-    v = RatFn(V)
+    kern, wsq = RatFn(KERNEL), RatFn(ONE_PLUS_V**2)
+    kern2, kern_wsq, v_wsq = kern**2, kern * wsq, RatFn(V) * wsq
     for n in range(1, n_max - 1):
-        lhs = kern**2 * closed_form(n + 2) - kern * wsq * closed_form(n + 1) + v * wsq * closed_form(n)
+        d2 = closed_form(n + 2)
+        lhs = kern2 * d2 - kern_wsq * d1 + v_wsq * d0
         report.add(
             "recursion", f"n={n}", lhs.is_zero(),
             "" if lhs.is_zero() else f"residual {lhs!r}",
         )
+        d0, d1 = d1, d2
     return report.raise_if_failed()
 
 
@@ -352,9 +356,8 @@ def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
 
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
     """((1+v)/(1+v+v^2))^n * (1-v^(n+offset))/(1-v^2) for offset 1 or 2."""
-    return RatFn(
-        ONE_PLUS_V**n * _one_minus_v_pow(n + exponent_offset),
-        KERNEL**n * _one_minus_v_pow(2),
+    return cyclotomic_product(
+        1, 0, [(2, n), (3, -n), *_binomial(n + exponent_offset), *_binomial(2, -1)]
     )
 
 

@@ -7,6 +7,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from deutschpaths.algebra import (
     Series,
     coeff_of_z,
     compose_with_v,
+    cyclotomic_product,
     expand_in_v,
     expand_in_z,
     load_cache,
@@ -52,6 +54,7 @@ rational_polys = st.builds(
 )
 
 
+nonzero_rational_polys = rational_polys.filter(lambda p: not p.is_zero())
 int_polys = st.lists(st.integers(-60, 60), min_size=1, max_size=8).filter(any)
 ONE_PLUS_V = Poly((1, 1))
 
@@ -244,6 +247,27 @@ class TestGcd:
         assert len(proofs) > 1  # every point was tried, and refused
         assert [poly_gcd(a, b) for a, b in pairs] == want
 
+    @pytest.mark.parametrize("route", ["heuristic", "prs"])
+    @given(nonzero_rational_polys, nonzero_rational_polys, nonzero_rational_polys)
+    @example(Poly((1, 0, 0, 0, -1)), Poly((1, 0, 0, 0, 0, 0, -1)), Poly((1,)))
+    @example(Poly((Fraction(1, 2), -1, 3)), Poly((3, 6)), Poly((2, -4, 1)) * KERNEL)
+    @example(Poly((5,)), Poly((1, 1)), Poly((-2, 2)))  # a constant operand
+    @settings(max_examples=150, deadline=None)
+    def test_cofactors_multiply_back_and_are_coprime(self, route, a, b, c):
+        a, b = a * c, b * c
+        heuristic = (lambda a, b: None) if route == "prs" else algebra._gcd_heuristic
+        with mock.patch.object(algebra, "_gcd_heuristic", heuristic):
+            g, a1, b1 = poly_gcd(a, b, cofactors=True)
+        assert g * a1 == a and g * b1 == b
+        assert g.leading() == 1 and poly_gcd(a1, b1).degree == 0
+        plain = poly_gcd(a, b)
+        assert g == plain * Fraction(1, plain.leading())
+
+    def test_cofactors_refuse_a_zero_operand(self):
+        for a, b in ((Poly(), KERNEL), (KERNEL, Poly()), (Poly(), Poly())):
+            with pytest.raises(ValueError, match="nonzero"):
+                poly_gcd(a, b, cofactors=True)
+
     @given(small_polys, small_polys)
     @settings(max_examples=100, deadline=None)
     def test_gcd_divides_both(self, a, b):
@@ -252,6 +276,28 @@ class TestGcd:
             assert a.is_zero() and b.is_zero()
         else:
             assert (a % g).is_zero() and (b % g).is_zero()
+
+
+class TestCyclotomic:
+    def test_divisors_multiply_to_v_pow_minus_one(self):
+        for n in range(1, 61):
+            prod = Poly((1,))
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    prod = prod * algebra._cyclotomic(d)
+            assert prod == Poly.monomial(1, n) - 1
+            totient = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+            assert algebra._cyclotomic(n).degree == totient
+
+    def test_product_is_the_generic_reduction(self):
+        # -v^2 (1-v)^2 / ((1+v) (v^6-1)) = -v^2 Phi_1 / (Phi_2^2 Phi_3 Phi_6):
+        # the exponents of a d given more than once add up
+        f = cyclotomic_product(
+            -1, 2, [(1, 1), (1, 1), (2, -1), (3, 1), (3, -1), (1, -1), (2, -1), (3, -1), (6, -1)]
+        )
+        g = RatFn(-Poly.monomial(1, 2) * Poly((1, -1)) ** 2, ONE_PLUS_V * (Poly.monomial(1, 6) - 1))
+        assert typed_pair(f) == typed_pair(g)
+        assert typed_pair(cyclotomic_product(1, 0, [])) == typed_pair(RatFn(1))
 
 
 class TestRatFn:

@@ -108,6 +108,8 @@ def test_ratfn_products_count_in_the_traced_gcd(monkeypatch):
     want = RatFn(Poly((1,)), Poly((1, 1)))
     calls = []
     gcd = algebra.poly_gcd
-    monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    monkeypatch.setattr(
+        algebra, "poly_gcd", lambda a, b, **kw: calls.append((a, b)) or gcd(a, b, **kw)
+    )
     assert f * g == want
     assert len(calls) == 2  # gcd(num f, den g) and gcd(num g, den f)

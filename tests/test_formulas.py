@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deutschpaths import formulas
+from deutschpaths import algebra, formulas
 from deutschpaths.algebra import (
     KERNEL,
+    V,
     Poly,
     RatFn,
     compose_with_v,
@@ -300,6 +301,81 @@ def sieve_loop(m_max: int) -> list[int]:
         for m in range(d, m_max + 1, d):
             c[m] += 1
     return c
+
+
+ONE_PLUS_V, ONE_MINUS_V = Poly((1, 1)), Poly((1, -1))
+
+
+def one_minus_v_pow(k: int) -> Poly:
+    return 1 - Poly.monomial(1, k)
+
+
+def psi_generic(h: int, i: int) -> tuple[Poly, Poly]:
+    num = V * KERNEL * one_minus_v_pow(h + 1 - i) * ONE_PLUS_V ** max(i - 2, 0)
+    return num, one_minus_v_pow(h + 3) * ONE_PLUS_V ** max(2 - i, 0)
+
+
+#: (num, den) of each rational catalog formula as products of polynomials,
+#: for the generic reduction RatFn(num, den): the route the catalog took
+#: before it was built from cyclotomic exponent maps, kept as the oracle.
+GENERIC = {
+    "motzkin_M": lambda: (KERNEL, 1),
+    "phi": lambda h, i: (
+        Poly.monomial(1, i) * KERNEL * one_minus_v_pow(h - i + 2),
+        ONE_PLUS_V ** (i + 1) * one_minus_v_pow(h + 3),
+    ),
+    "phi0_bounded": lambda h: (KERNEL * one_minus_v_pow(h + 2), ONE_PLUS_V * one_minus_v_pow(h + 3)),
+    "phi0_limit": lambda: (KERNEL, ONE_PLUS_V),
+    "closed_height_ge": lambda h: (
+        KERNEL * Poly.monomial(1, h + 1) * ONE_MINUS_V, ONE_PLUS_V * one_minus_v_pow(h + 2)
+    ),
+    "open_sum": lambda h: (KERNEL * one_minus_v_pow(h + 1), one_minus_v_pow(h + 3)),
+    "open_sum_limit": lambda: (KERNEL, 1),
+    "psi0": lambda h: (KERNEL * one_minus_v_pow(h + 2), ONE_PLUS_V * one_minus_v_pow(h + 3)),
+    "psi": psi_generic,
+    "reversed_sum": lambda h: (KERNEL * ONE_PLUS_V**h * ONE_MINUS_V, one_minus_v_pow(h + 3)),
+    "reversed_limit_formal": lambda: (KERNEL * ONE_MINUS_V, 1),
+    "area_A": lambda: (Poly.monomial(1, 2) * KERNEL**2, ONE_PLUS_V**3 * ONE_MINUS_V**2),
+}
+
+
+def typed(p: Poly) -> list:
+    return [(type(c), c) for c in p.coeffs]
+
+
+def assert_reduced_route(fid: FormulaId) -> None:
+    built, generic = formula(fid), RatFn(*GENERIC[fid.name](*fid.args))
+    assert (typed(built.num), typed(built.den)) == (typed(generic.num), typed(generic.den)), fid
+
+
+class TestReducedConstruction:
+    def test_every_catalog_id_through_h30(self):
+        ids = [fid for fid in combinatorial_ids(30, 0) if fid.name in GENERIC]
+        ids.append(FormulaId("reversed_limit_formal"))
+        assert {fid.name for fid in ids} == set(GENERIC) and len(ids) > 1000
+        for fid in ids:
+            assert_reduced_route(fid)
+
+    @pytest.mark.parametrize("h", [50, 75, 100])
+    def test_large_heights(self, h):
+        for name, args in (("phi", (h, 0)), ("phi", (h, h)), ("psi", (h, h)),
+                           ("open_sum", (h,)), ("reversed_sum", (h,))):
+            assert_reduced_route(FormulaId(name, args))
+
+    def test_height_sum_prefactors(self):
+        closed = RatFn(KERNEL * ONE_MINUS_V, ONE_PLUS_V)
+        open_ = RatFn(KERNEL * Poly((1, 0, -1)))
+        assert height_sum_closed(40) == formulas._height_sum_series(40, closed, 1)
+        assert height_sum_open(40) == formulas._height_sum_series(40, open_, 2)
+
+    def test_construction_runs_no_gcd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a catalog formula ran a gcd")
+
+        monkeypatch.setattr(algebra, "poly_gcd", refuse)
+        for fid in combinatorial_ids(12, 20):
+            formula(fid)
+        formula("reversed_limit_formal")
 
 
 class TestDivisorCounts:

@@ -36,6 +36,10 @@ ONE = RatFn(Poly((1,)))
 ZERO = RatFn(Poly((0,)))
 
 
+def typed(p: Poly) -> list:
+    return [(type(c), c) for c in p.coeffs]
+
+
 class TestBuild:
     def test_entry_pattern(self):
         m = build_matrix(4)
@@ -311,6 +315,24 @@ class TestLU:
     def test_empty_battery_refused(self):
         with pytest.raises(ValueError):
             verify_lu(0)
+
+
+class TestReducedDeterminant:
+    # D_n and the product candidates are built from cyclotomic exponent maps;
+    # the generic reduction RatFn(num, den) is the oracle
+    def test_closed_form_matches_the_generic_reduction(self):
+        for n in range(1, 61):
+            got = det_closed_form(n)
+            want = RatFn(Poly((1, 1)) ** (n - 1) * Poly.geometric(n + 2), KERNEL**n)
+            assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den)), n
+
+    def test_product_candidates_match_the_generic_reduction(self):
+        for n in range(1, 31):
+            for offset in (1, 2):
+                got = det_product_candidate(n, offset)
+                num = Poly((1, 1)) ** n * (1 - Poly.monomial(1, n + offset))
+                want = RatFn(num, KERNEL**n * Poly((1, 0, -1)))
+                assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den))
 
 
 class TestProductExponent:
