@@ -2,7 +2,8 @@
 """Print one SHA-256 over the canonical forms and the verification reports.
 
 A change to the algebra kernel that keeps every canonical form keeps this
-value, and so does a change to the batteries that keeps every report.  Run it on both sides of the change and compare:
+value, and so does a change to the batteries that keeps every report.  Run it
+on both sides of the change and compare:
 
     PYTHONPATH=src python scripts/canonical_hash.py
 
@@ -18,8 +19,9 @@ Hashed, in this order:
   n <= ``MAX_CRAMER``, and every entry of ``L @ U`` from
   ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True;
 - the closed form ``det_closed_form(n)`` for n <= ``MAX_LU``;
-- ``to_dict()`` of every ``verify`` battery at its default size, and of
-  ``run_selftest()``, as sorted-key JSON.
+- ``to_dict()`` of every ``verify`` battery at its default size, of the
+  ``det`` and ``lu`` batteries at ``MAX_VERIFY``, and of ``run_selftest()``,
+  as sorted-key JSON.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from deutschpaths.selftest import run_selftest
 MAX_H = 20
 MAX_CRAMER = 8
 MAX_LU = 10
+MAX_VERIFY = 30
 
 
 def _typed(coeffs) -> str:
@@ -87,6 +90,9 @@ def items():
         yield f"D({n})", _canonical(det_closed_form(n))
     for target, (battery, default, *_) in cli._BATTERIES.items():
         yield f"verify {target}", json.dumps(battery(default).to_dict(), sort_keys=True)
+    for target in ("det", "lu"):
+        report = cli._BATTERIES[target][0](MAX_VERIFY)
+        yield f"verify {target} {MAX_VERIFY}", json.dumps(report.to_dict(), sort_keys=True)
     yield "selftest", json.dumps(run_selftest().to_dict(), sort_keys=True)
 
 

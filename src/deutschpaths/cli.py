@@ -203,10 +203,10 @@ def _cmd_biject(args) -> dict:
 #: a 2-vCPU host (the slower of two runs).  Each most is the largest size that
 #: ran in about 5 s; for bijection it is also the enumeration bound.
 _BATTERIES = {
-    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 50, 3.3),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 90, 4.0),
     "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 3.1),
     "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 3.3),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 40, 3.2),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 100, 4.2),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
         30, 1, 280, 3.7,

@@ -6,21 +6,23 @@ right of the diagonal (a down-step of any size enters from above, an
 up-step from directly below); the reversed family transposes it.  All
 entries are exact rational functions in v via z = v/(1+v+v^2).
 
-This module builds both matrices, computes determinants by Gaussian
-elimination over the rational-function field, and verifies the closed
-forms: the determinant D_n, its three-term recursion, the Cramer
-solutions (which must reproduce the phi/psi formula catalog), and the
-entrywise LU factorizations.  The Cramer solutions take a second,
-independent route: the system's entries are 1, -z and 0, so its
-determinants are integer polynomials in z, computed by fraction-free
-(Bareiss) elimination with exact divisions and mapped to v once each.
-The product of U's diagonal retells the determinant; the adjudication
-helper pins down the one exponent in that product identity that the
-closed forms force.
+This module builds both matrices and verifies the closed forms: the
+determinant D_n, its three-term recursion, the Cramer solutions (which
+must reproduce the phi/psi formula catalog), and the entrywise LU
+factorizations.  Entries depend on (i, j) alone, so A_n and its LU factors
+are leading blocks of those at the largest n: the determinant and LU
+batteries eliminate and multiply once, and read each n from a block.  The
+Cramer solutions take a second, independent route: the entries are 1, -z
+and 0, so the determinants are integer polynomials in z, computed by
+fraction-free (Bareiss) elimination and mapped to v once each.  The
+product of U's diagonal retells the determinant; the adjudication helper
+pins down the one exponent in that product identity that the closed
+forms force.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable
 
@@ -82,17 +84,9 @@ class QvMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         cols = other.transpose().rows
-        products = {}  # (a, b) -> a * b, over this product's nonzero terms
-
-        def term(a: RatFn, b: RatFn) -> RatFn:
-            p = products.get((a, b))
-            if p is None:
-                p = products[a, b] = a * b
-            return p
-
         return QvMatrix(
             tuple(
-                tuple(sum((term(a, b) for a, b in zip(row, col) if a and b), _ZERO) for col in cols)
+                tuple(sum((a * b for a, b in zip(row, col) if a and b), _ZERO) for col in cols)
                 for row in self.rows
             )
         )
@@ -131,21 +125,20 @@ def build_matrix(n: int, transposed: bool = False) -> QvMatrix:
     return QvMatrix(_strip_rows(n, transposed, _ONE, _ZERO, Z_OF_V))
 
 
-def _eliminate(rows: list[list], one):
-    """Determinant by Gaussian elimination with row swaps, over any field
-    whose zero is falsy (RatFn or Fraction); ``rows`` is consumed.
-
-    The strip rows are constant right of the diagonal, so many updates
-    e - f*p repeat: each distinct (e, f, p) is computed once per call.
-    An entry whose pivot-row entry p is zero is left as it is.
-    """
+def _eliminate(rows: list[list], one) -> tuple:
+    """The determinant and the leading minors, by Gaussian elimination with
+    row swaps over any field whose zero is falsy (RatFn or Fraction);
+    ``rows`` is consumed.  Adding multiples of a row to later rows keeps
+    every leading minor, so each is a running product of pivots, up to the
+    first zero diagonal entry: that minor is 0, and the list stops there."""
     n = len(rows)
-    det = one
-    updates = {}  # (e, f, p) -> e - f*p
+    det, minors = one, [one]  # det of the leading k x k block, k = 0, 1, ...
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if minors[-1]:  # no zero diagonal entry, so no row swap, yet
+            minors.append(det * rows[col][col])
         if pivot_row is None:
-            return one - one
+            return one - one, minors[1:]
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             det = -det
@@ -156,19 +149,14 @@ def _eliminate(rows: list[list], one):
             f = row[col] / pivot
             if f:
                 for k in range(col, n):
-                    p = top[k]
-                    if p:
-                        key = (row[k], f, p)
-                        e = updates.get(key)
-                        if e is None:
-                            e = updates[key] = row[k] - f * p
-                        row[k] = e
-    return det
+                    if top[k]:
+                        row[k] = row[k] - f * top[k]
+    return det, minors[1:]
 
 
 def determinant(m: QvMatrix) -> RatFn:
     """Exact determinant by Gaussian elimination with row swaps."""
-    return _eliminate([list(r) for r in m.rows], _ONE)
+    return _eliminate([list(r) for r in m.rows], _ONE)[0]
 
 
 def det_closed_form(n: int) -> RatFn:
@@ -179,15 +167,25 @@ def det_closed_form(n: int) -> RatFn:
 
 
 def verify_determinant(n_max: int = 12) -> VerificationReport:
-    """Elimination determinant equals D_n, and transposition preserves it."""
+    """Elimination determinant equals D_n, and transposition preserves it.
+
+    A_n is the leading block of A_(n_max), so one elimination per
+    orientation gives each det(A_n) as a leading minor: none vanishes, as
+    A_n = I - z*N_n has determinant 1 mod z.  A size past a zero one fails.
+    """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     report = VerificationReport("determinant closed form")
+    strips = (_strip_rows(n_max, t, _ONE, _ZERO, Z_OF_V) for t in (False, True))
+    minors = [_eliminate(rows, _ONE)[1] for rows in strips]
     for n in range(1, n_max + 1):
         want = det_closed_form(n)
         for name, transposed in (("det(A_n) = D_n", False), ("det(A_n^T) = D_n", True)):
-            got = determinant(build_matrix(n, transposed))
-            report.expect(name, f"n={n}", got, want, "elimination", "closed form")
+            got = minors[transposed]
+            if n <= len(got):
+                report.expect(name, f"n={n}", got[n - 1], want, "elimination", "closed form")
+            else:
+                report.add(name, f"n={n}", False, f"leading minor of order {len(got)} vanished")
     return report.raise_if_failed()
 
 
@@ -319,39 +317,23 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
             RatFn(-V * ONE_PLUS_V * Poly.geometric(i), KERNEL * Poly.geometric(i + 1))
             for i in range(1, n)
         ]
-
-        def ell(i: int, j: int) -> RatFn:
-            return below[j] if j == i - 1 else _ZERO
-
-        def yoo(i: int, j: int) -> RatFn:
-            return right[i] if j > i else _ZERO
-
+        L = [[below[j] if j == i - 1 else _ZERO for j in range(n)] for i in range(n)]
+        U = [[right[i] if j > i else _ZERO for j in range(n)] for i in range(n)]
     else:
         # below[j-1] = L_ij for every i > j; U_i,(i+1) is one value
         below = [RatFn(-V * Poly.geometric(j), Poly.geometric(j + 2)) for j in range(1, n)]
         above = RatFn(-V, KERNEL)
-
-        def ell(i: int, j: int) -> RatFn:
-            return below[j] if j < i else _ZERO
-
-        def yoo(i: int, j: int) -> RatFn:
-            return above if j == i + 1 else _ZERO
-
-    L = QvMatrix(tuple(tuple(_ONE if i == j else ell(i, j) for j in range(n)) for i in range(n)))
-    U = QvMatrix(tuple(tuple(diag[i] if i == j else yoo(i, j) for j in range(n)) for i in range(n)))
-    return L, U
-
-
-def _diagonal_product(U: QvMatrix) -> RatFn:
-    prod = _ONE
-    for i in range(U.dim):
-        prod = prod * U.entry(i, i)
-    return prod
+        L = [[below[j] if j < i else _ZERO for j in range(n)] for i in range(n)]
+        U = [[above if j == i + 1 else _ZERO for j in range(n)] for i in range(n)]
+    for i in range(n):
+        L[i][i], U[i][i] = _ONE, diag[i]
+    return QvMatrix(L), QvMatrix(U)
 
 
 def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
     """The telescoping product U_11 * ... * U_nn."""
-    return _diagonal_product(lu_formulas(n, transposed)[1])
+    U = lu_formulas(n, transposed)[1]
+    return math.prod((U.entry(i, i) for i in range(n)), start=_ONE)
 
 
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
@@ -362,37 +344,43 @@ def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
 
 
 def verify_lu(n_max: int = 12) -> VerificationReport:
-    """L*U = A entrywise for both variants, plus the diagonal-product identity."""
+    """L*U = A entrywise for both variants, plus the diagonal-product identity.
+
+    A, L and U are built once at n_max, and each n reads their leading
+    blocks: the entries are index formulas.  With L lower triangular, the
+    leading block of L*U is L_n*U_n, so one product serves every n; the
+    shape rows check L zero above its diagonal as well as U zero below.
+    """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     report = VerificationReport("LU factorization")
+    dets = [det_closed_form(n) for n in range(1, n_max + 1)]
     for transposed in (False, True):
         label = "transposed" if transposed else "untransposed"
+        A = build_matrix(n_max, transposed)
+        L, U = lu_formulas(n_max, transposed)
+        prod = L @ U
+        cells = [(i, j, max(i, j) + 1) for i in range(n_max) for j in range(n_max)]  # row-major
+        # a bad entry fails the rows of every block holding it, of size m and larger;
+        # misplaced: L not 1 on its diagonal or nonzero above it, U nonzero below
+        misplaced = min(
+            (m for i, j, m in cells
+             if (L.entry(i, i) != _ONE if i == j else (L if i < j else U).entry(i, j))),
+            default=n_max + 1,
+        )
+        mismatches = [
+            (m, f"entry ({i+1},{j+1}): LU gives {prod.entry(i, j)!r}, matrix has {A.entry(i, j)!r}")
+            for i, j, m in cells if prod.entry(i, j) != A.entry(i, j)
+        ]
+        diagonal = _ONE
         for n in range(1, n_max + 1):
-            A = build_matrix(n, transposed)
-            L, U = lu_formulas(n, transposed)
-            shape_ok = all(
-                L.entry(i, i) == _ONE and U.entry(i, j).is_zero()
-                for i in range(n)
-                for j in range(i)
-            )
-            report.add(f"{label} L unit-lower / U upper", f"n={n}", shape_ok)
-            prod = L @ U
-            witness = ""
-            for i in range(n):
-                for j in range(n):
-                    if prod.entry(i, j) != A.entry(i, j):
-                        witness = (
-                            f"entry ({i+1},{j+1}): LU gives {prod.entry(i, j)!r}, "
-                            f"matrix has {A.entry(i, j)!r}"
-                        )
-                        break
-                if witness:
-                    break
+            report.add(f"{label} L unit-lower / U upper", f"n={n}", n < misplaced)
+            witness = next((w for m, w in mismatches if m <= n), "")
             report.add(f"{label} L*U = A", f"n={n}", not witness, witness)
+            diagonal = diagonal * U.entry(n - 1, n - 1)
             report.expect(
                 f"{label} prod U_ii = D_n", f"n={n}",
-                _diagonal_product(U), det_closed_form(n), "product", "determinant",
+                diagonal, dets[n - 1], "product", "determinant",
             )
     return report.raise_if_failed()
 
@@ -429,11 +417,7 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
 
 
 def determinant_at(n: int, v0: Fraction, transposed: bool = False) -> Fraction:
-    """Determinant evaluated numerically at v = v0 by Fraction elimination.
-
-    The same elimination as ``determinant``, over the rationals instead of
-    RatFn: the tests' numeric spot check of the symbolic results at random
-    rational points.
-    """
+    """Determinant at v = v0: the elimination of ``determinant`` over the
+    rationals, the tests' numeric spot check of the symbolic results."""
     z0 = Fraction(v0) / (1 + v0 + v0 * v0)
-    return _eliminate(_strip_rows(n, transposed, Fraction(1), Fraction(0), z0), Fraction(1))
+    return _eliminate(_strip_rows(n, transposed, Fraction(1), Fraction(0), z0), Fraction(1))[0]

@@ -310,9 +310,11 @@ def _height_cap(query: PathFamilyQuery) -> int:
         # up-steps of any size: only the descent to end_level caps the climb
         caps.append(query.end_level + query.n * down)
     if not caps:
-        raise InfiniteFamily(
+        exc = InfiniteFamily(
             f"open {query.family} paths without a height bound form an infinite set"
         )
+        exc.hint = "pass --end-level or --max-height to bound the height"
+        raise exc
     cap = min(caps)
     cells = (query.n + 1) * (cap + 1)
     if cells > DEFAULT_CELL_BOUND:

@@ -555,6 +555,16 @@ class TestErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("subcommand", ["count", "enumerate"])
+    def test_unbounded_reversed_query_names_the_bounding_flags(self, subcommand, capsys):
+        # neither --end-level nor --max-height: the family is infinite
+        assert run([subcommand, "--family", "reversed", "--n", "5"]) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: open reversed paths without a height bound form an infinite set",
+            "hint: pass --end-level or --max-height to bound the height",
+        ]
+
     def test_json_csv_mutually_exclusive(self):
         with pytest.raises(SystemExit) as exc:
             run(["count", "--family", "deutsch", "--n", "3", "--json", "--csv"])

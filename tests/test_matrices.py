@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import pytest
 
+import deutschpaths.matrices as mat
 from deutschpaths.algebra import KERNEL, Poly, RatFn, V
 from deutschpaths.formulas import formula
 from deutschpaths.matrices import (
     QvMatrix,
     SingularMatrix,
     _bareiss,
+    _eliminate,
     _in_v,
     _strip_rows,
     adjudicate_det_product,
@@ -29,7 +31,7 @@ from deutschpaths.matrices import (
     verify_determinant,
     verify_lu,
 )
-from deutschpaths.reporting import MismatchFound
+from deutschpaths.reporting import MismatchFound, VerificationReport
 
 Z = RatFn(V, KERNEL)
 ONE = RatFn(Poly((1,)))
@@ -206,18 +208,23 @@ def det_by_minors(rows) -> Fraction:
     return acc.get((1 << n) - 1, Fraction(0))
 
 
-class TestEliminationMemo:
-    """_eliminate computes each distinct update e - f*p once per call."""
+class TestEliminationAgainstMinors:
+    """_eliminate against expansion by minors, at random rational points."""
 
     @staticmethod
     def check_at_random_points(m: QvMatrix, seed: int):
         det = determinant(m)
+        _, minors = _eliminate([list(r) for r in m.rows], ONE)
+        assert len(minors) == m.dim  # no leading minor of these matrices vanishes
         rng = random.Random(seed)
         for _ in range(3):
             v0 = Fraction(rng.randint(2, 40), rng.randint(1, 40)) * rng.choice((1, -1))
             if v0 == 1:
                 continue
-            assert det(v0) == det_by_minors([[e(v0) for e in row] for row in m.rows])
+            rows = [[e(v0) for e in row] for row in m.rows]
+            assert det(v0) == det_by_minors(rows)
+            for k, minor in enumerate(minors, 1):
+                assert minor(v0) == det_by_minors([r[:k] for r in rows[:k]]), k
 
     def test_shared_entries_with_different_factors(self):
         a, b, c = Z, RatFn(1 + V), RatFn(Poly((1,)), 1 - V)
@@ -247,6 +254,15 @@ class TestEliminationMemo:
             z0 = v0 / (1 + v0 + v0 * v0)
             rows = _strip_rows(n, transposed, Fraction(1), Fraction(0), z0)
             assert determinant_at(n, v0, transposed) == det_by_minors(rows)
+            _, minors = _eliminate([list(r) for r in rows], Fraction(1))
+            assert minors == [det_by_minors([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+
+    def test_minors_stop_at_the_first_zero_diagonal_entry(self):
+        # the leading 1 x 1 minor is 0; the swap still finds the determinant
+        rows = [[Fraction(x) for x in r] for r in ((0, 1, 2), (1, 0, 0), (3, 1, 1))]
+        want = det_by_minors(rows)
+        assert _eliminate(rows, Fraction(1)) == (want, [Fraction(0)])
+        assert want == 1
 
 
 class TestDeterminantInZ:
@@ -315,6 +331,157 @@ class TestLU:
     def test_empty_battery_refused(self):
         with pytest.raises(ValueError):
             verify_lu(0)
+
+
+def per_size_determinant(n_max: int) -> VerificationReport:
+    """verify_determinant with one elimination per size: the oracle."""
+    report = VerificationReport("determinant closed form")
+    for n in range(1, n_max + 1):
+        want = mat.det_closed_form(n)
+        for name, transposed in (("det(A_n) = D_n", False), ("det(A_n^T) = D_n", True)):
+            got = mat.determinant(mat.build_matrix(n, transposed))
+            report.expect(name, f"n={n}", got, want, "elimination", "closed form")
+    return report
+
+
+def per_size_lu(n_max: int) -> VerificationReport:
+    """verify_lu with its factors, matrix and product built for each size:
+    the oracle."""
+    report = VerificationReport("LU factorization")
+    for transposed in (False, True):
+        label = "transposed" if transposed else "untransposed"
+        for n in range(1, n_max + 1):
+            A = mat.build_matrix(n, transposed)
+            L, U = mat.lu_formulas(n, transposed)
+            shape_ok = all(
+                L.entry(i, i) == ONE and U.entry(i, j).is_zero()
+                for i in range(n)
+                for j in range(i)
+            )
+            report.add(f"{label} L unit-lower / U upper", f"n={n}", shape_ok)
+            prod = L @ U
+            witness = ""
+            for i in range(n):
+                for j in range(n):
+                    if prod.entry(i, j) != A.entry(i, j):
+                        witness = (
+                            f"entry ({i+1},{j+1}): LU gives {prod.entry(i, j)!r}, "
+                            f"matrix has {A.entry(i, j)!r}"
+                        )
+                        break
+                if witness:
+                    break
+            report.add(f"{label} L*U = A", f"n={n}", not witness, witness)
+            diagonal = ONE
+            for i in range(n):
+                diagonal = diagonal * U.entry(i, i)
+            report.expect(
+                f"{label} prod U_ii = D_n", f"n={n}",
+                diagonal, mat.det_closed_form(n), "product", "determinant",
+            )
+    return report
+
+
+def report_of(battery, n_max: int) -> VerificationReport:
+    """The battery's report, passing or not."""
+    try:
+        return battery(n_max)
+    except MismatchFound as exc:
+        return exc.report
+
+
+def failing_sizes(report: VerificationReport, name_part: str = "") -> set[int]:
+    return {int(c.dimension[2:]) for c in report.failures if name_part in c.name}
+
+
+def replace_entry(m: QvMatrix, i: int, j: int, value: RatFn) -> QvMatrix:
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = value
+    return QvMatrix(rows)
+
+
+class TestLeadingBlocks:
+    """Each battery reads every size from the leading blocks of one system."""
+
+    @staticmethod
+    def block(m: QvMatrix, n: int) -> list:
+        return [list(r[:n]) for r in m.rows[:n]]
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_systems_and_factors_are_leading_blocks(self, transposed):
+        big = (build_matrix(30, transposed), *lu_formulas(30, transposed))
+        for n in range(1, 31):
+            small = (build_matrix(n, transposed), *lu_formulas(n, transposed))
+            for m, whole in zip(small, big):
+                assert [list(r) for r in m.rows] == self.block(whole, n), n
+
+    @pytest.mark.parametrize("n_max", range(1, 13))
+    def test_determinant_report_matches_the_per_size_oracle(self, n_max):
+        assert verify_determinant(n_max).to_dict() == per_size_determinant(n_max).to_dict()
+
+    @pytest.mark.parametrize("n_max", range(1, 13))
+    def test_lu_report_matches_the_per_size_oracle(self, n_max):
+        assert verify_lu(n_max).to_dict() == per_size_lu(n_max).to_dict()
+
+    @pytest.mark.parametrize("factor, k", [("L", 1), ("L", 4), ("U", 0), ("U", 4)])
+    def test_perturbed_factor_entry_fails_the_blocks_holding_it(self, monkeypatch, factor, k):
+        lu = mat.lu_formulas
+
+        def perturbed(n, transposed=False):
+            L, U = lu(n, transposed)
+            if n <= k:
+                return L, U
+            if factor == "L":  # nonzero below the diagonal in both variants
+                return replace_entry(L, k, k - 1, L.entry(k, k - 1) + RatFn(V)), U
+            return L, replace_entry(U, k, k, U.entry(k, k) + RatFn(V))
+
+        monkeypatch.setattr(mat, "lu_formulas", perturbed)
+        report = report_of(verify_lu, 7)
+        assert failing_sizes(report) == set(range(k + 1, 8))
+        assert failing_sizes(report, "shape") == set()
+        assert report.to_dict() == per_size_lu(7).to_dict()
+
+    @pytest.mark.parametrize("factor", ["L", "U"])
+    def test_factor_off_its_triangle_fails_the_shape_row(self, monkeypatch, factor):
+        # L nonzero above its diagonal, or U below it, at (2, 3) or (3, 2)
+        lu = mat.lu_formulas
+
+        def misplaced(n, transposed=False):
+            L, U = lu(n, transposed)
+            if n <= 3:
+                return L, U
+            if factor == "L":
+                return replace_entry(L, 2, 3, RatFn(V)), U
+            return L, replace_entry(U, 3, 2, RatFn(V))
+
+        monkeypatch.setattr(mat, "lu_formulas", misplaced)
+        report = report_of(verify_lu, 6)
+        for label in ("untransposed", "transposed"):
+            assert failing_sizes(report, f"{label} L unit-lower / U upper") == {4, 5, 6}
+
+    def test_vanishing_leading_minor_fails_from_its_size_on(self, monkeypatch):
+        # row 2 is zero in its first 3 columns, so the leading 3 x 3 minor is 0;
+        # the full system is not singular, and elimination reaches it by a row swap
+        strip_rows = mat._strip_rows
+
+        def rows_with_a_zero_minor(n, transposed, one, zero, z):
+            rows = strip_rows(n, transposed, one, zero, z)
+            if n >= 3:
+                rows[2][:3] = [zero] * 3
+            return rows
+
+        monkeypatch.setattr(mat, "_strip_rows", rows_with_a_zero_minor)
+        report = report_of(verify_determinant, 6)
+        assert failing_sizes(report) == {3, 4, 5, 6}
+        for c in report.failures:
+            if c.dimension != "n=3":
+                assert c.witness == "leading minor of order 3 vanished"
+        v0 = Fraction(2, 5)
+        for transposed in (False, True):
+            det = determinant(build_matrix(6, transposed))(v0)
+            want = det_by_minors([[e(v0) for e in r] for r in build_matrix(6, transposed).rows])
+            assert det == want == determinant_at(6, v0, transposed)
+            assert want
 
 
 class TestReducedDeterminant:
