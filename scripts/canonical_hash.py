@@ -20,8 +20,8 @@ Hashed, in this order:
   ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True;
 - the closed form ``det_closed_form(n)`` for n <= ``MAX_LU``;
 - ``to_dict()`` of every ``verify`` battery at its default size, of the
-  ``det`` and ``lu`` batteries at ``MAX_VERIFY``, and of ``run_selftest()``,
-  as sorted-key JSON.
+  ``det`` and ``lu`` batteries at ``MAX_VERIFY``, of the ``cramer`` battery
+  at ``MAX_VERIFY_CRAMER``, and of ``run_selftest()``, as sorted-key JSON.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ MAX_H = 20
 MAX_CRAMER = 8
 MAX_LU = 10
 MAX_VERIFY = 30
+#: the largest ``cramer --max-n`` while each size was solved on its own
+MAX_VERIFY_CRAMER = 16
 
 
 def _typed(coeffs) -> str:
@@ -90,9 +92,9 @@ def items():
         yield f"D({n})", _canonical(det_closed_form(n))
     for target, (battery, default, *_) in cli._BATTERIES.items():
         yield f"verify {target}", json.dumps(battery(default).to_dict(), sort_keys=True)
-    for target in ("det", "lu"):
-        report = cli._BATTERIES[target][0](MAX_VERIFY)
-        yield f"verify {target} {MAX_VERIFY}", json.dumps(report.to_dict(), sort_keys=True)
+    for target, size in (("det", MAX_VERIFY), ("lu", MAX_VERIFY), ("cramer", MAX_VERIFY_CRAMER)):
+        report = cli._BATTERIES[target][0](size)
+        yield f"verify {target} {size}", json.dumps(report.to_dict(), sort_keys=True)
     yield "selftest", json.dumps(run_selftest().to_dict(), sort_keys=True)
 
 

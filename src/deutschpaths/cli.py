@@ -205,8 +205,8 @@ def _cmd_biject(args) -> dict:
 _BATTERIES = {
     "det": (_on_call("matrices", "verify_determinant"), 12, 1, 90, 4.0),
     "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 3.1),
-    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 16, 3.3),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 100, 4.2),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 34, 4.9),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 100, 4.7),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
         30, 1, 280, 3.7,

@@ -10,14 +10,14 @@ This module builds both matrices and verifies the closed forms: the
 determinant D_n, its three-term recursion, the Cramer solutions (which
 must reproduce the phi/psi formula catalog), and the entrywise LU
 factorizations.  Entries depend on (i, j) alone, so A_n and its LU factors
-are leading blocks of those at the largest n: the determinant and LU
-batteries eliminate and multiply once, and read each n from a block.  The
-Cramer solutions take a second, independent route: the entries are 1, -z
-and 0, so the determinants are integer polynomials in z, computed by
-fraction-free (Bareiss) elimination and mapped to v once each.  The
-product of U's diagonal retells the determinant; the adjudication helper
-pins down the one exponent in that product identity that the closed
-forms force.
+are leading blocks of those at the largest n: each battery eliminates or
+multiplies once per orientation and reads each n from a block.  The Cramer
+solutions take a second, independent route: the entries are 1, -z and 0,
+so one fraction-free (Bareiss) Gauss-Jordan reduction of [A | e_0] over the
+integer polynomials in z yields every size's determinant ratios, mapped to
+v once each.  The product of U's diagonal retells the determinant; the
+adjudication helper pins down the one exponent in that product identity
+that the closed forms force.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .reporting import VerificationReport
 
 
 class SingularMatrix(ZeroDivisionError):
-    """The system's determinant vanishes; Cramer's rule does not apply."""
+    """A leading minor vanishes, so the reduction behind Cramer's rule stops."""
 
 
 #: z expressed in the substitution variable.
@@ -83,21 +83,10 @@ class QvMatrix:
     def __matmul__(self, other: "QvMatrix") -> "QvMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        cols = other.transpose().rows
-        return QvMatrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(row, col) if a and b), _ZERO) for col in cols)
-                for row in self.rows
-            )
-        )
-
-    def replace_column(self, j: int, column) -> "QvMatrix":
-        return QvMatrix(
-            tuple(
-                tuple(column[i] if k == j else e for k, e in enumerate(row))
-                for i, row in enumerate(self.rows)
-            )
-        )
+        # pair only the nonzero entries: one bidiagonal factor leaves at most two
+        rows = [{k: a for k, a in enumerate(r) if a} for r in self.rows]
+        cols = [{k: b for k, b in enumerate(c) if b} for c in other.transpose().rows]
+        return QvMatrix([[sum(r[k] * c[k] for k in r.keys() & c) for c in cols] for r in rows])
 
     def __repr__(self) -> str:
         return "QvMatrix([\n" + "\n".join("  " + repr(list(r)) for r in self.rows) + "\n])"
@@ -148,7 +137,7 @@ def _eliminate(rows: list[list], one) -> tuple:
         for row in rows[col + 1 :]:
             f = row[col] / pivot
             if f:
-                for k in range(col, n):
+                for k in range(col + 1, n):  # column col is not read again
                     if top[k]:
                         row[k] = row[k] - f * top[k]
     return det, minors[1:]
@@ -222,29 +211,30 @@ def verify_det_recursion(
     return report.raise_if_failed()
 
 
-def _bareiss(rows: list[list[Poly]]) -> Poly:
-    """Determinant over the integer polynomials by fraction-free (Bareiss)
-    elimination with row swaps; each division by the previous pivot is
-    exact.  ``rows`` is consumed."""
-    n = len(rows)
-    sign, prev = 1, _ONE_Z
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot_row is None:
-            return _ZERO_Z
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            sign = -sign
-        top = rows[k]
+def _bareiss(rows: list[list[Poly]]):
+    """Fraction-free Gauss-Jordan reduction of [A | e_0] over the integer
+    polynomials (Bareiss 1968; Nakos, Turner and Williams 1997): A's ``rows``
+    are augmented and reduced in place, without row swaps.  Step k updates
+    every row except row k, above it as well as below, from column k + 1 on,
+    and each update divides exactly by the previous pivot.  A step reads only
+    its pivot's row and column, so after step k the rows 0..k are the
+    reduction of [A_(k+1) | e_0]: the pivot is det(A_(k+1)) and their last
+    column is det(A_(k+1)) * x, where A_(k+1) x = e_0.  That pair is yielded
+    after each step; the reduction stops at the first zero pivot."""
+    for i, row in enumerate(rows):
+        row.append(_ZERO_Z if i else _ONE_Z)
+    prev = _ONE_Z
+    for k, top in enumerate(rows):
         pivot = top[k]
-        for row in rows[k + 1 :]:
+        if not pivot:
+            return
+        for row in rows[:k] + rows[k + 1 :]:
             f = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(top)):
                 e = row[j] * pivot - f * top[j] if f else row[j] * pivot
                 row[j] = e.exact_div(prev) if k else e  # the first step divides by 1
         prev = pivot
-    det = rows[-1][-1]
-    return det if sign > 0 else -det
+        yield pivot, [row[-1] for row in rows[: k + 1]]
 
 
 def _in_v(p: Poly, d: int) -> Poly:
@@ -255,40 +245,50 @@ def _in_v(p: Poly, d: int) -> Poly:
     return acc
 
 
+def _components(det: Poly, numerators: list[Poly]) -> list[RatFn]:
+    """Each x_j = det(A_j)/det(A), its polynomials in z mapped once to v."""
+    den = _in_v(det, len(numerators))
+    return [RatFn(_in_v(p, len(numerators)), den) for p in numerators]
+
+
 def cramer_solve(n: int, transposed: bool = False) -> list[RatFn]:
     """Solve A x = e_0 by literal determinant ratios x_j = det(A_j)/det(A).
 
     A_j is A with column j replaced by e_0.  Every entry is 1, -z or 0, so
-    each determinant is an integer polynomial in z of degree <= n, computed
-    by ``_bareiss``; it is mapped once to v as (1+v+v^2)^n * p(v/(1+v+v^2)),
-    and each component is then one ``RatFn`` reduction.  This route shares
-    no elimination with ``determinant``.
+    each determinant is an integer polynomial in z of degree <= n.  One
+    reduction of [A | e_0] by ``_bareiss`` yields det(A) and every
+    det(A_j) = det(A) * x_j; each is mapped once to v as
+    (1+v+v^2)^n * p(v/(1+v+v^2)), and each component is then one ``RatFn``
+    reduction.  This route shares no elimination with ``determinant``.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    rows = _strip_rows(n, transposed, _ONE_Z, _ZERO_Z, _Z)
-    det = _in_v(_bareiss([list(r) for r in rows]), n)
-    if not det:
-        raise SingularMatrix(f"system of dimension {n} is singular")
-    e0 = [_ONE_Z] + [_ZERO_Z] * (n - 1)
-    return [
-        RatFn(_in_v(_bareiss([r[:j] + [e] + r[j + 1 :] for r, e in zip(rows, e0)]), n), det)
-        for j in range(n)
-    ]
+    solved = list(_bareiss(_strip_rows(n, transposed, _ONE_Z, _ZERO_Z, _Z)))
+    if len(solved) < n:
+        raise SingularMatrix(f"leading minor of order {len(solved) + 1} vanished")
+    return _components(*solved[-1])
 
 
 def verify_cramer(h_max: int = 8) -> VerificationReport:
-    """Cramer components reproduce phi (untransposed) and psi (transposed)."""
+    """Cramer components reproduce phi (untransposed) and psi (transposed).
+
+    A_(h+1) is the leading block of A_(h_max+1), so one reduction per
+    orientation solves every size: its (h+1)-th snapshot solves A_(h+1).
+    No pivot vanishes, as every A_n is I mod z.  A size past a zero one fails.
+    """
     if h_max < 0:
         raise ValueError(f"need h_max >= 0, got {h_max}")
     report = VerificationReport("Cramer solutions vs formula catalog")
+    solved = [list(_bareiss(_strip_rows(h_max + 1, t, _ONE_Z, _ZERO_Z, _Z))) for t in (False, True)]
     for h in range(h_max + 1):
-        n = h + 1
-        for i, x in enumerate(cramer_solve(n)):
-            report.expect("x_i = phi(h,i)", f"h={h}, i={i}", x, phi(h, i), "cramer", "formula")
-        for i, x in enumerate(cramer_solve(n, transposed=True)):
-            want = psi0(h) if i == 0 else psi(h, i)
-            report.expect("x_i = psi(h,i)", f"h={h}, i={i}", x, want, "cramer", "formula")
+        for t, (name, snaps) in enumerate(zip(("x_i = phi(h,i)", "x_i = psi(h,i)"), solved)):
+            if h >= len(snaps):
+                order = len(snaps) + 1
+                report.add(name, f"h={h}", False, f"leading minor of order {order} vanished")
+                continue
+            for i, x in enumerate(_components(*snaps[h])):
+                want = (psi(h, i) if i else psi0(h)) if t else phi(h, i)
+                report.expect(name, f"h={h}, i={i}", x, want, "cramer", "formula")
     return report.raise_if_failed()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import deutschpaths.matrices as mat
 from deutschpaths.algebra import KERNEL, Poly, RatFn, V
-from deutschpaths.formulas import formula
+from deutschpaths.formulas import formula, phi, psi, psi0
 from deutschpaths.matrices import (
     QvMatrix,
     SingularMatrix,
@@ -180,15 +180,81 @@ class TestCramer:
     def test_matches_rational_function_elimination(self, n, transposed):
         # the same determinant ratios by Gaussian elimination over RatFn,
         # an independent route kept as this test's oracle
-        m = build_matrix(n, transposed)
-        det = determinant(m)
-        e0 = [ONE] + [ZERO] * (n - 1)
-        want = [determinant(m.replace_column(j, e0)) / det for j in range(n)]
-        assert cramer_solve(n, transposed) == want
+        assert cramer_solve(n, transposed) == determinant_ratios(n, transposed)
 
     def test_empty_battery_refused(self):
         with pytest.raises(ValueError):
             verify_cramer(-1)
+
+    @pytest.mark.parametrize("h_max", range(11))
+    def test_report_matches_the_per_size_oracle(self, h_max):
+        assert verify_cramer(h_max).to_dict() == per_size_cramer(h_max).to_dict()
+
+    @pytest.mark.parametrize(
+        "name, h, i", [("phi", 0, 0), ("phi", 3, 1), ("psi", 4, 4), ("psi", 6, 2)]
+    )
+    def test_perturbed_catalog_value_fails_exactly_its_row(self, monkeypatch, name, h, i):
+        catalog = getattr(mat, name)
+
+        def perturbed(h_, i_):
+            value = catalog(h_, i_)
+            return value + RatFn(V) if (h_, i_) == (h, i) else value
+
+        monkeypatch.setattr(mat, name, perturbed)
+        report = report_of(verify_cramer, 7)
+        assert [(c.name, c.dimension) for c in report.failures] == [
+            (f"x_i = {name}(h,i)", f"h={h}, i={i}")
+        ]
+
+    def test_vanishing_leading_minor_fails_from_its_size_on(self, monkeypatch):
+        # row 2 is zero in its first 3 columns, so the leading 3 x 3 minor is 0
+        # in both orientations, and the reduction stops at its third pivot
+        strip_rows = mat._strip_rows
+
+        def rows_with_a_zero_minor(n, transposed, one, zero, z):
+            rows = strip_rows(n, transposed, one, zero, z)
+            if n >= 3:
+                rows[2][:3] = [zero] * 3
+            return rows
+
+        monkeypatch.setattr(mat, "_strip_rows", rows_with_a_zero_minor)
+        report = report_of(verify_cramer, 6)
+        assert {int(c.dimension[2:]) for c in report.failures} == {2, 3, 4, 5, 6}
+        assert all(c.witness == "leading minor of order 3 vanished" for c in report.failures)
+        assert len(report.failures) == 2 * 5  # one row per size and orientation
+        assert report.checks[: 2 * (1 + 2)] == verify_cramer(1).checks
+        for transposed in (False, True):
+            assert cramer_solve(2, transposed) == determinant_ratios(2, transposed)
+            for n in (3, 6):
+                with pytest.raises(SingularMatrix, match="leading minor of order 3 vanished"):
+                    cramer_solve(n, transposed)
+
+
+def replace_column(m: QvMatrix, j: int, column) -> QvMatrix:
+    return QvMatrix([row[:j] + (e,) + row[j + 1 :] for row, e in zip(m.rows, column)])
+
+
+def determinant_ratios(n: int, transposed: bool) -> list[RatFn]:
+    """Cramer's rule taken literally, det(A_j)/det(A) with A_j a column-replaced
+    copy of A, by Gaussian elimination over RatFn: an independent route kept
+    as the tests' oracle."""
+    m = mat.build_matrix(n, transposed)
+    det = mat.determinant(m)
+    e0 = [ONE] + [ZERO] * (n - 1)
+    return [mat.determinant(replace_column(m, j, e0)) / det for j in range(n)]
+
+
+def per_size_cramer(h_max: int) -> VerificationReport:
+    """verify_cramer with the determinant ratios of each size solved on their
+    own: the oracle."""
+    report = VerificationReport("Cramer solutions vs formula catalog")
+    for h in range(h_max + 1):
+        for i, x in enumerate(determinant_ratios(h + 1, False)):
+            report.expect("x_i = phi(h,i)", f"h={h}, i={i}", x, phi(h, i), "cramer", "formula")
+        for i, x in enumerate(determinant_ratios(h + 1, True)):
+            want = psi0(h) if i == 0 else psi(h, i)
+            report.expect("x_i = psi(h,i)", f"h={h}, i={i}", x, want, "cramer", "formula")
+    return report
 
 
 def det_by_minors(rows) -> Fraction:
@@ -266,11 +332,15 @@ class TestEliminationAgainstMinors:
 
 
 class TestDeterminantInZ:
-    """The fraction-free determinant over Z[z] behind cramer_solve."""
+    """The pivots of the fraction-free reduction over Z[z] behind cramer_solve:
+    the k-th is det(A_k)."""
 
     @staticmethod
     def det_in_z(n, transposed):
-        return _bareiss(_strip_rows(n, transposed, Poly((1,)), Poly(), Poly((0, 1))))
+        rows = _strip_rows(n, transposed, Poly((1,)), Poly(), Poly((0, 1)))
+        pivots = [p for p, _ in _bareiss(rows)]
+        assert len(pivots) == n
+        return pivots[-1]
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("transposed", [False, True])
@@ -290,12 +360,27 @@ class TestDeterminantInZ:
             z0 = v0 / (1 + v0 + v0 * v0)
             assert p(z0) == determinant_at(n, v0, transposed)
 
-    def test_pivoting_through_a_zero_leading_entry(self):
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_each_snapshot_solves_its_leading_system(self, transposed):
+        one, zero, z = Poly((1,)), Poly(), Poly((0, 1))
+        rows = _strip_rows(9, transposed, one, zero, z)
+        snapshots = list(_bareiss([list(r) for r in rows]))
+        assert len(snapshots) == 9
+        for k, (det, column) in enumerate(snapshots, 1):
+            assert len(column) == k
+            for i in range(k):  # A_k (det * x) = det * e_0
+                total = sum((rows[i][j] * column[j] for j in range(k)), zero)
+                assert total == (det if i == 0 else zero), (k, i)
+
+    def test_a_zero_pivot_stops_the_reduction(self):
         z = Poly((0, 1))
         one = Poly((1,))
-        # expanding along the first row: 0 - 1*(1 - 0) + z*(0 - z^2)
+        # the leading 1 x 1 minor is 0, though the determinant is -1 - z^3
         rows = [[Poly(), one, z], [one, z, Poly()], [z, Poly(), one]]
-        assert _bareiss(rows) == Poly((-1, 0, 0, -1))
+        assert list(_bareiss(rows)) == []
+        # det(A_1) = 1 solves A_1 x = 1 as x = 1; the leading 2 x 2 minor is 0
+        rows = [[one, z, Poly()], [z, z * z, one], [Poly(), one, one]]
+        assert list(_bareiss(rows)) == [(one, [one])]
 
 
 class TestLU:
