@@ -21,7 +21,10 @@ Hashed, in this order:
 - the closed form ``det_closed_form(n)`` for n <= ``MAX_LU``;
 - ``to_dict()`` of every ``verify`` battery at its default size, of the
   ``det`` and ``lu`` batteries at ``MAX_VERIFY``, of the ``cramer`` battery
-  at ``MAX_VERIFY_CRAMER``, and of ``run_selftest()``, as sorted-key JSON.
+  at ``MAX_VERIFY_CRAMER``, and of ``run_selftest()``, as sorted-key JSON;
+- the exact side of every ``stats.LAWS`` entry at each n in ``LAW_NS``, as
+  its name, n and exact value.  The law's float and the ratio are left out:
+  a change to how they are rounded may move them in the last place.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from deutschpaths.matrices import (
     lu_formulas,
 )
 from deutschpaths.selftest import run_selftest
+from deutschpaths.stats import LAWS
 
 MAX_H = 20
 MAX_CRAMER = 8
@@ -47,6 +51,7 @@ MAX_LU = 10
 MAX_VERIFY = 30
 #: the largest ``cramer --max-n`` while each size was solved on its own
 MAX_VERIFY_CRAMER = 16
+LAW_NS = (10, 100, 640)
 
 
 def _typed(coeffs) -> str:
@@ -96,6 +101,9 @@ def items():
         report = cli._BATTERIES[target][0](size)
         yield f"verify {target} {size}", json.dumps(report.to_dict(), sort_keys=True)
     yield "selftest", json.dumps(run_selftest().to_dict(), sort_keys=True)
+    for name, law in LAWS.items():
+        for n in LAW_NS:
+            yield f"law {name} {n}", _typed((law.exact(n),))
 
 
 def main() -> None:

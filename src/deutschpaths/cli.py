@@ -48,12 +48,8 @@ FORMULA_ALIASES = {
 }
 
 
-class UsageError(ValueError):
+class UsageError(QueryError):
     """Bad flag combination or invalid input value; exits with code 2."""
-
-    def __init__(self, message: str, hint: str = ""):
-        self.hint = hint
-        super().__init__(message)
 
 
 def _in_range(flag: str, value: int, least: int, most: int, default: int | None = None) -> int:
@@ -149,6 +145,11 @@ def _cmd_enumerate(args) -> dict:
 #: 0.01 s at h = 100 to 5 s at h = 1000; building it takes milliseconds.
 MAX_FORMULA_HEIGHT = 100
 
+#: The largest --terms of the two height sums, which run through the Lagrange
+#: route at a cost growing faster than N^2: in-process on a 2-vCPU host,
+#: height_sum_closed took 3.4-5.0 s at N = 2700 and 4.4-6.3 s at N = 3000.
+MAX_HEIGHT_SUM_TERMS = 2700
+
 
 def _formula_from_args(args) -> tuple:
     """The formula id and its z-series through --terms."""
@@ -161,11 +162,14 @@ def _formula_from_args(args) -> tuple:
         fid = FormulaId(text, (args.terms,))
     else:
         fid = FormulaId.parse(text)
+    if CATALOG[fid.name].params == ("order",):
+        _in_range("--terms", args.terms, 0, MAX_HEIGHT_SUM_TERMS)
     for kind, value in zip(CATALOG[fid.name].params, fid.args):
         if kind == "h" and value > MAX_FORMULA_HEIGHT:
-            exc = BoundExceeded(f"height {value} in {fid} exceeds bound {MAX_FORMULA_HEIGHT}")
-            exc.hint = f"pass a height parameter of at most {MAX_FORMULA_HEIGHT}"
-            raise exc
+            raise BoundExceeded(
+                f"height {value} in {fid} exceeds bound {MAX_FORMULA_HEIGHT}",
+                f"pass a height parameter of at most {MAX_FORMULA_HEIGHT}",
+            )
     return fid, z_series(fid, args.terms)
 
 
@@ -356,7 +360,8 @@ _SUBCOMMANDS = {
             _arg("--formula", required=True, help=_FormulaHelp("formula id")),
             _arg(
                 "--terms", type=int, default=10, metavar="N",
-                help=f"series order N (prints N+1 coefficients), 0 <= N <= {DEFAULT_DP_BOUND}",
+                help=f"series order N (prints N+1 coefficients), 0 <= N <= {DEFAULT_DP_BOUND}; "
+                f"at most {MAX_HEIGHT_SUM_TERMS} for height_sum_closed and height_sum_open",
             ),
         ),
         _cmd_series,
@@ -488,11 +493,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
             except (OSError, ValueError) as exc:
                 print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)
-    except (UsageError, QueryError, PathError) as exc:
+    except (QueryError, PathError) as exc:  # a UsageError is a QueryError
         print(f"error: {exc}", file=sys.stderr)
-        hint = getattr(exc, "hint", "run with --help to see valid values")
-        if hint:
-            print(f"hint: {hint}", file=sys.stderr)
+        print(f"hint: {exc.hint}", file=sys.stderr)
         return 2
     except MismatchFound as exc:
         report = getattr(exc, "report", None)

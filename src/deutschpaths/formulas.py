@@ -316,9 +316,10 @@ def z_series(fid: FormulaId | str, order: int) -> Series:
     if own < 0:
         raise BadParams(f"order must be nonnegative, got {own}")
     if own < order:
-        exc = BadParams(f"{fid} only defines coefficients through z^{own}")
-        exc.hint = f"use --formula '{fid.name}({order})' or lower --terms"
-        raise exc
+        raise BadParams(
+            f"{fid} only defines coefficients through z^{own}",
+            f"use --formula '{fid.name}({order})' or lower --terms",
+        )
     return formula(fid._replace(args=(order,)))
 
 

@@ -292,6 +292,17 @@ def verify_cramer(h_max: int = 8) -> VerificationReport:
     return report.raise_if_failed()
 
 
+def _u_diagonal(n: int) -> list[RatFn]:
+    """U_11, ..., U_nn, the same in both orientations:
+    U_ii = (1+v)(1 + v + ... + v^(i+1)) / ((1+v+v^2)(1 + v + ... + v^i))."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    return [
+        RatFn(ONE_PLUS_V * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
+        for i in range(1, n + 1)
+    ]
+
+
 def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
     """The closed-form LU pair (1-based index formulas, 0-based storage).
 
@@ -300,13 +311,7 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
     j > i.  Transposed: L is dense lower, its formula depending on the
     column j only; U has one superdiagonal.  Each formula is built once.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    # diag[i-1] = U_ii
-    diag = [
-        RatFn(ONE_PLUS_V * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
-        for i in range(1, n + 1)
-    ]
+    diag = _u_diagonal(n)  # diag[i-1] = U_ii
     if not transposed:
         # below[j-1] = L_(j+1),j and right[i-1] = U_ij for every j > i
         below = [
@@ -331,9 +336,12 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
 
 
 def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
-    """The telescoping product U_11 * ... * U_nn."""
-    U = lu_formulas(n, transposed)[1]
-    return math.prod((U.entry(i, i) for i in range(n)), start=_ONE)
+    """The telescoping product U_11 * ... * U_nn.
+
+    U's diagonal is the same in both orientations, so ``transposed`` does
+    not change the result; only the diagonal is built, not L and U.
+    """
+    return math.prod(_u_diagonal(n), start=_ONE)
 
 
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:

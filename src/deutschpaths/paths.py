@@ -73,6 +73,8 @@ FAMILIES = tuple(_FAMILIES)
 class PathError(ValueError):
     """A step sequence is not a valid path of the requested family."""
 
+    hint = "run with --help to see valid values"
+
 
 class BadStep(PathError):
     """Malformed or inadmissible step token.  ``position`` is 1-based."""
@@ -99,7 +101,11 @@ class NonzeroEnd(PathError):
 
 
 class QueryError(ValueError):
-    """A path-family query cannot be answered as posed."""
+    """A path-family query cannot be answered as posed; ``hint`` says how to pose it."""
+
+    def __init__(self, message: str, hint: str = PathError.hint):
+        self.hint = hint
+        super().__init__(message)
 
 
 class InfiniteFamily(QueryError):
@@ -310,19 +316,17 @@ def _height_cap(query: PathFamilyQuery) -> int:
         # up-steps of any size: only the descent to end_level caps the climb
         caps.append(query.end_level + query.n * down)
     if not caps:
-        exc = InfiniteFamily(
-            f"open {query.family} paths without a height bound form an infinite set"
+        raise InfiniteFamily(
+            f"open {query.family} paths without a height bound form an infinite set",
+            "pass --end-level or --max-height to bound the height",
         )
-        exc.hint = "pass --end-level or --max-height to bound the height"
-        raise exc
     cap = min(caps)
     cells = (query.n + 1) * (cap + 1)
     if cells > DEFAULT_CELL_BOUND:
-        exc = BoundExceeded(
-            f"n={query.n} with height cap {cap} needs {cells} DP cells, more than {DEFAULT_CELL_BOUND}"
+        raise BoundExceeded(
+            f"n={query.n} with height cap {cap} needs {cells} DP cells, more than {DEFAULT_CELL_BOUND}",
+            f"lower --n or --max-height: (n+1)*(cap+1) must be at most {DEFAULT_CELL_BOUND}",
         )
-        exc.hint = f"lower --n or --max-height: (n+1)*(cap+1) must be at most {DEFAULT_CELL_BOUND}"
-        raise exc
     return cap
 
 
@@ -460,9 +464,8 @@ def total_height_dp(n: int, family: str = "closed") -> int:
     cap = _height_cap(query)
     cells = (n + 1) * (cap + 1) * (cap + 2) // 2
     if cells > DEFAULT_CELL_BOUND:
-        exc = BoundExceeded(
-            f"height sweep at n={n} needs {cells} DP cells, more than {DEFAULT_CELL_BOUND}"
+        raise BoundExceeded(
+            f"height sweep at n={n} needs {cells} DP cells, more than {DEFAULT_CELL_BOUND}",
+            f"lower n: (n+1)*(n+1)*(n+2)/2 must be at most {DEFAULT_CELL_BOUND}",
         )
-        exc.hint = f"lower n: (n+1)*(n+1)*(n+2)/2 must be at most {DEFAULT_CELL_BOUND}"
-        raise exc
     return _prefix(query, "height")[-1]

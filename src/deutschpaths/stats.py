@@ -16,7 +16,8 @@ row entries are added into one bucket per distinct weight, so the cost is
 n + 1 big-integer additions and one multiplication per distinct weight
 (about 130 at n = 9500) rather than one product per row entry.
 
-The asymptotic side carries the leading-order laws
+The asymptotic side carries the leading-order laws, each stored as its
+three numbers in the one form scale * base^n * n^power
 
     average height (closed and open)   2*sqrt(pi*n/3)
     Motzkin count                      9/(2*sqrt(3*pi)) * 3^n * n^(-3/2)
@@ -30,15 +31,19 @@ equality; tolerance bands live next to their assertions in the test
 suite.  The ratio of the closed average height to sqrt(pi*n/3), the
 Motzkin average height law, tends to 2: these paths run about twice as
 high as Motzkin paths of the same length.
+
+A ratio is taken exact-first: the exact value is divided by base^n as a
+Fraction, and only the quotient becomes a float.  So it is finite at every
+n, also from n = 647 on, where 3^n leaves float range; the law's own value
+reads math.inf once it leaves float range too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .algebra import coeff_of_z, trinomial_row
 from .formulas import _divisor_sieve, area_gf, coeff_closed, coeff_open
@@ -116,8 +121,7 @@ def avg_elevation(n: int) -> Fraction:
     return avg_area(n) / n
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """Exact value vs asymptotic law at one n; exact never uses the law."""
 
     law: str
@@ -127,91 +131,65 @@ class ComparisonRow:
     ratio: float
 
 
-@dataclass(frozen=True)
-class AsymptoticLaw:
-    """A leading-order law paired with the exact quantity it approximates."""
+class AsymptoticLaw(NamedTuple):
+    """A leading-order law scale * base^n * n^power, paired with the exact
+    quantity it approximates."""
 
     name: str
     exact: Callable[[int], Fraction]
-    approx: Callable[[int], float]
+    scale: float
+    base: int
+    power: float
     description: str
 
-    def _law_at(self, n: int) -> float:
-        """approx(n), refused unless a positive finite float."""
+    def _law(self, n: int) -> Fraction:
+        """The law at n as a Fraction: base^n exactly, times the float scale * n^power."""
+        return self.base**n * Fraction(self.scale * n**self.power)
+
+    def approx(self, n: int) -> float:
+        """scale * base^n * n^power as a float, or math.inf past float range."""
         try:
-            a = self.approx(n)
+            return float(self._law(n))
         except OverflowError:
-            a = math.inf
-        if not (a > 0 and math.isfinite(a)):
-            raise OverflowError(f"law {self.name} not evaluable in floats at n={n}")
-        return a
+            return math.inf
 
     def ratio(self, n: int) -> float:
         """exact / approx as a float; exact arithmetic until the last step."""
         return self.compare(n).ratio
 
     def compare(self, n: int) -> ComparisonRow:
-        """Exact value, law and their ratio at n, computing the exact value once."""
+        """Exact value, law and their ratio at n, computing the exact value once.
+
+        The ratio divides the exact value by base^n as a Fraction before it
+        becomes a float, so it is finite at every n, past float range too.
+        """
         exact = Fraction(self.exact(n))
-        a = self._law_at(n)
-        return ComparisonRow(self.name, n, exact, a, float(exact / Fraction(a)))
+        return ComparisonRow(self.name, n, exact, self.approx(n), float(exact / self._law(n)))
 
 
-def _count_law(scale: float) -> Callable[[int], float]:
-    return lambda n: scale * (3.0**n) * n**-1.5
+_SQRT_PI_3, _SQRT_3PI = math.sqrt(math.pi / 3), math.sqrt(3 * math.pi)
 
-
+#: Each law: name, exact value, scale, base, power, description.
 LAWS: dict[str, AsymptoticLaw] = {
-    law.name: law
-    for law in (
-        AsymptoticLaw(
-            "avg_height_closed",
-            lambda n: avg_height(n, "closed"),
-            lambda n: 2 * math.sqrt(math.pi * n / 3),
-            "average height of closed paths ~ 2*sqrt(pi*n/3)",
-        ),
-        AsymptoticLaw(
-            "avg_height_open",
-            lambda n: avg_height(n, "open"),
-            lambda n: 2 * math.sqrt(math.pi * n / 3),
-            "average height of open paths ~ 2*sqrt(pi*n/3)",
-        ),
-        AsymptoticLaw(
-            "closed_height_vs_motzkin_height",
-            lambda n: avg_height(n, "closed"),
-            lambda n: math.sqrt(math.pi * n / 3),
-            "closed average height over the Motzkin height law sqrt(pi*n/3); ratio -> 2",
-        ),
-        AsymptoticLaw(
-            "motzkin_count",
-            lambda n: Fraction(open_count(n)),
-            _count_law(9 / (2 * math.sqrt(3 * math.pi))),
-            "Motzkin numbers ~ 9/(2*sqrt(3*pi)) * 3^n * n^(-3/2)",
-        ),
-        AsymptoticLaw(
-            "closed_count",
-            lambda n: Fraction(closed_count(n)),
-            _count_law(9 / (8 * math.sqrt(3 * math.pi))),
-            "closed-path counts ~ 9/(8*sqrt(3*pi)) * 3^n * n^(-3/2)",
-        ),
-        AsymptoticLaw(
-            "area_total",
-            lambda n: Fraction(area_total(n)),
-            lambda n: 0.375 * 3.0**n,
-            "total area of closed paths ~ (3/8) * 3^n",
-        ),
-        AsymptoticLaw(
-            "avg_area",
-            avg_area,
-            lambda n: math.sqrt(math.pi / 3) * n**1.5,
-            "average area ~ sqrt(pi/3) * n^(3/2)",
-        ),
-        AsymptoticLaw(
-            "avg_elevation",
-            avg_elevation,
-            lambda n: math.sqrt(math.pi * n / 3),
-            "average elevation ~ sqrt(pi*n/3)",
-        ),
+    row[0]: AsymptoticLaw(*row)
+    for row in (
+        ("avg_height_closed", lambda n: avg_height(n, "closed"), 2 * _SQRT_PI_3, 1, 0.5,
+         "average height of closed paths ~ 2*sqrt(pi*n/3)"),
+        ("avg_height_open", lambda n: avg_height(n, "open"), 2 * _SQRT_PI_3, 1, 0.5,
+         "average height of open paths ~ 2*sqrt(pi*n/3)"),
+        ("closed_height_vs_motzkin_height", lambda n: avg_height(n, "closed"), _SQRT_PI_3, 1, 0.5,
+         "closed average height over the Motzkin height law sqrt(pi*n/3); ratio -> 2"),
+        ("motzkin_count", lambda n: Fraction(open_count(n)), 9 / (2 * _SQRT_3PI), 3, -1.5,
+         "Motzkin numbers ~ 9/(2*sqrt(3*pi)) * 3^n * n^(-3/2)"),
+        ("closed_count", lambda n: Fraction(closed_count(n)), 9 / (8 * _SQRT_3PI), 3, -1.5,
+         "closed-path counts ~ 9/(8*sqrt(3*pi)) * 3^n * n^(-3/2)"),
+        ("area_total", lambda n: Fraction(area_total(n)), 0.375, 3, 0,
+         "total area of closed paths ~ (3/8) * 3^n"),
+        # avg_area, like avg_height, is looked up at each call, where a patch or a tracer finds it
+        ("avg_area", lambda n: avg_area(n), _SQRT_PI_3, 1, 1.5,
+         "average area ~ sqrt(pi/3) * n^(3/2)"),
+        ("avg_elevation", avg_elevation, _SQRT_PI_3, 1, 0.5,
+         "average elevation ~ sqrt(pi*n/3)"),
     )
 }
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import json
 import random
@@ -70,7 +69,7 @@ def forbid_work(monkeypatch):
     for name in ("z_series", "coeff_closed", "coeff_open", "oracle_check"):
         monkeypatch.setattr(formulas, name, must_not_run)
     for name, law in stats.LAWS.items():
-        monkeypatch.setitem(stats.LAWS, name, dataclasses.replace(law, exact=must_not_run))
+        monkeypatch.setitem(stats.LAWS, name, law._replace(exact=must_not_run))
     for target, battery in cli._BATTERIES.items():
         monkeypatch.setitem(cli._BATTERIES, target, (must_not_run, *battery[1:]))
 
@@ -336,6 +335,21 @@ class TestSeries:
             "hint: use --formula 'height_sum_open(5)' or lower --terms\n"
         )
 
+    @pytest.mark.parametrize("text", ["height_sum_closed", "height_sum_open", "height_sum_open(5000)"])
+    def test_height_sum_terms_bound(self, text, monkeypatch, capsys):
+        # the Lagrange route grows faster than N^2; one past the bound is refused before any work
+        forbid_work(monkeypatch)
+        most = cli.MAX_HEIGHT_SUM_TERMS
+        t0 = time.perf_counter()
+        assert_out_of_range(
+            ["series", "--formula", text, "--terms", str(most + 1)], "--terms", most + 1, 0, most, capsys
+        )
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_height_sum_terms_bound_leaves_other_formulas_alone(self):
+        code, env = run_json(["series", "--formula", "area", "--terms", str(cli.MAX_HEIGHT_SUM_TERMS + 1)])
+        assert code == 0 and len(env["payload"]["coefficients"]) == cli.MAX_HEIGHT_SUM_TERMS + 2
+
     def test_negative_height_sum_order_refused(self, capsys):
         code, out = run(["series", "--formula", "height_sum_closed(-1)", "--terms", "3"])
         assert code == 2 and out == ""
@@ -504,7 +518,7 @@ class TestStats:
         monkeypatch.setattr(stats, "avg_height", counted(stats.avg_height))
         area_law = stats.LAWS["avg_area"]
         monkeypatch.setitem(
-            stats.LAWS, "avg_area", dataclasses.replace(area_law, exact=counted(area_law.exact))
+            stats.LAWS, "avg_area", area_law._replace(exact=counted(area_law.exact))
         )
         for argv in (
             ["stats", "height", "--n", "40"],
@@ -866,6 +880,12 @@ class TestDocs:
         (most,) = re.findall(r"^\| DP cells \(N\+1\)·\(cap\+1\) .*\| — \| ([\d ]+) \|$", text, re.M)
         assert int(most.replace(" ", "")) == paths.DEFAULT_CELL_BOUND
         assert f"must be at most {paths.DEFAULT_CELL_BOUND}" in text
+
+    def test_series_section_states_the_height_sum_bound(self):
+        text = CLI_DOC.read_text()
+        most = f"{cli.MAX_HEIGHT_SUM_TERMS:,}".replace(",", " ")
+        assert f"| `series --terms` of `height_sum_closed` and `height_sum_open` | 0 | {most} |" in text
+        assert f"at most {most}" in text.split("### `series`", 1)[1].split("### `biject`", 1)[0]
 
     def test_battery_bounds_table_matches_the_batteries(self):
         text = CLI_DOC.read_text()

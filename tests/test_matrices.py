@@ -409,6 +409,20 @@ class TestLU:
     def test_diagonal_product_is_determinant(self, n):
         assert u_diagonal_product(n) == det_closed_form(n)
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_diagonal_product_reads_the_factor_diagonal(self, transposed):
+        # built from the diagonal alone, it is the product over lu_formulas' U in both orientations
+        for n in range(1, 13):
+            upper = lu_formulas(n, transposed)[1]
+            want = ONE
+            for i in range(n):
+                want = want * upper.entry(i, i)
+            assert u_diagonal_product(n, transposed) == want, n
+
+    def test_diagonal_product_refuses_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            u_diagonal_product(0)
+
     def test_battery(self):
         report = verify_lu(8)
         assert report.ok

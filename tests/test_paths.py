@@ -194,6 +194,12 @@ class TestQuery:
             total_height_dp(200, family)
         assert exc.value.hint
 
+    def test_hint_is_a_constructor_argument(self):
+        # a refusal names its hint when it is raised; without one, the generic hint
+        assert BoundExceeded("too big", "lower n").hint == "lower n"
+        assert QueryError("bad").hint == "run with --help to see valid values"
+        assert str(BoundExceeded("too big", "lower n")) == "too big"
+
     def test_list_bound_is_the_open_deutsch_count_at_the_enumeration_bound(self):
         assert DEFAULT_LIST_BOUND == count_dp(PathFamilyQuery("deutsch", DEFAULT_ENUM_BOUND))
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -181,11 +180,31 @@ class TestLaws:
         r = LAWS["closed_height_vs_motzkin_height"].ratio(1000)
         assert 1.5 < r < 2.5
 
-    def test_float_range_guard(self):
-        # 3^n leaves float range at n = 647; the guard must say so
-        with pytest.raises(OverflowError, match="not evaluable"):
-            LAWS["closed_count"].ratio(647)
-        assert LAWS["closed_count"].ratio(646) > 0
+    def test_count_and_area_laws_past_float_range(self, fresh_rows):
+        # 3^n leaves float range at n = 647, the laws' own values from 647 (area) to
+        # 656 (closed count); the ratio divides by 3^n exactly first, so it answers at every n
+        for name in ("motzkin_count", "closed_count", "area_total"):
+            law = LAWS[name]
+            ratios = {n: law.ratio(n) for n in (646, 647, 1000, 10_000)}
+            for n, r in ratios.items():
+                assert isinstance(r, float) and 0.8 < r < 1.25, (name, n, r)
+            assert abs(ratios[10_000] - 1) < abs(ratios[1000] - 1), name
+            assert law.compare(700).asymptotic == math.inf
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("n", [10, 100, 640])
+    def test_ratio_is_exact_over_approx(self, name, n):
+        # the exact-first ratio agrees with the float quotient wherever that is finite
+        law = LAWS[name]
+        want = float(law.exact(n)) / law.approx(n)
+        assert math.isclose(law.compare(n).ratio, want, rel_tol=1e-12)
+
+    def test_laws_are_scale_base_power(self):
+        for name, law in LAWS.items():
+            assert law.base in (1, 3), name
+            for n in (2, 10, 100):
+                want = law.scale * law.base**n * n**law.power
+                assert math.isclose(law.approx(n), want, rel_tol=1e-12), (name, n)
 
 
 def b_at_one_third(fid: str) -> Fraction:
@@ -210,8 +229,9 @@ class TestDerivedConstants:
     )
     def test_count_law_constants(self, law, fid, b):
         assert b_at_one_third(fid) == b
-        scale = LAWS[law].approx(1) / 3  # the law is scale * 3^n * n^(-3/2)
-        assert math.isclose(scale, -b / math.sqrt(3 * math.pi), rel_tol=1e-12)
+        law = LAWS[law]
+        assert (law.base, law.power) == (3, -1.5)
+        assert math.isclose(law.scale, -b / math.sqrt(3 * math.pi), rel_tol=1e-12)
 
     def test_area_norm_vanishes_at_one_third(self):
         # a pole of B at 1/3: the (3/8)*3^n law of the total area, not n^(-3/2)
@@ -244,7 +264,7 @@ class TestReport:
             calls.append(n)
             return law.exact(n)
 
-        monkeypatch.setitem(LAWS, "avg_area", dataclasses.replace(law, exact=exact))
+        monkeypatch.setitem(LAWS, "avg_area", law._replace(exact=exact))
         rows = asymptotic_report([10, 50], ["avg_area"])
         assert calls == [10, 50]
         assert [r.exact for r in rows] == [law.exact(10), law.exact(50)]
