@@ -21,7 +21,9 @@ Hashed, in this order:
 - the closed form ``det_closed_form(n)`` for n <= ``MAX_LU``;
 - ``to_dict()`` of every ``verify`` battery at its default size, of the
   ``det`` and ``lu`` batteries at ``MAX_VERIFY``, of the ``cramer`` battery
-  at ``MAX_VERIFY_CRAMER``, and of ``run_selftest()``, as sorted-key JSON;
+  at ``MAX_VERIFY_CRAMER``, of ``verify_lu(MAX_VERIFY_LU)``, of
+  ``oracle_check`` at ``ORACLE_SIZES``, and of ``run_selftest()``, as
+  sorted-key JSON;
 - the exact side of every ``stats.LAWS`` entry at each n in ``LAW_NS``, as
   its name, n and exact value.  The law's float and the ratio are left out:
   a change to how they are rounded may move them in the last place.
@@ -34,13 +36,14 @@ import json
 
 from deutschpaths import cli
 from deutschpaths.algebra import RatFn
-from deutschpaths.formulas import CATALOG, FormulaId, formula
+from deutschpaths.formulas import CATALOG, FormulaId, formula, oracle_check
 from deutschpaths.matrices import (
     build_matrix,
     cramer_solve,
     det_closed_form,
     determinant,
     lu_formulas,
+    verify_lu,
 )
 from deutschpaths.selftest import run_selftest
 from deutschpaths.stats import LAWS
@@ -51,6 +54,9 @@ MAX_LU = 10
 MAX_VERIFY = 30
 #: the largest ``cramer --max-n`` while each size was solved on its own
 MAX_VERIFY_CRAMER = 16
+MAX_VERIFY_LU = 60
+#: enum_max, dp_max and h_max of the hashed ``oracle_check`` run
+ORACLE_SIZES = (10, 60, 6)
 LAW_NS = (10, 100, 640)
 
 
@@ -100,6 +106,10 @@ def items():
     for target, size in (("det", MAX_VERIFY), ("lu", MAX_VERIFY), ("cramer", MAX_VERIFY_CRAMER)):
         report = cli._BATTERIES[target][0](size)
         yield f"verify {target} {size}", json.dumps(report.to_dict(), sort_keys=True)
+    yield f"verify_lu {MAX_VERIFY_LU}", json.dumps(verify_lu(MAX_VERIFY_LU).to_dict(), sort_keys=True)
+    enum_max, dp_max, h_max = ORACLE_SIZES
+    report = oracle_check(enum_max=enum_max, dp_max=dp_max, h_max=h_max)
+    yield f"oracle_check {ORACLE_SIZES}", json.dumps(report.to_dict(), sort_keys=True)
     yield "selftest", json.dumps(run_selftest().to_dict(), sort_keys=True)
     for name, law in LAWS.items():
         for n in LAW_NS:

@@ -561,9 +561,9 @@ class RatFn:
             return self
         if not self.num:
             return o
-        # with b = b'*g and d = d'*g, a/b + c/d = (a*d' + c*b')/(b'*d'*g); the
-        # numerator t is prime to b' and d', so only gcd(t, g) is left to cancel
-        g, b, d = _cancel(self.den, o.den)
+        # b = b'*g and d = d'*g (equal b and d are their own g: no gcd); a/b + c/d =
+        # (a*d' + c*b')/(b'*d'*g), t is prime to b' and d', so only gcd(t, g) is left
+        g, b, d = (self.den, _UNIT, _UNIT) if self.den == o.den else _cancel(self.den, o.den)
         t = self.num * d + o.num * b
         if g.degree > 0:
             _, t, g = _cancel(t, g)

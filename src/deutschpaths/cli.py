@@ -209,14 +209,14 @@ def _cmd_biject(args) -> dict:
 _BATTERIES = {
     "det": (_on_call("matrices", "verify_determinant"), 12, 1, 90, 4.0),
     "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 3.1),
-    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 34, 4.9),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 100, 4.7),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 34, 4.7),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 190, 5.0),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
-        30, 1, 280, 3.7,
+        30, 1, 340, 4.9,
     ),
     "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 2.6),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 300, 2.7),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 800, 4.2),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 

@@ -39,7 +39,7 @@ from .algebra import (
     expand_in_z,
     trinomial,
 )
-from .paths import _FAMILIES, PathFamilyQuery, QueryError, _prefix, _walk
+from .paths import _FAMILIES, PathFamilyQuery, QueryError, _prefixes, _walk
 from .reporting import VerificationReport
 
 
@@ -382,17 +382,14 @@ def _meaning(fid: FormulaId) -> _Meaning:
     return meaning(*fid.args)
 
 
-def _dp_prefix(m: _Meaning, n_max: int) -> list[int]:
-    """[z^n] for n <= n_max by the transfer-matrix DP: one sweep per strip."""
+def _dp_queries(m: _Meaning, n_max: int) -> tuple[PathFamilyQuery, ...]:
+    """The strips whose DP prefixes give [z^n] for n <= n_max: the statistic
+    of the first, less that of the second (the paths below min_height) if any."""
     query = PathFamilyQuery(m.family, n_max, end_level=m.end, max_height=m.max_height)
-    values = _prefix(query, m.statistic)
-    if m.min_height:
-        below = _prefix(query._replace(max_height=m.min_height - 1), m.statistic)
-        values = [a - b for a, b in zip(values, below)]
-    return values
+    return (query, query._replace(max_height=m.min_height - 1)) if m.min_height else (query,)
 
 
-_WEIGHTS = {"count": lambda ht, a: 1, "area": lambda ht, a: a, "height": lambda ht, a: ht}
+_WEIGHTS = {"count": lambda h, c, a: c, "area": lambda h, c, a: a, "height": lambda h, c, a: h * c}
 
 
 def _end_height_area(steps: tuple[int, ...]) -> tuple[int, int, int]:
@@ -400,15 +397,33 @@ def _end_height_area(steps: tuple[int, ...]) -> tuple[int, int, int]:
     return levels[-1], max(levels), sum(levels)
 
 
-def _enum_value(m: _Meaning, stats: list[tuple[int, int, int]]) -> int:
-    """[z^n] from the (end, height, area) of every enumerated path of length n."""
+def _tally(walk: list[tuple[int, ...]]) -> dict[tuple[int, int], tuple[int, int]]:
+    """(end level, height) -> (paths, area sum) over the step tuples of one length."""
+    tally: dict[tuple[int, int], tuple[int, int]] = {}
+    for e, ht, a in map(_end_height_area, walk):
+        c, s = tally.get((e, ht), (0, 0))
+        tally[e, ht] = (c + 1, s + a)
+    return tally
+
+
+def _enum_value(m: _Meaning, tally: dict[tuple[int, int], tuple[int, int]]) -> int:
+    """[z^n] from the tally of the enumerated paths of length n."""
     hi = m.max_height if m.max_height is not None else float("inf")
     weight = _WEIGHTS[m.statistic]
     return sum(
-        weight(ht, a)
-        for e, ht, a in stats
+        weight(ht, c, a)
+        for (e, ht), (c, a) in tally.items()
         if (m.end is None or e == m.end) and m.min_height <= ht <= hi
     )
+
+
+def _mismatch(fid: FormulaId, series, oracle: str, wants: list[int]) -> str:
+    """The witness of the first [z^n] where the oracle's value is not the series', or ''."""
+    for n, want in enumerate(wants):
+        got = series.coeff(n)
+        if got != want:
+            return f"[z^{n}] {fid} = {got}, {oracle} oracle = {want}"
+    return ""
 
 
 def oracle_check(
@@ -430,33 +445,30 @@ def oracle_check(
     report = VerificationReport("formula oracle equivalence")
     meanings = [_meaning(fid) for fid in ids]
     n_enum = min(enum_max, dp_max)
-    # each family is enumerated once per n; one with up-steps of any size
-    # (an infinite family when open) at the largest height bound among the ids
-    bounds: dict[str, list[int | None]] = {}
-    for m in meanings:
-        bounds.setdefault(m.family, []).append(m.max_height)
-    enumerated = {}
-    for family, heights in bounds.items():
-        cap = max(heights) if _FAMILIES[family].up is None else None
-        enumerated[family] = [
-            [_end_height_area(steps) for steps in _walk(PathFamilyQuery(family, n, max_height=cap))]
-            for n in range(n_enum + 1)
-        ]
-
-    for fid, m in zip(ids, meanings):
-        series = z_series(fid, dp_max)
-        oracles = (
-            ("DP", dp_max, _dp_prefix(m, dp_max)),
-            ("enumeration", enum_max, [_enum_value(m, stats) for stats in enumerated[m.family]]),
-        )
-        for oracle, bound, wants in oracles:
-            witness = ""
-            for n, want in enumerate(wants):
-                got = series.coeff(n)
-                if got != want:
-                    witness = f"[z^{n}] {fid} = {got}, {oracle} oracle = {want}"
-                    break
-            report.add(f"{fid} vs {oracle}", f"n<={bound}", not witness, witness)
+    witnesses: list[tuple[str, str]] = [("", "")] * len(ids)
+    # one family at a time, so only its ids' DP prefixes are alive at once: its
+    # paths are tallied once per n, and one sweep per height cap serves every id
+    # that reads that strip
+    for family in dict.fromkeys(m.family for m in meanings):
+        mine = [k for k, m in enumerate(meanings) if m.family == family]
+        # one with up-steps of any size (an infinite family when open) is
+        # enumerated at the largest height bound among its ids
+        cap = max(meanings[k].max_height for k in mine) if _FAMILIES[family].up is None else None
+        walks = (_walk(PathFamilyQuery(family, n, max_height=cap)) for n in range(n_enum + 1))
+        tallies = [_tally(walk) for walk in walks]
+        strips = {k: _dp_queries(meanings[k], dp_max) for k in mine}
+        prefixes = _prefixes([(q, meanings[k].statistic) for k in mine for q in strips[k]])
+        for k in mine:
+            m, series = meanings[k], z_series(ids[k], dp_max)
+            dp, *below = [prefixes[q, m.statistic] for q in strips[k]]
+            dp = [a - b for a, b in zip(dp, *below)] if below else dp
+            enum = [_enum_value(m, tally) for tally in tallies]
+            witnesses[k] = (
+                _mismatch(ids[k], series, "DP", dp), _mismatch(ids[k], series, "enumeration", enum)
+            )
+    for fid, (dp_witness, enum_witness) in zip(ids, witnesses):
+        report.add(f"{fid} vs DP", f"n<={dp_max}", not dp_witness, dp_witness)
+        report.add(f"{fid} vs enumeration", f"n<={enum_max}", not enum_witness, enum_witness)
     report.data["formulas_checked"] = len(ids)
     report.data["cells_checked"] = len(ids) * (dp_max + 1 + n_enum + 1)
     return report.raise_if_failed()

@@ -22,11 +22,10 @@ that the closed forms force.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import KERNEL, Poly, RatFn, V, cyclotomic_product
+from .algebra import KERNEL, Poly, RatFn, V, _convolve, cyclotomic_product
 from .formulas import _binomial, phi, psi, psi0
 from .reporting import VerificationReport
 
@@ -86,7 +85,22 @@ class QvMatrix:
         # pair only the nonzero entries: one bidiagonal factor leaves at most two
         rows = [{k: a for k, a in enumerate(r) if a} for r in self.rows]
         cols = [{k: b for k, b in enumerate(c) if b} for c in other.transpose().rows]
-        return QvMatrix([[sum(r[k] * c[k] for k in r.keys() & c) for c in cols] for r in rows])
+        # entries repeat along rows and columns (the LU factors hold O(n) distinct
+        # ones), so each distinct product a*b and each distinct sum of products is
+        # reduced once per call, keyed by the entries
+        products: dict[tuple, RatFn] = {}
+        sums: dict[tuple, RatFn] = {}
+
+        def entry(r: dict, c: dict) -> RatFn:
+            pairs = tuple((r[k], c[k]) for k in sorted(r.keys() & c))
+            if pairs not in sums:
+                for p in pairs:
+                    if p not in products:
+                        products[p] = p[0] * p[1]
+                sums[pairs] = sum((products[p] for p in pairs), _ZERO)
+            return sums[pairs]
+
+        return QvMatrix([[entry(r, c) for c in cols] for r in rows])
 
     def __repr__(self) -> str:
         return "QvMatrix([\n" + "\n".join("  " + repr(list(r)) for r in self.rows) + "\n])"
@@ -237,18 +251,27 @@ def _bareiss(rows: list[list[Poly]]):
         yield pivot, [row[-1] for row in rows[: k + 1]]
 
 
-def _in_v(p: Poly, d: int) -> Poly:
-    """(1+v+v^2)^d * p(v/(1+v+v^2)) for a polynomial p in z of degree <= d."""
-    acc = _ZERO_Z
-    for k in range(d + 1):
-        acc = acc * KERNEL + Poly.monomial(p.coeff(k), k)
-    return acc
+def _in_v(polys: list[Poly], d: int) -> list[Poly]:
+    """(1+v+v^2)^d * p(v/(1+v+v^2)) for each polynomial p in z of degree <= d:
+    the sum of p_k * v^k * (1+v+v^2)^(d-k), over one list of the kernel's powers."""
+    powers = [(1,)]
+    for e in range(1, d + 1):
+        powers.append(_convolve(powers[-1], KERNEL.coeffs, 2 * e))
+    out = []
+    for p in polys:
+        acc = [0] * (2 * d + 1)
+        for k, c in enumerate(p.coeffs):
+            if c:
+                for m, t in enumerate(powers[d - k], k):
+                    acc[m] += c * t
+        out.append(Poly(acc))
+    return out
 
 
 def _components(det: Poly, numerators: list[Poly]) -> list[RatFn]:
     """Each x_j = det(A_j)/det(A), its polynomials in z mapped once to v."""
-    den = _in_v(det, len(numerators))
-    return [RatFn(_in_v(p, len(numerators)), den) for p in numerators]
+    den, *nums = _in_v([det, *numerators], len(numerators))
+    return [RatFn(p, den) for p in nums]
 
 
 def cramer_solve(n: int, transposed: bool = False) -> list[RatFn]:
@@ -292,15 +315,19 @@ def verify_cramer(h_max: int = 8) -> VerificationReport:
     return report.raise_if_failed()
 
 
+def _u_exponents(i: int) -> list[tuple[int, int]]:
+    """The cyclotomic exponents of U_ii, the same in both orientations:
+    U_ii = (1+v)(1 + v + ... + v^(i+1)) / ((1+v+v^2)(1 + v + ... + v^i))
+    = Phi_2 prod_(d | i+2, d > 1) Phi_d / (Phi_3 prod_(d | i+1, d > 1) Phi_d)."""
+    # the Phi_1 of 1-v^(i+2) cancels that of 1-v^(i+1)
+    return [(2, 1), (3, -1), *_binomial(i + 2), *_binomial(i + 1, -1)]
+
+
 def _u_diagonal(n: int) -> list[RatFn]:
-    """U_11, ..., U_nn, the same in both orientations:
-    U_ii = (1+v)(1 + v + ... + v^(i+1)) / ((1+v+v^2)(1 + v + ... + v^i))."""
+    """U_11, ..., U_nn, each built reduced from ``_u_exponents``."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return [
-        RatFn(ONE_PLUS_V * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
-        for i in range(1, n + 1)
-    ]
+    return [cyclotomic_product(1, 0, _u_exponents(i)) for i in range(1, n + 1)]
 
 
 def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
@@ -339,9 +366,14 @@ def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
     """The telescoping product U_11 * ... * U_nn.
 
     U's diagonal is the same in both orientations, so ``transposed`` does
-    not change the result; only the diagonal is built, not L and U.
+    not change the result.  Neither the diagonal nor L and U is built: the
+    ``_u_exponents`` maps of U_11, ..., U_nn, which ``lu_formulas`` builds
+    U's diagonal from, are summed, and the product is built once, reduced,
+    with no gcd.
     """
-    return math.prod(_u_diagonal(n), start=_ONE)
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    return cyclotomic_product(1, 0, [p for i in range(1, n + 1) for p in _u_exponents(i)])
 
 
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
@@ -358,11 +390,13 @@ def verify_lu(n_max: int = 12) -> VerificationReport:
     blocks: the entries are index formulas.  With L lower triangular, the
     leading block of L*U is L_n*U_n, so one product serves every n; the
     shape rows check L zero above its diagonal as well as U zero below.
+    Each distinct running product of U's diagonal is reduced once per call.
     """
     if n_max < 1:
         raise ValueError(f"need n_max >= 1, got {n_max}")
     report = VerificationReport("LU factorization")
     dets = [det_closed_form(n) for n in range(1, n_max + 1)]
+    running = {}  # (prod U_ii so far, next U_ii) -> product; the orientations share U's diagonal
     for transposed in (False, True):
         label = "transposed" if transposed else "untransposed"
         A = build_matrix(n_max, transposed)
@@ -385,7 +419,10 @@ def verify_lu(n_max: int = 12) -> VerificationReport:
             report.add(f"{label} L unit-lower / U upper", f"n={n}", n < misplaced)
             witness = next((w for m, w in mismatches if m <= n), "")
             report.add(f"{label} L*U = A", f"n={n}", not witness, witness)
-            diagonal = diagonal * U.entry(n - 1, n - 1)
+            key = (diagonal, U.entry(n - 1, n - 1))
+            if key not in running:
+                running[key] = key[0] * key[1]
+            diagonal = running[key]
             report.expect(
                 f"{label} prod U_ii = D_n", f"n={n}",
                 diagonal, dets[n - 1], "product", "determinant",

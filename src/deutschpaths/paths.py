@@ -423,23 +423,42 @@ def _prefix(query: PathFamilyQuery, statistic: str = "count") -> list[int]:
     one level-vector sweep; height sums, over every h below the strip's cap,
     the paths of height > h: the strip count minus the count in [0, h].
     """
-    rules, cap, target = _FAMILIES[query.family], _height_cap(query), _target_levels(query)
-    if statistic == "count":
-        return [_read(v, target) for v in _dp_vector(rules, cap, query.n)]
-    if statistic == "area":
-        # appending a step that lands on level l adds l to every path's area
-        out, areas = [], [0] * (cap + 1)
-        for t, counts in enumerate(_dp_vector(rules, cap, query.n)):
-            if t:
-                areas = _dp_step(rules, areas)
-            areas = [a + level * c for level, (a, c) in enumerate(zip(areas, counts))]
-            out.append(_read(areas, target))
-        return out
-    within = _prefix(query)
-    out = [0] * (query.n + 1)
-    for h in range(cap):
-        lower = [_read(v, target) for v in _dp_vector(rules, h, query.n)]
-        out = [t + a - b for t, a, b in zip(out, within, lower)]
+    return _prefixes([(query, statistic)])[query, statistic]
+
+
+def _prefixes(requests) -> dict:
+    """``_prefix`` of every (query, statistic) pair, keyed by the pair.
+
+    Each statistic is a sum of multiples of strip reads, so each strip
+    [0, cap] of a family is swept once, to the longest length asked of it,
+    and read at every end level and statistic as it streams, straight into
+    the sums: no sweep and no read is kept.
+    """
+    out, sinks, lengths = {}, {}, {}
+    for query, statistic in requests:
+        if (query, statistic) in out:
+            continue
+        total = out[query, statistic] = [0] * (query.n + 1)
+        cap, target = _height_cap(query), _target_levels(query)
+        if statistic == "height":  # per h < cap: the strip count less the count in [0, h]
+            parts = [(cap, cap, "count"), *((-1, h, "count") for h in range(cap))]
+        else:
+            parts = [(1, cap, statistic)]
+        for k, h, stat in parts:
+            sinks.setdefault((query.family, h), {}).setdefault((target, stat), []).append((k, total))
+            lengths[query.family, h] = max(lengths.get((query.family, h), 0), query.n)
+    for (family, cap), reads in sinks.items():
+        rules, areas = _FAMILIES[family], [0] * (cap + 1)
+        with_areas = any(stat == "area" for _, stat in reads)
+        for t, counts in enumerate(_dp_vector(rules, cap, lengths[family, cap])):
+            if with_areas:  # appending a step that lands on level l adds l to every path's area
+                areas = _dp_step(rules, areas) if t else areas
+                areas = [a + level * c for level, (a, c) in enumerate(zip(areas, counts))]
+            for (target, stat), sums in reads.items():
+                value = _read(areas if stat == "area" else counts, target)
+                for k, total in sums:
+                    if t < len(total):
+                        total[t] += k * value
     return out
 
 

@@ -382,6 +382,38 @@ class TestOperators:
             assert typed_pair(got) == tuple(map(typed, reference_canonical(num, den)))
 
 
+class TestEqualDenominators:
+    """a/b + c/b skips the gcd of the denominators and cancels only gcd(a + c, b)."""
+
+    @given(
+        rational_polys, nonzero_rational_polys, rational_polys, rational_polys, nonzero_rational_polys
+    )
+    @example(Poly((1,)), Poly((1, 0, -1)), Poly((0, -1)), Poly((1,)), Poly((1,)))  # sum cancels 1-v
+    @example(Poly((1, 2)), KERNEL, Poly((-1, -2)), Poly((0, 1)), KERNEL)  # sum is zero
+    @settings(max_examples=100, deadline=None)
+    def test_sums_match_the_generic_route(self, a, b, c, d, e):
+        f = RatFn(a, b)
+        # adding a polynomial keeps f's reduced denominator; RatFn(d, e) is any other
+        for g in (f + RatFn(c), RatFn(a * c + d, b), RatFn(d, e)):
+            (p, q), (r, s) = (f.num, f.den), (g.num, g.den)
+            cases = ((f + g, p * s + r * q), (g + f, p * s + r * q), (f - g, p * s - r * q))
+            for got, num in cases:
+                assert typed_pair(got) == typed_pair(RatFn(num, q * s))
+
+    def test_one_gcd_for_equal_denominators(self, monkeypatch):
+        calls = []
+        gcd = algebra.poly_gcd
+        monkeypatch.setattr(
+            algebra, "poly_gcd", lambda a, b, **kw: calls.append((a, b)) or gcd(a, b, **kw)
+        )
+        den = Poly((1, 0, -1))
+        f, g = RatFn(Poly((1,)), den), RatFn(Poly((0, -1)), den)
+        assert f.den == g.den
+        calls.clear()
+        assert f + g == RatFn(Poly((1,)), Poly((1, 1)))  # (1 - v)/(1 - v^2)
+        assert len(calls) == 1
+
+
 def dense_divide(a, b):
     """The former division loop: every divisor term up to the order, zero or not."""
     n = min(a.order, b.order)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deutschpaths import algebra, formulas
+from deutschpaths import algebra, cli, formulas, paths
 from deutschpaths.algebra import (
     KERNEL,
     V,
@@ -39,7 +39,7 @@ from deutschpaths.formulas import (
     z_series,
 )
 from deutschpaths.paths import PathFamilyQuery, QueryError, count_dp, enumerate_paths
-from deutschpaths.reporting import MismatchFound
+from deutschpaths.reporting import MismatchFound, VerificationReport
 from deutschpaths.stats import height_total
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_series.json"
@@ -447,6 +447,115 @@ class TestOracle:
     def test_formal_formula_has_no_meaning(self):
         with pytest.raises(BadParams):
             oracle_check(ids=[FormulaId("reversed_limit_formal")], enum_max=3, dp_max=3)
+
+
+def strip_prefix(query: PathFamilyQuery, statistic: str) -> list[int]:
+    """One level-vector sweep per strip of the query alone, height as the
+    differences of strip counts: the former per-id DP route."""
+    rules, cap = paths._FAMILIES[query.family], paths._height_cap(query)
+    target = paths._target_levels(query)
+
+    def counts(h: int) -> list[int]:
+        return [paths._read(v, target) for v in paths._dp_vector(rules, h, query.n)]
+
+    if statistic == "count":
+        return counts(cap)
+    if statistic == "area":
+        out, areas = [], [0] * (cap + 1)
+        for t, vector in enumerate(paths._dp_vector(rules, cap, query.n)):
+            if t:
+                areas = paths._dp_step(rules, areas)
+            areas = [a + level * c for level, (a, c) in enumerate(zip(areas, vector))]
+            out.append(paths._read(areas, target))
+        return out
+    within, lower = counts(cap), [counts(h) for h in range(cap)]
+    return [sum(w - low[n] for low in lower) for n, w in enumerate(within)]
+
+
+def per_id_oracle(enum_max: int, dp_max: int, h_max: int) -> VerificationReport:
+    """oracle_check's report with, for each id, its own DP sweeps and a scan
+    of every enumerated path of its query: the oracle."""
+    ids = combinatorial_ids(h_max, dp_max)
+    report = VerificationReport("formula oracle equivalence")
+    n_enum = min(enum_max, dp_max)
+    weight = {"count": lambda p: 1, "area": lambda p: p.area, "height": lambda p: p.height}
+    for fid in ids:
+        m = formulas._meaning(fid)
+        query = PathFamilyQuery(m.family, dp_max, end_level=m.end, max_height=m.max_height)
+        dp = strip_prefix(query, m.statistic)
+        if m.min_height:
+            below = strip_prefix(query._replace(max_height=m.min_height - 1), m.statistic)
+            dp = [a - b for a, b in zip(dp, below)]
+        enumerated = [
+            sum(
+                weight[m.statistic](p)
+                for p in enumerate_paths(query._replace(n=n))
+                if p.height >= m.min_height
+            )
+            for n in range(n_enum + 1)
+        ]
+        series = z_series(fid, dp_max)
+        for oracle, bound, wants in (("DP", dp_max, dp), ("enumeration", enum_max, enumerated)):
+            witness = next(
+                (
+                    f"[z^{n}] {fid} = {series.coeff(n)}, {oracle} oracle = {want}"
+                    for n, want in enumerate(wants)
+                    if series.coeff(n) != want
+                ),
+                "",
+            )
+            report.add(f"{fid} vs {oracle}", f"n<={bound}", not witness, witness)
+    report.data["formulas_checked"] = len(ids)
+    report.data["cells_checked"] = len(ids) * (dp_max + 1 + n_enum + 1)
+    return report
+
+
+class TestSharedOracle:
+    """oracle_check sweeps each (family, height cap) strip once and tallies
+    each family's paths once per length, with the same report as the per-id
+    oracle, and keeps nothing from one call to the next."""
+
+    def test_report_matches_the_per_id_oracle(self):
+        report = oracle_check(enum_max=6, dp_max=20, h_max=3)
+        assert report.to_dict() == per_id_oracle(6, 20, 3).to_dict()
+
+    def test_cli_default_report_matches_the_per_id_oracle(self):
+        battery, default = cli._BATTERIES["oracle"][:2]
+        assert battery(default).to_dict() == per_id_oracle(min(8, default), default, 4).to_dict()
+
+    def test_tally_reads_like_every_path(self):
+        for family, cap in (("deutsch", None), ("motzkin", None), ("reversed", 4)):
+            for n in range(8):
+                query = PathFamilyQuery(family, n, max_height=cap)
+                tally = formulas._tally(paths._walk(query))
+                assert sum(c for c, _ in tally.values()) == count_dp(query)
+                for (end, height), (count, area) in tally.items():
+                    same = [
+                        p for p in enumerate_paths(query) if (p.end_level, p.height) == (end, height)
+                    ]
+                    assert (count, area) == (len(same), sum(p.area for p in same))
+
+    def test_a_perturbed_sweep_in_a_later_call_fails(self, monkeypatch):
+        first = oracle_check(enum_max=5, dp_max=12, h_max=2)
+        step = paths._dp_step
+        monkeypatch.setattr(paths, "_dp_step", lambda rules, v: [c + 1 for c in step(rules, v)])
+        with pytest.raises(MismatchFound) as exc:
+            oracle_check(enum_max=5, dp_max=12, h_max=2)
+        second = exc.value.report
+        assert second.to_dict() != first.to_dict()
+        assert second.failures and all(c.name.endswith("vs DP") for c in second.failures)
+
+    def test_a_perturbed_tally_in_a_later_call_fails(self, monkeypatch):
+        first = oracle_check(enum_max=5, dp_max=12, h_max=2)
+        stats = formulas._end_height_area
+        monkeypatch.setattr(
+            formulas, "_end_height_area", lambda steps: (*stats(steps)[:2], stats(steps)[2] + 1)
+        )
+        with pytest.raises(MismatchFound) as exc:
+            oracle_check(enum_max=5, dp_max=12, h_max=2)
+        second = exc.value.report
+        assert second.to_dict() != first.to_dict()
+        assert [c.name for c in second.failures] == ["area_A vs enumeration"]
 
 
 class TestSingleFormulaOracleSpot:

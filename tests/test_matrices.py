@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import deutschpaths.matrices as mat
+from deutschpaths import algebra
 from deutschpaths.algebra import KERNEL, Poly, RatFn, V
 from deutschpaths.formulas import formula, phi, psi, psi0
 from deutschpaths.matrices import (
@@ -40,6 +42,10 @@ ZERO = RatFn(Poly((0,)))
 
 def typed(p: Poly) -> list:
     return [(type(c), c) for c in p.coeffs]
+
+
+def forbidden_gcd(*args, **kwargs):
+    raise AssertionError("no gcd may run here")
 
 
 class TestBuild:
@@ -348,7 +354,21 @@ class TestDeterminantInZ:
         p = self.det_in_z(n, transposed)
         assert p.degree <= n
         assert all(type(c) is int for c in p.coeffs)
-        assert RatFn(_in_v(p, n), KERNEL**n) == determinant(build_matrix(n, transposed))
+        assert RatFn(_in_v([p], n)[0], KERNEL**n) == determinant(build_matrix(n, transposed))
+
+    @pytest.mark.parametrize("d", range(13))
+    def test_in_v_coefficients_match_the_kernel_powers(self, d):
+        # [v^m] of the image is sum_k p_k [v^(m-k)] (1+v+v^2)^(d-k), each power
+        # taken on its own; several polynomials share one call
+        rng = random.Random(d)
+        polys = [Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, d + 1))]) for _ in range(5)]
+        mapped = _in_v(polys, d)
+        assert len(mapped) == len(polys)
+        for p, got in zip(polys, mapped):
+            assert all(type(c) is int for c in got.coeffs)
+            for m in range(2 * d + 2):
+                want = sum(p.coeff(k) * (KERNEL ** (d - k)).coeff(m - k) for k in range(d + 1))
+                assert got.coeff(m) == want, (p, d, m)
 
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("transposed", [False, True])
@@ -419,6 +439,36 @@ class TestLU:
                 want = want * upper.entry(i, i)
             assert u_diagonal_product(n, transposed) == want, n
 
+    def test_diagonal_product_is_the_product_of_the_diagonal(self):
+        # summed cyclotomic exponents against the factors multiplied one by one
+        for n in range(1, 41):
+            want = math.prod(mat._u_diagonal(n), start=ONE)
+            got = u_diagonal_product(n)
+            assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den)), n
+
+    def test_diagonal_is_the_geometric_formula(self):
+        # U_ii = (1+v)(1 + ... + v^(i+1)) / ((1+v+v^2)(1 + ... + v^i)), reduced by gcd
+        for i, got in enumerate(mat._u_diagonal(40), 1):
+            want = RatFn(Poly((1, 1)) * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
+            assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den)), i
+
+    def test_perturbed_exponent_map_fails_the_product_and_the_factors(self, monkeypatch):
+        # U_22 given U_33's exponents: the adjudication and verify_lu both read the map
+        exponents = mat._u_exponents
+        monkeypatch.setattr(mat, "_u_exponents", lambda i: exponents(i + 1 if i == 2 else i))
+        report = report_of(adjudicate_det_product, 3)
+        assert {c.name for c in report.failures} == {
+            "exactly one candidate matches", "product equals determinant closed form",
+        }
+        assert report.data["verified_exponent"] == "neither"
+        lu = report_of(verify_lu, 4)
+        assert failing_sizes(lu, "L*U = A") == failing_sizes(lu, "prod U_ii") == {2, 3, 4}
+        assert failing_sizes(lu, "shape") == set()
+
+    def test_diagonal_product_runs_no_gcd(self, monkeypatch):
+        monkeypatch.setattr(algebra, "poly_gcd", forbidden_gcd)
+        assert u_diagonal_product(60) == det_closed_form(60)
+
     def test_diagonal_product_refuses_an_empty_matrix(self):
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             u_diagonal_product(0)
@@ -443,9 +493,19 @@ def per_size_determinant(n_max: int) -> VerificationReport:
     return report
 
 
+def unshared_product(left: QvMatrix, right: QvMatrix) -> list[list[RatFn]]:
+    """left @ right entry by entry, each product and sum reduced on its own,
+    nothing shared: the oracle of QvMatrix.__matmul__."""
+    n = left.dim
+    return [
+        [sum((left.entry(i, k) * right.entry(k, j) for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def per_size_lu(n_max: int) -> VerificationReport:
-    """verify_lu with its factors, matrix and product built for each size:
-    the oracle."""
+    """verify_lu with its factors, matrix and product built for each size,
+    and no product shared between entries or orientations: the oracle."""
     report = VerificationReport("LU factorization")
     for transposed in (False, True):
         label = "transposed" if transposed else "untransposed"
@@ -458,13 +518,13 @@ def per_size_lu(n_max: int) -> VerificationReport:
                 for j in range(i)
             )
             report.add(f"{label} L unit-lower / U upper", f"n={n}", shape_ok)
-            prod = L @ U
+            prod = unshared_product(L, U)
             witness = ""
             for i in range(n):
                 for j in range(n):
-                    if prod.entry(i, j) != A.entry(i, j):
+                    if prod[i][j] != A.entry(i, j):
                         witness = (
-                            f"entry ({i+1},{j+1}): LU gives {prod.entry(i, j)!r}, "
+                            f"entry ({i+1},{j+1}): LU gives {prod[i][j]!r}, "
                             f"matrix has {A.entry(i, j)!r}"
                         )
                         break
@@ -581,6 +641,72 @@ class TestLeadingBlocks:
             want = det_by_minors([[e(v0) for e in r] for r in build_matrix(6, transposed).rows])
             assert det == want == determinant_at(6, v0, transposed)
             assert want
+
+
+def typed_rows(rows) -> list:
+    return [[(typed(e.num), typed(e.den)) for e in r] for r in rows]
+
+
+class TestSharedProducts:
+    """L @ U reduces each distinct product and sum of products once per call,
+    and verify_lu each distinct running product of U's diagonal; nothing is
+    kept from one call to the next."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_product_matches_the_unshared_oracle(self, transposed):
+        for n in range(1, 13):
+            L, U = lu_formulas(n, transposed)
+            assert typed_rows((L @ U).rows) == typed_rows(unshared_product(L, U)), n
+
+    def test_random_matrices_with_repeated_entries(self):
+        # entries drawn from a small pool, so equal products and sums recur
+        # with different partners
+        rng = random.Random(5)
+        pool = [ZERO, ONE, Z, RatFn(V), RatFn(Poly((1, 1)), KERNEL)]
+        pool.append(RatFn(Poly((2, -1)), Poly((1, 0, 1))))
+        for n in range(1, 7):
+            for _ in range(3):
+                a, b = (QvMatrix([[rng.choice(pool) for _ in range(n)] for _ in range(n)]) for _ in "ab")
+                assert typed_rows((a @ b).rows) == typed_rows(unshared_product(a, b))
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("factor, i, j", [("L", 5, 2), ("U", 2, 3), ("U", 2, 5), ("U", 4, 4)])
+    def test_perturbed_repeated_entry_fails_only_its_blocks(self, monkeypatch, transposed, factor, i, j):
+        # each entry but (2, 5) repeats along its row, column or diagonal in one of
+        # the orientations; the copies left unperturbed must keep their products
+        lu = mat.lu_formulas
+
+        def perturbed(n, transposed_=False):
+            L, U = lu(n, transposed_)
+            if transposed_ != transposed or n <= max(i, j):
+                return L, U
+            if factor == "L":
+                return replace_entry(L, i, j, L.entry(i, j) + RatFn(V)), U
+            return L, replace_entry(U, i, j, U.entry(i, j) + RatFn(V))
+
+        monkeypatch.setattr(mat, "lu_formulas", perturbed)
+        report = report_of(verify_lu, 7)
+        label = "transposed" if transposed else "untransposed"
+        assert failing_sizes(report) == failing_sizes(report, label) == set(range(max(i, j) + 1, 8))
+        assert failing_sizes(report, "shape") == set()
+        assert report.to_dict() == per_size_lu(7).to_dict()
+
+    def test_nothing_is_kept_across_calls(self, monkeypatch):
+        first = verify_lu(6)
+        assert first.ok
+        # the same entries, multiplied wrongly by U_44: a product kept from the
+        # first call would hide the fault
+        u44 = lu_formulas(6)[1].entry(3, 3)
+        mul = RatFn.__mul__
+
+        def wrong(a, b):
+            product = mul(a, b)
+            return product + RatFn(V) if u44 in (a, b) else product
+
+        monkeypatch.setattr(RatFn, "__mul__", wrong)
+        second = report_of(verify_lu, 6)
+        assert second.to_dict() != first.to_dict()
+        assert failing_sizes(second) == {4, 5, 6}
 
 
 class TestReducedDeterminant:

@@ -26,6 +26,7 @@ from deutschpaths.paths import (
     ReversedDeutschPath,
     _height_cap,
     _prefix,
+    _prefixes,
     _walk,
     count_dp,
     enumerate_paths,
@@ -409,6 +410,23 @@ class TestPrefix:
                 for n in range(8)
             ]
             assert _prefix(q, statistic) == want, q
+
+
+class TestPrefixes:
+    """Many prefixes from one sweep per strip equal each prefix on its own."""
+
+    def test_shared_sweeps_match_one_request_at_a_time(self):
+        requests = [
+            (q._replace(n=n), statistic)
+            for family in ("deutsch", "reversed", "motzkin")
+            for q in _queries(family, 0)
+            for n in (4, 9)
+            for statistic in ("count", "area", "height")
+        ]
+        shared = _prefixes(requests + requests[:5])  # a repeated request is answered once
+        assert set(shared) == set(requests)
+        for request in requests:
+            assert shared[request] == _prefix(*request), request
 
 
 class TestReversal:
