@@ -26,7 +26,12 @@ Hashed, in this order:
   sorted-key JSON;
 - the exact side of every ``stats.LAWS`` entry at each n in ``LAW_NS``, as
   its name, n and exact value.  The law's float and the ratio are left out:
-  a change to how they are rounded may move them in the last place.
+  a change to how they are rounded may move them in the last place;
+- ``certify(MAX_CERTIFY).to_dict()`` as sorted-key JSON;
+- the step tuples, in order, of ``enumerate_paths`` for every family at each
+  n <= ``MAX_ENUM``, end level in ``ENUM_ENDS`` and height cap in
+  ``ENUM_CAPS``; a query the package refuses (an infinite family, or an end
+  level other than 0 for Motzkin paths) enters as the name of its exception.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import json
 
 from deutschpaths import cli
 from deutschpaths.algebra import RatFn
+from deutschpaths.bijection import certify
 from deutschpaths.formulas import CATALOG, FormulaId, formula, oracle_check
 from deutschpaths.matrices import (
     build_matrix,
@@ -45,6 +51,7 @@ from deutschpaths.matrices import (
     lu_formulas,
     verify_lu,
 )
+from deutschpaths.paths import FAMILIES, PathFamilyQuery, QueryError, enumerate_paths
 from deutschpaths.selftest import run_selftest
 from deutschpaths.stats import LAWS
 
@@ -58,6 +65,10 @@ MAX_VERIFY_LU = 60
 #: enum_max, dp_max and h_max of the hashed ``oracle_check`` run
 ORACLE_SIZES = (10, 60, 6)
 LAW_NS = (10, 100, 640)
+MAX_CERTIFY = 12
+MAX_ENUM = 10
+ENUM_ENDS = (None, 0, 2)
+ENUM_CAPS = (None, 3)
 
 
 def _typed(coeffs) -> str:
@@ -114,6 +125,18 @@ def items():
     for name, law in LAWS.items():
         for n in LAW_NS:
             yield f"law {name} {n}", _typed((law.exact(n),))
+    yield f"certify {MAX_CERTIFY}", json.dumps(certify(MAX_CERTIFY).to_dict(), sort_keys=True)
+    for family in FAMILIES:
+        for n in range(MAX_ENUM + 1):
+            for end in ENUM_ENDS:
+                for cap in ENUM_CAPS:
+                    label = f"enumerate {family} n={n} end={end} cap={cap}"
+                    try:
+                        paths = enumerate_paths(PathFamilyQuery(family, n, end, cap))
+                    except QueryError as exc:
+                        yield label, type(exc).__name__
+                        continue
+                    yield label, ";".join(_typed(p.steps) for p in paths)
 
 
 def main() -> None:

@@ -145,9 +145,9 @@ def _returns(levels: tuple[int, ...]) -> int:
     that is at most b.  One backward pass finds every such next time.
     """
     n = len(levels) - 1
-    next_same, seen = [0] * (n + 1), {}
+    next_same, seen = [0] * (n + 1), [n + 1] * (n + 1)  # seen by level: a level is at most n
     for t in range(n, -1, -1):
-        next_same[t] = seen.get(levels[t], n + 1)
+        next_same[t] = seen[levels[t]]
         seen[levels[t]] = t
     total = 0
     work = [(0, n)]
@@ -167,42 +167,49 @@ def _returns(levels: tuple[int, ...]) -> int:
 def certify(n_max: int = 10) -> VerificationReport:
     """Exhaustively certify bijectivity and round trips for all n <= n_max.
 
-    Paths are checked as step tuples; one per n also takes the typed round
-    trip through the public ``to_motzkin`` and ``from_motzkin``.  Also
-    records (without asserting any correspondence) the joint distribution
-    of the Deutsch path's end level against the image's flat count, since
-    the matching Motzkin statistic is an open question.
+    Each family is walked once, and each path mapped once, as a step tuple;
+    both round trips read those maps through tables keyed by path.  One
+    path per n also takes the typed round trip through the public
+    ``to_motzkin`` and ``from_motzkin``.  Also records (without asserting any
+    correspondence) the joint distribution of the Deutsch path's end level
+    against the image's flat count, since the matching Motzkin statistic is open.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     report = VerificationReport("Deutsch-Motzkin bijection certification")
     counts = []
     joint: Counter[tuple[int, int]] = Counter()
-    for n in range(n_max + 1):
+    walks = zip(_walk(PathFamilyQuery("deutsch", n_max)), _walk(PathFamilyQuery("motzkin", n_max)))
+    for n, (domain, codomain) in enumerate(walks):
         dim = f"n={n}"
-        domain = _walk(PathFamilyQuery("deutsch", n))
-        codomain = _walk(PathFamilyQuery("motzkin", n))
         images = [_to_motzkin_steps(w) for w in domain]
         report.add("length preserved", dim, all(len(i) == len(w) for i, w in zip(images, domain)))
-        report.add("injective", dim, len(set(images)) == len(images))
-        report.add("image is every Motzkin path", dim, set(images) == set(codomain))
+        source = dict(zip(images, domain))  # each image's Deutsch path; its keys are the image set
+        injective = len(source) == len(images)
+        report.add("injective", dim, injective)
+        report.add("image is every Motzkin path", dim, source.keys() == set(codomain))
+        image_of = dict(zip(domain, images))
         typed = DeutschPath(domain[-1])
-        back_ok = from_motzkin(to_motzkin(typed)) == typed and all(
-            _from_motzkin_steps(img) == w for img, w in zip(images, domain)
-        )
+        # each Motzkin path m is mapped back once, to p; to(from(m)) = m looks p up among the
+        # Deutsch paths, and from(to(w)) = w, for an injective map, looks m up among the images
+        back_ok, fwd_ok = from_motzkin(to_motzkin(typed)) == typed and injective, True
+        for m in codomain:
+            p = _from_motzkin_steps(m)
+            back_ok = back_ok and source.get(m, p) == p
+            fwd_ok = fwd_ok and image_of.get(p) == m
         report.add("from_motzkin(to_motzkin(w)) = w", dim, back_ok)
-        fwd_ok = all(_to_motzkin_steps(_from_motzkin_steps(m)) == m for m in codomain)
         report.add("to_motzkin(from_motzkin(m)) = m", dim, fwd_ok)
         counts_ok = len(domain) == len(codomain)
         report.add(
             "|open Deutsch| = |Motzkin|", dim, counts_ok,
             "" if counts_ok else f"{len(domain)} vs {len(codomain)}",
         )
-        levels = [tuple(accumulate(w, initial=0)) for w in domain]
-        ups_ok = all(img.count(1) == _returns(lv) for img, lv in zip(images, levels))
+        ups_ok = all(
+            img.count(1) == _returns((0, *accumulate(w))) for img, w in zip(images, domain)
+        )
         report.add("image up-steps = returns in recursion tree", dim, ups_ok)
         counts.append(len(domain))
-        joint.update((lv[-1], img.count(0)) for lv, img in zip(levels, images))
+        joint.update((sum(w), img.count(0)) for w, img in zip(domain, images))
     report.data["counts"] = counts
     report.data["end_level_vs_flats"] = {f"{e},{f}": c for (e, f), c in sorted(joint.items())}
     return report.raise_if_failed()

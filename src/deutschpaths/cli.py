@@ -7,7 +7,8 @@ envelope (tool, version, command echo, payload, elapsed_seconds) and
 decimal strings in JSON so no consumer ever rounds them through floats;
 elapsed time lives only in the envelope, keeping payloads reproducible.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error, 141 standard
+output closed by its reader before all of it was written.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -213,9 +215,9 @@ _BATTERIES = {
     "lu": (_on_call("matrices", "verify_lu"), 12, 1, 190, 5.0),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
-        30, 1, 340, 4.9,
+        30, 1, 340, 2.7,
     ),
-    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 2.6),
+    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 2.0),
     "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 800, 4.2),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
@@ -468,6 +470,17 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
+    try:
+        status = _run(argv, out)
+        out.flush()  # so a reader that closed the pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        if out is sys.stdout:  # the interpreter flushes it again at exit: send that nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 141
+    return status
+
+
+def _run(argv: list[str] | None, out) -> int:
     args = _parser().parse_args(argv)
     command = _SUBCOMMANDS[args.subcommand]
     t0 = time.perf_counter()

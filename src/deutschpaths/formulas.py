@@ -446,6 +446,9 @@ def oracle_check(
     meanings = [_meaning(fid) for fid in ids]
     n_enum = min(enum_max, dp_max)
     witnesses: list[tuple[str, str]] = [("", "")] * len(ids)
+    # each distinct RatFn is expanded once, and every id that builds it reads that series
+    built = {fid: formula(fid) for fid in ids if CATALOG[fid.name].params != ("order",)}
+    expansions = {f: expand_in_z(f, dp_max) for f in dict.fromkeys(built.values())}
     # one family at a time, so only its ids' DP prefixes are alive at once: its
     # paths are tallied once per n, and one sweep per height cap serves every id
     # that reads that strip
@@ -454,17 +457,17 @@ def oracle_check(
         # one with up-steps of any size (an infinite family when open) is
         # enumerated at the largest height bound among its ids
         cap = max(meanings[k].max_height for k in mine) if _FAMILIES[family].up is None else None
-        walks = (_walk(PathFamilyQuery(family, n, max_height=cap)) for n in range(n_enum + 1))
-        tallies = [_tally(walk) for walk in walks]
+        tallies = [_tally(walk) for walk in _walk(PathFamilyQuery(family, n_enum, max_height=cap))]
         strips = {k: _dp_queries(meanings[k], dp_max) for k in mine}
         prefixes = _prefixes([(q, meanings[k].statistic) for k in mine for q in strips[k]])
         for k in mine:
-            m, series = meanings[k], z_series(ids[k], dp_max)
+            m, fid = meanings[k], ids[k]
+            series = expansions[built[fid]] if fid in built else z_series(fid, dp_max)
             dp, *below = [prefixes[q, m.statistic] for q in strips[k]]
             dp = [a - b for a, b in zip(dp, *below)] if below else dp
             enum = [_enum_value(m, tally) for tally in tallies]
             witnesses[k] = (
-                _mismatch(ids[k], series, "DP", dp), _mismatch(ids[k], series, "enumeration", enum)
+                _mismatch(fid, series, "DP", dp), _mismatch(fid, series, "enumeration", enum)
             )
     for fid, (dp_witness, enum_witness) in zip(ids, witnesses):
         report.add(f"{fid} vs DP", f"n<={dp_max}", not dp_witness, dp_witness)

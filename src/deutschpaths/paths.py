@@ -33,10 +33,10 @@ oracle for every generating-function formula in the rest of the package.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, compress
 from numbers import Integral
 from operator import add
-from typing import ClassVar, Iterable, NamedTuple
+from typing import ClassVar, Iterable, Iterator, NamedTuple
 
 #: Largest length accepted by exhaustive enumeration unless overridden.
 DEFAULT_ENUM_BOUND = 14
@@ -339,11 +339,15 @@ def enumerate_paths(
 ) -> list[LatticePath]:
     """All paths matching the query, in documented lexicographic order."""
     cls = _CLASSES[query.family]
-    return [cls(steps) for steps in _walk(query, bound)]
+    for steps in _walk(query, bound):  # the last length is the query's
+        pass
+    return [cls(s) for s in steps]
 
 
-def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple[int, ...]]:
-    """The step tuples of every path matching the query, in enumeration order."""
+def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[list[tuple]]:
+    """The step tuples of the paths matching the query at each length 0..query.n,
+    in enumeration order: each length extends, by each of their steps in order,
+    the prefixes of the length before that can still reach the target by query.n."""
     if query.n > bound:
         raise BoundExceeded(f"n={query.n} exceeds enumeration bound {bound}")
     cap = _height_cap(query)
@@ -353,30 +357,25 @@ def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> list[tuple
     up = cap if rules.up is None else rules.up
     down = cap if rules.down is None else rules.down
     flat = [0] if rules.flat else []
-    choices: dict[int, list[int]] = {}  # by level: the steps that stay in the strip, in order
-    out: list[tuple[int, ...]] = []
-    steps: list[int] = []
+    choices = [  # by level: the steps that stay in the strip, in order
+        [*range(1, min(cap - level, up) + 1), *flat, *range(-1, -min(level, down) - 1, -1)]
+        for level in range(cap + 1)
+    ]
 
-    def rec(level: int, left: int) -> None:
-        if not left:
-            if target is None or level == target:
-                out.append(tuple(steps))
-            return
-        left -= 1
-        # the levels from which target is still reachable in the steps left
-        lo, hi = (0, cap) if target is None else (target - left * up, target + left * down)
-        if level not in choices:
-            choices[level] = [
-                *range(1, min(cap - level, up) + 1), *flat, *range(-1, -min(level, down) - 1, -1)
-            ]
-        for s in choices[level]:
-            if lo <= level + s <= hi:
-                steps.append(s)
-                rec(level + s, left)
-                steps.pop()
+    def layers():  # one length held at a time, as parallel lists: no (prefix, level) pairs
+        prefixes, levels = [()], [0]
+        for left in range(query.n - 1, -2, -1):  # the steps left after the next one
+            yield prefixes if target is None else [*compress(prefixes, map(target.__eq__, levels))]
+            if left < 0:
+                return
+            # the levels from which target is still reachable in the steps left
+            lo, hi = (0, cap) if target is None else (target - left * up, target + left * down)
+            ends = [[lv + s for s in row if lo <= lv + s <= hi] for lv, row in enumerate(choices)]
+            moves = [[(end - lv,) for end in row] for lv, row in enumerate(ends)]
+            prefixes = [p + s for p, lv in zip(prefixes, levels) for s in moves[lv]]
+            levels = [end for lv in levels for end in ends[lv]]
 
-    rec(0, query.n)
-    return out
+    return layers()
 
 
 def count_dp(query: PathFamilyQuery) -> int:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deutschpaths.bijection as bij
 from deutschpaths.bijection import (
     FirstReturnDecomposition,
     NotAPath,
@@ -25,7 +28,7 @@ from deutschpaths.paths import (
     enumerate_paths,
     validate_path,
 )
-from deutschpaths.reporting import MismatchFound
+from deutschpaths.reporting import MismatchFound, VerificationReport
 
 
 def deutsch_paths(n):
@@ -200,6 +203,58 @@ class TestCertify:
         failed = {c.name for c in exc.value.report.failures}
         assert failed == {"from_motzkin(to_motzkin(w)) = w"}
 
+    def test_wrong_preimage_fails_both_round_trips(self, monkeypatch):
+        # one Motzkin path of length 5 is sent to another one's preimage: the
+        # forward map is untouched, so only the round trips can see it
+        kernel = bij._from_motzkin_steps
+        wrong = {(1, 0, 0, 0, -1): kernel((0, 0, 0, 0, 0))}
+        monkeypatch.setattr(bij, "_from_motzkin_steps", lambda s: wrong.get(s) or kernel(s))
+        with pytest.raises(MismatchFound) as exc:
+            certify(7)
+        failed = {(c.name, c.dimension) for c in exc.value.report.failures}
+        assert failed == {
+            ("from_motzkin(to_motzkin(w)) = w", "n=5"),
+            ("to_motzkin(from_motzkin(m)) = m", "n=5"),
+        }
+
+    @pytest.mark.parametrize("n_max", range(10))
+    def test_report_matches_the_per_length_oracle(self, n_max):
+        assert certify(n_max).to_dict() == per_length_certify(n_max).to_dict()
+
+
+def per_length_certify(n_max):
+    """certify's report with every length walked on its own and every round
+    trip mapped again: the oracle."""
+    report = VerificationReport("Deutsch-Motzkin bijection certification")
+    counts, joint = [], Counter()
+    for n in range(n_max + 1):
+        dim = f"n={n}"
+        domain = [p.steps for p in deutsch_paths(n)]
+        codomain = [p.steps for p in motzkin_paths(n)]
+        images = [bij._to_motzkin_steps(w) for w in domain]
+        report.add("length preserved", dim, all(len(i) == len(w) for i, w in zip(images, domain)))
+        report.add("injective", dim, len(set(images)) == len(images))
+        report.add("image is every Motzkin path", dim, set(images) == set(codomain))
+        typed = DeutschPath(domain[-1])
+        back_ok = from_motzkin(to_motzkin(typed)) == typed and all(
+            bij._from_motzkin_steps(img) == w for img, w in zip(images, domain)
+        )
+        report.add("from_motzkin(to_motzkin(w)) = w", dim, back_ok)
+        fwd_ok = all(bij._to_motzkin_steps(bij._from_motzkin_steps(m)) == m for m in codomain)
+        report.add("to_motzkin(from_motzkin(m)) = m", dim, fwd_ok)
+        counts_ok = len(domain) == len(codomain)
+        report.add(
+            "|open Deutsch| = |Motzkin|", dim, counts_ok,
+            "" if counts_ok else f"{len(domain)} vs {len(codomain)}",
+        )
+        levels = [tuple(accumulate(w, initial=0)) for w in domain]
+        ups_ok = all(img.count(1) == decompose_returns_count(w) for img, w in zip(images, domain))
+        report.add("image up-steps = returns in recursion tree", dim, ups_ok)
+        counts.append(len(domain))
+        joint.update((lv[-1], img.count(0)) for lv, img in zip(levels, images))
+    report.data["counts"] = counts
+    report.data["end_level_vs_flats"] = {f"{e},{f}": c for (e, f), c in sorted(joint.items())}
+    return report
 
 
 def _random_deutsch_steps(n, seed):

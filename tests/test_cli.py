@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -615,6 +617,32 @@ class TestErrors:
         # such a strip once ended in an OverflowError: its width does not fit an index
         value = 10**20
         assert_out_of_range(argv + [str(value)], argv[-1], value, 0, DEFAULT_DP_BOUND, capsys)
+
+
+#: The command line as ``python -m`` runs it, and as the installed script does.
+ENTRY_POINTS = {
+    "module": ["-m", "deutschpaths.cli"],
+    "script": ["-c", "import sys; from deutschpaths.cli import main; sys.exit(main())"],
+}
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_reader_closing_the_pipe_ends_the_command_quietly(self, entry):
+        # 15 511 lines, far more than a pipe holds: the writer meets the closed pipe
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, *ENTRY_POINTS[entry], "enumerate", "--family", "motzkin", "--n", "12"]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert first == b"U U U U U U D D D D D D\n"
+        assert err == b""  # no traceback, and no "Exception ignored" line at shutdown
+        assert child.returncode == 141
 
 
 class TestConfigAndCache:

@@ -17,6 +17,7 @@ from deutschpaths.algebra import (
     V,
     Poly,
     RatFn,
+    Series,
     compose_with_v,
     expand_in_v,
     expand_in_z,
@@ -525,9 +526,9 @@ class TestSharedOracle:
 
     def test_tally_reads_like_every_path(self):
         for family, cap in (("deutsch", None), ("motzkin", None), ("reversed", 4)):
-            for n in range(8):
+            for n, steps in enumerate(paths._walk(PathFamilyQuery(family, 7, max_height=cap))):
                 query = PathFamilyQuery(family, n, max_height=cap)
-                tally = formulas._tally(paths._walk(query))
+                tally = formulas._tally(steps)
                 assert sum(c for c, _ in tally.values()) == count_dp(query)
                 for (end, height), (count, area) in tally.items():
                     same = [
@@ -556,6 +557,41 @@ class TestSharedOracle:
         second = exc.value.report
         assert second.to_dict() != first.to_dict()
         assert [c.name for c in second.failures] == ["area_A vs enumeration"]
+
+
+class TestSharedExpansions:
+    """oracle_check expands each distinct RatFn once per call, and every id
+    that builds it reads that one series."""
+
+    SHARED = ("phi(2,0)", "phi0_bounded(2)", "psi0(2)")
+
+    def test_each_distinct_formula_is_expanded_once(self, monkeypatch):
+        expand, calls = formulas.expand_in_z, []
+        monkeypatch.setattr(formulas, "expand_in_z", lambda f, n: calls.append(f) or expand(f, n))
+        oracle_check(enum_max=8, dp_max=30, h_max=4)
+        ids = [fid for fid in combinatorial_ids(4, 30) if CATALOG[fid.name].params != ("order",)]
+        assert len(ids) == 53 and len(calls) == len({formula(fid) for fid in ids}) == 35
+        assert len(set(calls)) == len(calls)
+        assert formula("open_sum_limit") == formula("motzkin_M")
+        assert len({formula(fid) for fid in self.SHARED}) == 1
+
+    def test_a_perturbed_shared_expansion_fails_every_id_that_reads_it(self, monkeypatch):
+        first = oracle_check(enum_max=6, dp_max=20, h_max=3)
+        shared, expand = formula(self.SHARED[0]), formulas.expand_in_z
+
+        def perturbed(f, order):
+            s = expand(f, order)
+            return Series((*s.coeffs[:4], s.coeffs[4] + 1, *s.coeffs[5:])) if f == shared else s
+
+        monkeypatch.setattr(formulas, "expand_in_z", perturbed)
+        with pytest.raises(MismatchFound) as exc:
+            oracle_check(enum_max=6, dp_max=20, h_max=3)
+        second = exc.value.report
+        assert second.to_dict() != first.to_dict()
+        assert {c.name for c in second.failures} == {
+            f"{fid} vs {oracle}" for fid in self.SHARED for oracle in ("DP", "enumeration")
+        }
+        assert second.to_dict() == per_id_oracle(6, 20, 3).to_dict()
 
 
 class TestSingleFormulaOracleSpot:

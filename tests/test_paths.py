@@ -284,6 +284,49 @@ class TestCellBound:
             )
 
 
+def per_length_walk(query, bound=DEFAULT_ENUM_BOUND):
+    """The step tuples of one length, by a depth-first search of that length
+    alone: the order oracle for the walker, which builds every length in one pass."""
+    if query.n > bound:
+        raise BoundExceeded(f"n={query.n} exceeds enumeration bound {bound}")
+    cap = _height_cap(query)
+    target = 0 if query.family == "motzkin" else query.end_level
+    rules = paths_module._FAMILIES[query.family]
+    up = cap if rules.up is None else rules.up
+    down = cap if rules.down is None else rules.down
+    flat = [0] if rules.flat else []
+    out, steps = [], []
+
+    def rec(level, left):
+        if not left:
+            if target is None or level == target:
+                out.append(tuple(steps))
+            return
+        left -= 1
+        lo, hi = (0, cap) if target is None else (target - left * up, target + left * down)
+        for s in [*range(1, min(cap - level, up) + 1), *flat, *range(-1, -min(level, down) - 1, -1)]:
+            if lo <= level + s <= hi:
+                steps.append(s)
+                rec(level + s, left)
+                steps.pop()
+
+    rec(0, query.n)
+    return out
+
+
+def _walk_queries(n_max):
+    """Every family at lengths 0..n_max, with and without an end level and a height
+    cap, wherever the set is finite."""
+    for family in paths_module.FAMILIES:
+        ends = (None,) if family == "motzkin" else (None, 0, 2)
+        for n in range(n_max + 1):
+            for end in ends:
+                for h in (None, 3):
+                    if family == "reversed" and end is None and h is None:
+                        continue
+                    yield PathFamilyQuery(family, n, end_level=end, max_height=h)
+
+
 class TestCounts:
     def test_closed_deutsch_counts(self):
         got = [count_dp(PathFamilyQuery("deutsch", n, end_level=0)) for n in range(11)]
@@ -342,15 +385,24 @@ class TestCounts:
         assert got == ["U1 U1", "U1 D", "U2 D"]
 
     def test_walk_yields_the_enumerated_steps_in_order(self):
-        queries = [PathFamilyQuery("deutsch", n, end_level=e) for n in range(8) for e in (None, 0, 2)]
-        queries += [PathFamilyQuery("motzkin", n) for n in range(8)]
-        queries += [PathFamilyQuery("reversed", n, max_height=3) for n in range(7)]
-        for q in queries:
+        # one pass builds every length; each equals a search of that length alone
+        for q in _walk_queries(10):
+            lengths = list(_walk(q))
+            assert lengths == [per_length_walk(q._replace(n=k)) for k in range(q.n + 1)], q
             paths = enumerate_paths(q)
-            assert [p.steps for p in paths] == _walk(q), q
+            assert [p.steps for p in paths] == lengths[-1], q
             assert all(type(p).family == q.family for p in paths)
+
+    def test_walk_refuses_before_it_runs(self):
         with pytest.raises(BoundExceeded):
             _walk(PathFamilyQuery("deutsch", 15))
+        with pytest.raises(BoundExceeded):
+            _walk(PathFamilyQuery("motzkin", 5), bound=4)
+        with pytest.raises(BoundExceeded):
+            enumerate_paths(PathFamilyQuery("reversed", 15, end_level=0))
+        with pytest.raises(InfiniteFamily):
+            _walk(PathFamilyQuery("reversed", 3))
+        assert len(list(_walk(PathFamilyQuery("motzkin", 5), bound=5))) == 6
 
     def test_dp_large_n_runs(self):
         c = count_dp(PathFamilyQuery("deutsch", 1000, end_level=0))
