@@ -461,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
         fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
-        p.add_argument("--cache-dir", help="trinomial-row cache directory")
+        # deprecated and ignored, kept so that old command lines still parse
+        p.add_argument("--cache-dir", help=argparse.SUPPRESS)
     return parser
 
 
@@ -492,19 +493,7 @@ def _run(argv: list[str] | None, out) -> int:
                 f"--csv is not available for {args.subcommand!r}",
                 f"csv output covers {', '.join(most)}, and {last}",
             )
-        if args.cache_dir:
-            from . import algebra
-
-            try:
-                algebra.load_cache(args.cache_dir)
-            except (OSError, ValueError) as exc:
-                print(f"warning: ignoring cache: {exc}", file=sys.stderr)
         payload = command.handler(args)
-        if args.cache_dir:
-            try:
-                algebra.save_cache(args.cache_dir)
-            except (OSError, ValueError) as exc:
-                print(f"warning: could not write cache: {exc}", file=sys.stderr)
         _emit(args, payload, time.perf_counter() - t0, out)
     except (QueryError, PathError) as exc:  # a UsageError is a QueryError
         print(f"error: {exc}", file=sys.stderr)

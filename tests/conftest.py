@@ -11,8 +11,9 @@ from deutschpaths import algebra
 def fresh_rows(monkeypatch):
     """An empty trinomial-row memo for one test, dropped with every row it built.
 
-    Rows past n of about 9000 hold integers longer than the int-to-str limit;
-    left in the process-wide memo, they make every later ``save_cache`` refuse.
+    It drops them to free memory: one row takes about 33 MB at n = 10 000.
+    No CLI command saves the memo to disk, so a large row left in it would
+    only cost memory for the rest of the run.
     """
     rows = {0: (1,)}
     monkeypatch.setattr(algebra, "_TRI_ROWS", rows)

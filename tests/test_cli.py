@@ -19,7 +19,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from deutschpaths import __version__, algebra, cli, formulas, paths, stats
+from deutschpaths import __version__, cli, formulas, paths, stats
 from deutschpaths.cli import _num_str, build_parser, main
 from deutschpaths.formulas import coeff_closed, coeff_open, height_sum_closed
 from deutschpaths.paths import (
@@ -645,16 +645,79 @@ class TestClosedOutput:
         assert child.returncode == 141
 
 
+#: One argv per subcommand, each quick, for the --cache-dir contract.
+CACHE_ARGVS = [
+    ["count", "--family", "deutsch", "--n", "9"],
+    ["enumerate", "--family", "motzkin", "--n", "4"],
+    ["series", "--formula", "closed", "--terms", "12"],
+    ["biject", "--path", "U U D2 U"],
+    ["verify", "det", "--max-n", "3"],
+    ["stats", "area", "--n", "9"],
+    ["selftest"],
+]
+
+
+def run_captured(argv, capsys):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    code, text = run(argv)
+    return code, text, capsys.readouterr().err
+
+
 class TestConfigAndCache:
-    def test_cache_dir_flag_writes_cache(self, tmp_path):
-        code, _ = run_json(
-            ["series", "--formula", "closed", "--terms", "12", "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
+    """``--cache-dir`` is deprecated: accepted, ignored, and absent from every help text."""
+
+    @pytest.mark.parametrize("argv", CACHE_ARGVS, ids=" ".join)
+    def test_cache_dir_changes_no_output(self, argv, tmp_path, capsys):
+        missing, empty = tmp_path / "missing", tmp_path / "empty"
+        empty.mkdir()
+        without = run_captured(argv, capsys)
+        assert without[0] == 0 and without[2] == ""
+        assert run_captured(argv + ["--cache-dir", str(missing)], capsys) == without
+
+        def envelope(extra):
+            code, text, err = run_captured(argv + ["--json"] + extra, capsys)
+            env = json.loads(text)
+            del env["elapsed_seconds"]
+            return code, env, err
+
+        code, env, err = envelope(["--cache-dir", str(empty)])
+        # the echo records the flag as given; nothing else may differ
+        assert env["command"]["args"]["cache_dir"] == str(empty)
+        env["command"]["args"]["cache_dir"] = None
+        assert (code, env, err) == envelope([])
+        assert not missing.exists()
+        assert list(empty.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "version, rows",
+        [(2, {"8": [0] * 17, "9": [0] * 19}), (1, {"9": [1] * 19})],
+        ids=["poisoned", "version-1"],
+    )
+    def test_cache_file_is_neither_read_nor_written(
+        self, version, rows, tmp_path, fresh_rows, capsys
+    ):
+        # a fresh process: no rows built yet, so rows read from the file would be used
         cache = tmp_path / "algebra_cache.json"
-        assert cache.exists()
-        data = json.loads(cache.read_text())
-        assert data["format"] == "deutschpaths-cache"
+        cache.write_text(
+            json.dumps({"format": "deutschpaths-cache", "version": version, "trinomial_rows": rows})
+        )
+        before = cache.read_bytes()
+        argv = ["stats", "area", "--n", "9", "--cache-dir", str(tmp_path)]
+        code, text, err = run_captured(argv, capsys)
+        assert (code, err) == (0, "")
+        assert "exact=4065/232" in text
+        assert cache.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [cache]
+
+    @pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._SUBCOMMANDS], ids=repr)
+    def test_help_omits_cache_dir_but_the_flag_parses(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            run(argv + ["--help"])
+        assert "cache" not in capsys.readouterr().out
+        if argv:
+            with pytest.raises(SystemExit):
+                run(argv + ["--cache-dir"])  # the flag still takes a value
+            assert "--cache-dir: expected one argument" in capsys.readouterr().err
 
     def test_config_flag_refused(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -681,37 +744,6 @@ class TestConfigAndCache:
             ["series", "--formula", "closed", "--terms", "15", "--cache-dir", str(tmp_path)]
         )
         assert first["payload"] == second["payload"]
-
-    def test_cache_missing_rows_is_ignored_with_warning(self, tmp_path, capsys):
-        (tmp_path / "algebra_cache.json").write_text(
-            json.dumps({"format": "deutschpaths-cache", "version": 2})
-        )
-        code, env = run_json(
-            ["series", "--formula", "closed", "--terms", "8", "--cache-dir", str(tmp_path)]
-        )
-        assert code == 0
-        assert env["payload"]["coefficients"][-1] == "91"
-        assert "warning: ignoring cache" in capsys.readouterr().err
-
-    def test_poisoned_cache_rows_are_ignored_with_warning(self, tmp_path, fresh_rows, capsys):
-        # a fresh process: no rows computed yet, so loaded rows would be used
-        cache = algebra.save_cache(tmp_path)
-        data = json.loads(cache.read_text())
-        data["trinomial_rows"]["8"] = [0] * 17
-        data["trinomial_rows"]["9"] = [0] * 19
-        cache.write_text(json.dumps(data))
-        code, text = run(["stats", "area", "--n", "9", "--cache-dir", str(tmp_path)])
-        assert code == 0
-        assert "exact=4065/232" in text
-        assert "warning: ignoring cache" in capsys.readouterr().err
-
-    def test_unencodable_cache_row_warns_and_answers(self, tmp_path, monkeypatch, capsys):
-        # a row with an integer past json's 4300-digit limit, as for n > 9000
-        monkeypatch.setitem(algebra._TRI_ROWS, 10**6, (10**4400,))
-        code, text = run(["stats", "area", "--n", "9", "--cache-dir", str(tmp_path)])
-        assert code == 0
-        assert "exact=4065/232" in text
-        assert "warning: could not write cache" in capsys.readouterr().err
 
 
 class TestSelftest:

@@ -118,6 +118,21 @@ class TestImportSets:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["biject", "--path", "U U D2 U"],
+            ["enumerate", "--family", "deutsch", "--n", "4"],
+            ["count", "--family", "deutsch", "--n", "12", "--max-height", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_cache_dir_loads_no_algebra(self, argv, tmp_path):
+        # the deprecated flag is ignored: it must not pull in the kernel
+        code, loaded = modules_after_main(argv + ["--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert not set(ALGEBRA) & set(loaded), loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["count", "--family", "deutsch", "--n", "12", "--max-height", "3"],
             ["count", "--family", "motzkin", "--n", "9", "--max-height", "2", "--csv"],
             ["enumerate", "--family", "deutsch", "--n", "4"],
