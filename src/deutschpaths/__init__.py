@@ -39,7 +39,6 @@ _EXPORTS = {
         "certify",
         "decompose",
         "from_motzkin",
-        "recompose",
         "returns_count",
         "to_motzkin",
     ),

@@ -504,11 +504,6 @@ class RatFn:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def as_polynomial(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.num
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -692,11 +687,6 @@ class Series:
         if n > self.order:
             raise IndexError(f"coefficient of z^{n} unknown beyond order {self.order}")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise IndexError(f"cannot extend series of order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

@@ -73,21 +73,6 @@ def decompose(w) -> FirstReturnDecomposition:
     )
 
 
-def recompose(d: FirstReturnDecomposition) -> DeutschPath:
-    """Inverse of decompose."""
-    if d.kind == "empty":
-        return DeutschPath()
-    if d.kind == "no_return":
-        return DeutschPath((1,) + d.tail.steps)
-    if d.kind != "returns":
-        raise NotAPath(f"unknown decomposition kind {d.kind!r}")
-    if d.down_size != 1 + d.inner.end_level:
-        raise NotAPath(
-            f"down size {d.down_size} inconsistent with inner end level {d.inner.end_level}"
-        )
-    return DeutschPath((1,) + d.inner.steps + (-d.down_size,) + d.remainder.steps)
-
-
 def to_motzkin(w) -> MotzkinPath:
     """Map an open Deutsch path to the Motzkin path of the same length."""
     w = _ensure(w, DeutschPath, "deutsch")

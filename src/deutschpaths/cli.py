@@ -204,21 +204,21 @@ def _cmd_biject(args) -> dict:
     }
 
 
-#: Each battery: its call on --max-n, its default --max-n, the least and
-#: the most it accepts, and the seconds an in-process run at the most took on
-#: a 2-vCPU host (the slower of two runs).  Each most is the largest size that
-#: ran in about 5 s; for bijection it is also the enumeration bound.
+#: Each battery: its call on --max-n, its default --max-n, and the least and
+#: the most it accepts.  Each most is the largest size that ran in about 5 s
+#: in-process (docs/cli.md lists the measured times); for bijection it is
+#: also the enumeration bound.
 _BATTERIES = {
-    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 90, 4.0),
-    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150, 3.1),
-    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 34, 4.7),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 190, 5.0),
+    "det": (_on_call("matrices", "verify_determinant"), 12, 1, 90),
+    "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150),
+    "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 34),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 190),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
-        30, 1, 340, 2.7,
+        30, 1, 340,
     ),
-    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND, 2.0),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 800, 4.2),
+    "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 800),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 
@@ -230,7 +230,7 @@ def _run_verify(target: str, max_n: int | None) -> VerificationReport:
         from .selftest import run_selftest
 
         return run_selftest()
-    battery, default, least, most, _ = _BATTERIES[target]
+    battery, default, least, most = _BATTERIES[target]
     return battery(default if max_n is None else _in_range("--max-n", max_n, least, most, default))
 
 
@@ -386,10 +386,7 @@ _SUBCOMMANDS = {
             _arg(
                 "--max-n", type=int, default=None,
                 help="largest dimension/length to check; "
-                + ", ".join(
-                    f"{name}: at most {most} ({seconds} s)"
-                    for name, (_, _, _, most, seconds) in _BATTERIES.items()
-                ),
+                + ", ".join(f"{name}: at most {most}" for name, (*_, most) in _BATTERIES.items()),
             ),
         ),
         _cmd_verify,
@@ -461,8 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="emit a JSON envelope")
         fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
-        # deprecated and ignored, kept so that old command lines still parse
-        p.add_argument("--cache-dir", help=argparse.SUPPRESS)
+        # deprecated and ignored, kept so that old command lines still parse;
+        # unless passed it leaves no attribute, so --json echoes it only then
+        p.add_argument("--cache-dir", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return parser
 
 

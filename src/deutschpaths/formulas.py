@@ -136,13 +136,14 @@ def area_gf() -> RatFn:
     return cyclotomic_product(1, 2, [(3, 2), (2, -3), (1, -2)])
 
 
-#: c[0..] of ``divisor_counts``: one sieve kept for the process, grown on demand.
+#: c[0..] with c[m] = #{d >= 3 : d divides m} (c[0] = 0): one sieve kept for
+#: the process, grown on demand.
 _DIVISOR_SIEVE: tuple[int, ...] = (0,)
 
 
 def _divisor_sieve(m_max: int) -> tuple[int, ...]:
-    """The kept sieve, rebuilt at twice its length or more when it ends
-    before m_max; immutable, so it is handed out as it is."""
+    """The kept sieve, through at least c[m_max]; rebuilt at twice its length
+    or more when it ends before m_max, and immutable, so handed out as it is."""
     global _DIVISOR_SIEVE
     c = _DIVISOR_SIEVE
     if m_max >= len(c):
@@ -155,18 +156,12 @@ def _divisor_sieve(m_max: int) -> tuple[int, ...]:
     return c
 
 
-def divisor_counts(m_max: int) -> list[int]:
-    """c[0..m_max] with c[m] = #{d >= 3 : d divides m} (c[0] = 0), a fresh
-    list read from the kept sieve."""
-    return list(_divisor_sieve(m_max)[: max(m_max + 1, 0)])
-
-
 def _height_sum_series(order: int, prefactor: RatFn, shift: int) -> Series:
     if order < 0:
         raise BadParams(f"order must be nonnegative, got {order}")
     # Summing 1/(1-v^(h+2)) over h >= 1 leaves c[m+shift] at v^m (d = h+2 divides
     # m+shift); every such d is at most order+shift: exact through v^order.
-    w = expand_in_v(prefactor, order) * Series(divisor_counts(order + shift)[shift:])
+    w = expand_in_v(prefactor, order) * Series(_divisor_sieve(order + shift)[shift : order + shift + 1])
     return compose_with_v(w.coeffs, order)
 
 

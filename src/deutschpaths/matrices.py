@@ -362,14 +362,13 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
     return QvMatrix(L), QvMatrix(U)
 
 
-def u_diagonal_product(n: int, transposed: bool = False) -> RatFn:
-    """The telescoping product U_11 * ... * U_nn.
+def u_diagonal_product(n: int) -> RatFn:
+    """The telescoping product U_11 * ... * U_nn, in either orientation:
+    U's diagonal is the same in both.
 
-    U's diagonal is the same in both orientations, so ``transposed`` does
-    not change the result.  Neither the diagonal nor L and U is built: the
-    ``_u_exponents`` maps of U_11, ..., U_nn, which ``lu_formulas`` builds
-    U's diagonal from, are summed, and the product is built once, reduced,
-    with no gcd.
+    Neither the diagonal nor L and U is built: the ``_u_exponents`` maps of
+    U_11, ..., U_nn, which ``lu_formulas`` builds U's diagonal from, are
+    summed, and the product is built once, reduced, with no gcd.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -443,10 +442,11 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
     cand1 = det_product_candidate(n, 1)
     cand2 = det_product_candidate(n, 2)
     match1, match2 = prod == cand1, prod == cand2
-    report.add(
-        "exactly one candidate matches", f"n={n}", match1 != match2,
-        f"product {prod!r}; (1-v^(n+1)) candidate {cand1!r}; (1-v^(n+2)) candidate {cand2!r}",
+    one_matches = match1 != match2
+    witness = "" if one_matches else (
+        f"product {prod!r}; (1-v^(n+1)) candidate {cand1!r}; (1-v^(n+2)) candidate {cand2!r}"
     )
+    report.add("exactly one candidate matches", f"n={n}", one_matches, witness)
     report.add("product equals determinant closed form", f"n={n}", prod == det)
     verified = "n+2" if match2 else ("n+1" if match1 else "neither")
     report.data["verified_exponent"] = verified

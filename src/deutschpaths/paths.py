@@ -38,7 +38,7 @@ from numbers import Integral
 from operator import add
 from typing import ClassVar, Iterable, Iterator, NamedTuple
 
-#: Largest length accepted by exhaustive enumeration unless overridden.
+#: Largest length accepted by exhaustive enumeration.
 DEFAULT_ENUM_BOUND = 14
 
 #: Most paths the command line lists: the open Deutsch paths of length 14.
@@ -334,22 +334,20 @@ def _target_levels(query: PathFamilyQuery) -> int | None:
     return 0 if _FAMILIES[query.family].closed else query.end_level
 
 
-def enumerate_paths(
-    query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND
-) -> list[LatticePath]:
+def enumerate_paths(query: PathFamilyQuery) -> list[LatticePath]:
     """All paths matching the query, in documented lexicographic order."""
     cls = _CLASSES[query.family]
-    for steps in _walk(query, bound):  # the last length is the query's
+    for steps in _walk(query):  # the last length is the query's
         pass
     return [cls(s) for s in steps]
 
 
-def _walk(query: PathFamilyQuery, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[list[tuple]]:
+def _walk(query: PathFamilyQuery) -> Iterator[list[tuple]]:
     """The step tuples of the paths matching the query at each length 0..query.n,
     in enumeration order: each length extends, by each of their steps in order,
     the prefixes of the length before that can still reach the target by query.n."""
-    if query.n > bound:
-        raise BoundExceeded(f"n={query.n} exceeds enumeration bound {bound}")
+    if query.n > DEFAULT_ENUM_BOUND:
+        raise BoundExceeded(f"n={query.n} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     cap = _height_cap(query)
     target = _target_levels(query)
     rules = _FAMILIES[query.family]

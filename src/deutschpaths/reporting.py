@@ -23,17 +23,14 @@ class CheckResult(NamedTuple):
     passed: bool
     witness: str = ""
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 class VerificationReport:
     """Collected check results plus free-form summary data."""
 
-    def __init__(self, title: str, checks: list[CheckResult] | None = None, data=None):
+    def __init__(self, title: str):
         self.title = title
-        self.checks = [] if checks is None else checks
-        self.data = {} if data is None else data
+        self.checks: list[CheckResult] = []
+        self.data = {}
 
     def add(self, name: str, dimension, passed: bool, witness: str = "") -> None:
         self.checks.append(CheckResult(name, str(dimension), bool(passed), witness))
@@ -69,6 +66,6 @@ class VerificationReport:
         return {
             "title": self.title,
             "ok": self.ok,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [c._asdict() for c in self.checks],
             "data": self.data,
         }

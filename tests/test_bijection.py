@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 
 import deutschpaths.bijection as bij
 from deutschpaths.bijection import (
-    FirstReturnDecomposition,
     NotAPath,
     certify,
     decompose,
     from_motzkin,
-    recompose,
     returns_count,
     to_motzkin,
 )
@@ -59,23 +57,19 @@ class TestDecompose:
         d = decompose(validate_path("", "deutsch"))
         assert d.kind == "empty"
 
-    def test_recompose_inverts(self):
-        for n in range(8):
+    def test_parts_reassemble_the_path(self):
+        for n in range(11):
             for p in deutsch_paths(n):
-                assert recompose(decompose(p)).steps == p.steps
-
-    def test_recompose_rejects_wrong_down_size(self):
-        p = validate_path("U U D2", "deutsch")
-        d = decompose(p)
-        bad = FirstReturnDecomposition(
-            kind=d.kind,
-            tail=d.tail,
-            inner=d.inner,
-            down_size=d.down_size + 1,
-            remainder=d.remainder,
-        )
-        with pytest.raises(NotAPath):
-            recompose(bad)
+                d = decompose(p)
+                if d.kind == "empty":
+                    parts = ()
+                elif d.kind == "no_return":
+                    parts = (1, *d.tail.steps)
+                else:
+                    assert d.kind == "returns"
+                    assert d.down_size == 1 + d.inner.end_level, p.tokens()
+                    parts = (1, *d.inner.steps, -d.down_size, *d.remainder.steps)
+                assert parts == p.steps, p.tokens()
 
 
 class TestForwardMap:

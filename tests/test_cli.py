@@ -451,7 +451,7 @@ class TestVerify:
             assert run(argv) == (2, "")
             assert "hint: drop --max-n, or name one battery" in capsys.readouterr().err
             return
-        _, default, _, most, _ = cli._BATTERIES[target]
+        _, default, _, most = cli._BATTERIES[target]
         assert_out_of_range(argv, "--max-n", int(max_n), int(least), most, capsys, default)
 
     def test_bijection_past_the_enumeration_bound_refused(self, capsys):
@@ -468,7 +468,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("target", list(cli._BATTERIES))
     def test_max_n_above_battery_maximum_refused(self, target, monkeypatch, capsys):
-        _, default, least, most, _ = cli._BATTERIES[target]
+        _, default, least, most = cli._BATTERIES[target]
         forbid_work(monkeypatch)
         argv = ["verify", target, "--max-n", str(most + 1)]
         assert_out_of_range(argv, "--max-n", most + 1, least, most, capsys, default)
@@ -483,8 +483,16 @@ class TestVerify:
         with pytest.raises(SystemExit):
             run(["verify", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        for target, (_, _, _, most, seconds) in cli._BATTERIES.items():
-            assert f"{target}: at most {most} ({seconds} s)" in text
+        for target, (*_, most) in cli._BATTERIES.items():
+            assert f"{target}: at most {most}" in text
+        assert " s)" not in text  # the measured times live in docs/cli.md only
+
+    @pytest.mark.parametrize("target", cli._VERIFY_TARGETS)
+    def test_passing_checks_carry_no_witness(self, target):
+        # a witness is written only when its check failed; "all" is selftest
+        report = cli._run_verify(target, None)
+        assert report.checks and report.ok
+        assert [c for c in report.checks if c.witness] == []
 
 
 class TestStats:
@@ -682,8 +690,7 @@ class TestConfigAndCache:
 
         code, env, err = envelope(["--cache-dir", str(empty)])
         # the echo records the flag as given; nothing else may differ
-        assert env["command"]["args"]["cache_dir"] == str(empty)
-        env["command"]["args"]["cache_dir"] = None
+        assert env["command"]["args"].pop("cache_dir") == str(empty)
         assert (code, env, err) == envelope([])
         assert not missing.exists()
         assert list(empty.iterdir()) == []
@@ -708,6 +715,12 @@ class TestConfigAndCache:
         assert "exact=4065/232" in text
         assert cache.read_bytes() == before
         assert list(tmp_path.iterdir()) == [cache]
+
+    @pytest.mark.parametrize("argv", CACHE_ARGVS, ids=" ".join)
+    def test_json_echo_omits_cache_dir_unless_passed(self, argv):
+        code, env = run_json(argv)
+        assert code == 0
+        assert "cache_dir" not in env["command"]["args"]
 
     @pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._SUBCOMMANDS], ids=repr)
     def test_help_omits_cache_dir_but_the_flag_parses(self, argv, capsys):
@@ -800,7 +813,7 @@ class TestPinnedOutput:
         code, text = run(["verify", "product"])
         lines = text.splitlines()
         assert code == 0 and len(lines) == 4
-        assert lines[0].startswith("PASS  exactly one candidate matches  (n=3)  [product (1 + 3*v")
+        assert lines[0] == "PASS  exactly one candidate matches  (n=3)"
         assert lines[1] == "PASS  product equals determinant closed form  (n=3)"
         assert lines[2] == (
             "note: prod U_ii for n=3 equals ((1+v)/(1+v+v^2))^n * (1-v^(n+2))/(1-v^2); "
@@ -813,7 +826,7 @@ class TestPinnedOutput:
         code_s, selftest = run_json(["selftest"])
         assert code_a == code_s == 0
         assert verify_all["payload"] == selftest["payload"]
-        assert selftest["command"]["args"] == {"cache_dir": None}
+        assert selftest["command"]["args"] == {}
 
     @pytest.mark.parametrize(
         "argv",
@@ -949,8 +962,10 @@ class TestDocs:
 
     def test_battery_bounds_table_matches_the_batteries(self):
         text = CLI_DOC.read_text()
-        rows = dict(re.findall(r"^\| `(\w+)` \| (\d+ \| [\d.]+) s \|$", text, re.MULTILINE))
-        assert rows == {
-            target: f"{most} | {seconds}"
-            for target, (_, _, _, most, seconds) in cli._BATTERIES.items()
+        rows = re.findall(r"^\| `(\w+)` \| (\d+) \| (.*) s \|$", text, re.MULTILINE)
+        assert {target: int(most) for target, most, _ in rows} == {
+            target: most for target, (*_, most) in cli._BATTERIES.items()
         }
+        assert len(rows) == len(cli._BATTERIES)
+        for target, _, seconds in rows:
+            assert re.fullmatch(r"\d+\.\d", seconds), (target, seconds)

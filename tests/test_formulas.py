@@ -26,13 +26,13 @@ from deutschpaths.formulas import (
     CATALOG,
     BadParams,
     FormulaId,
+    _divisor_sieve,
     _end_height_area,
     closed_height_ge,
     coeff_closed,
     coeff_open,
     coeff_reversed_formal,
     combinatorial_ids,
-    divisor_counts,
     formula,
     height_sum_closed,
     height_sum_open,
@@ -296,7 +296,7 @@ class TestGoldenSeries:
 
 
 def sieve_loop(m_max: int) -> list[int]:
-    """The sieve run afresh for one m_max: divisor_counts before it kept one."""
+    """The sieve run afresh for one m_max, as the package did before it kept one."""
     c = [0] * (m_max + 1)
     for d in range(3, m_max + 1):
         for m in range(d, m_max + 1, d):
@@ -384,25 +384,24 @@ class TestDivisorCounts:
         monkeypatch.setattr(formulas, "_DIVISOR_SIEVE", (0,))
         want = sieve_loop(10002)
         for m in range(2001):
-            assert divisor_counts(m) == want[: m + 1]
-        assert divisor_counts(10002) == want
-        assert divisor_counts(-1) == []
+            assert list(_divisor_sieve(m)[: m + 1]) == want[: m + 1]
+        assert list(_divisor_sieve(10002)[:10003]) == want
 
     def test_height_totals_do_not_depend_on_the_kept_length(self, monkeypatch):
         # stats reads the kept sieve in place; it may be longer than n + s
         monkeypatch.setattr(formulas, "_DIVISOR_SIEVE", (0,))
         first = [height_total(n, family) for n in (0, 1, 2, 40) for family in ("closed", "open")]
-        divisor_counts(5000)
+        _divisor_sieve(5000)
         assert [height_total(n, family) for n in (0, 1, 2, 40) for family in ("closed", "open")] == first
 
-    def test_each_call_gets_a_fresh_list(self, monkeypatch):
+    def test_the_kept_sieve_is_read_only(self, monkeypatch):
+        # handed out as it is kept: no caller can change what the next one reads
         monkeypatch.setattr(formulas, "_DIVISOR_SIEVE", (0,))
-        first = divisor_counts(12)  # the sieve is built to exactly 12
-        first[6] = 99
-        first.append(1)
-        again = divisor_counts(12)
-        assert again is not first
-        assert again == sieve_loop(12)
+        kept = _divisor_sieve(12)  # the sieve is built to exactly 12
+        with pytest.raises(TypeError):
+            kept[6] = 99
+        assert _divisor_sieve(12) is kept
+        assert list(kept) == sieve_loop(12)
 
 
 class TestOracle:

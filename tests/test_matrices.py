@@ -437,7 +437,7 @@ class TestLU:
             want = ONE
             for i in range(n):
                 want = want * upper.entry(i, i)
-            assert u_diagonal_product(n, transposed) == want, n
+            assert u_diagonal_product(n) == want, n
 
     def test_diagonal_product_is_the_product_of_the_diagonal(self):
         # summed cyclotomic exponents against the factors multiplied one by one
@@ -461,6 +461,13 @@ class TestLU:
             "exactly one candidate matches", "product equals determinant closed form",
         }
         assert report.data["verified_exponent"] == "neither"
+        # the failing row, and only it, carries the product and both candidates
+        witness = report.failures[0].witness
+        assert witness == (
+            f"product {report.data['product_canonical']}; "
+            f"(1-v^(n+1)) candidate {report.data['candidate_n_plus_1']}; "
+            f"(1-v^(n+2)) candidate {report.data['candidate_n_plus_2']}"
+        )
         lu = report_of(verify_lu, 4)
         assert failing_sizes(lu, "L*U = A") == failing_sizes(lu, "prod U_ii") == {2, 3, 4}
         assert failing_sizes(lu, "shape") == set()

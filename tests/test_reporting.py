@@ -9,13 +9,14 @@ from deutschpaths.reporting import CheckResult, MismatchFound, VerificationRepor
 
 class TestCheckResult:
     def test_to_dict(self):
-        c = CheckResult("identity", "n=3", True, "")
-        assert c.to_dict() == {
+        r = VerificationReport("demo")
+        r.add("identity", "n=3", True)
+        assert r.to_dict()["checks"] == [{
             "name": "identity",
             "dimension": "n=3",
             "passed": True,
             "witness": "",
-        }
+        }]
 
 
 class TestVerificationReport:
@@ -64,7 +65,8 @@ class TestVerificationReport:
         assert Counted.calls == 1
 
     def test_to_dict_shape(self):
-        r = VerificationReport("demo", data={"k": 1})
+        r = VerificationReport("demo")
+        r.data["k"] = 1
         r.add("a", "n=1", True)
         d = r.to_dict()
         assert d["title"] == "demo"
@@ -80,7 +82,9 @@ class TestRecordsUnchanged:
     """The payloads verify and selftest print, key for key and in order."""
 
     def test_check_result_to_dict(self):
-        d = CheckResult("identity", "n=3", False, "got 1").to_dict()
+        r = VerificationReport("demo")
+        r.add("identity", "n=3", False, "got 1")
+        (d,) = r.to_dict()["checks"]
         assert list(d.items()) == [
             ("name", "identity"),
             ("dimension", "n=3"),
@@ -96,7 +100,8 @@ class TestRecordsUnchanged:
             c.passed = False
 
     def test_report_to_dict(self):
-        r = VerificationReport("demo", data={"k": 1})
+        r = VerificationReport("demo")
+        r.data["k"] = 1
         r.add("a", 1, True)
         r.expect("b", "n=2", 3, 4, "elimination", "closed form")
         assert r.to_dict() == {
