@@ -18,7 +18,10 @@ Hashed, in this order:
 - ``determinant(build_matrix(n, t))`` and ``cramer_solve(n, t)`` for
   n <= ``MAX_CRAMER``, and every entry of ``L @ U`` from
   ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True;
-- the closed form ``det_closed_form(n)`` for n <= ``MAX_LU``;
+- the closed forms ``det_closed_form(n)``, ``u_diagonal_product(n)`` and
+  ``det_product_candidate(n, e)`` for e = 1 and 2, for n <= ``MAX_LU``, and
+  every entry of ``lu_formulas(MAX_LU, t)``, L and then U, for t = False and
+  True;
 - ``to_dict()`` of every ``verify`` battery at its default size, of the
   ``det`` and ``lu`` batteries at ``MAX_VERIFY``, of the ``cramer`` battery
   at ``MAX_VERIFY_CRAMER``, of ``verify_lu(MAX_VERIFY_LU)``, of
@@ -47,8 +50,10 @@ from deutschpaths.matrices import (
     build_matrix,
     cramer_solve,
     det_closed_form,
+    det_product_candidate,
     determinant,
     lu_formulas,
+    u_diagonal_product,
     verify_lu,
 )
 from deutschpaths.paths import FAMILIES, PathFamilyQuery, QueryError, enumerate_paths
@@ -112,6 +117,14 @@ def items():
                     yield f"LU({n},{t})[{i},{j}]", _canonical(e)
     for n in range(1, MAX_LU + 1):
         yield f"D({n})", _canonical(det_closed_form(n))
+        yield f"prod U_ii({n})", _canonical(u_diagonal_product(n))
+        for e in (1, 2):
+            yield f"candidate({n},{e})", _canonical(det_product_candidate(n, e))
+    for t in (False, True):
+        for name, factor in zip("LU", lu_formulas(MAX_LU, t)):
+            for i, row in enumerate(factor.rows):
+                for j, e in enumerate(row):
+                    yield f"{name}({MAX_LU},{t})[{i},{j}]", _canonical(e)
     for target, (battery, default, *_) in cli._BATTERIES.items():
         yield f"verify {target}", json.dumps(battery(default).to_dict(), sort_keys=True)
     for target, size in (("det", MAX_VERIFY), ("lu", MAX_VERIFY), ("cramer", MAX_VERIFY_CRAMER)):

@@ -41,8 +41,8 @@ the large-n statistics avoid building million-term series.
 
 Trinomial coefficients trinomial(n, k) = [v^k](1+v+v^2)^n are produced a
 whole row at a time by an integer three-term recurrence in k, run to the
-middle of the palindromic row and mirrored, cached in memory, and
-optionally persisted to a versioned JSON cache file (56 MB at n = 9000).
+middle of the palindromic row and mirrored, and cached in memory;
+``save_cache`` and ``load_cache`` persist the rows, but no command calls them.
 
 The canonical form of a RatFn (numerator and denominator coprime,
 denominator monic) is computed with integers only.  Each polynomial is split
@@ -63,8 +63,9 @@ a*c/(b*d) cancels gcd(a, d) and gcd(c, b); a/b + c/d with g = gcd(b, d)
 needs no further gcd when g = 1 and otherwise only the gcd of the new
 numerator with g; a zero, constant or polynomial operand, a negation and a
 power need no gcd at all.  Every closed form of the package is
-sign * v^a * prod Phi_d^e_d over cyclotomic polynomials Phi_d, and
-``cyclotomic_product`` builds it from that exponent map already reduced.
+sign * v^a * (1+v)^b * (1+v+v^2)^c * prod (1 - v^k)^e, and ``closed_form``
+builds it already reduced from rows of (1+v)^b and (1+v+v^2)^c and sparse
+blocks 1 - v^k, its cyclotomic exponents deciding what cancels.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ import numbers
 import os
 import threading
 from fractions import Fraction
-from functools import cache
+from itertools import accumulate
 from pathlib import Path
 
 
@@ -278,15 +279,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "Poly":
-        return cls((0,) * k + (c,))
-
-    @classmethod
-    def geometric(cls, k: int) -> "Poly":
-        """1 + v + ... + v^(k-1)."""
-        return cls((1,) * k)
 
     @property
     def degree(self) -> int:
@@ -625,31 +617,67 @@ class RatFn:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-@cache
-def _cyclotomic(d: int) -> Poly:
-    """Phi_d, built once per process: v^d - 1 over the Phi_k of its proper divisors k."""
-    p = [-1] + [0] * (d - 1) + [1]
-    for k in range(1, d // 2 + 1):
-        if d % k == 0:
-            p = _exact_quo(p, _cyclotomic(k).coeffs)
-    return Poly(p)
+def _divisors(k: int) -> list[int]:
+    """The divisors of k >= 1, ascending, by trial division up to sqrt(k)."""
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return small + [k // d for d in reversed(small) if d * d != k]
 
 
-def cyclotomic_product(sign: int, a: int, exponents) -> RatFn:
-    """sign * v^a * prod Phi_d^e over the pairs (d, e) of ``exponents``, d >= 1
-    (a d given twice adds its exponents), canonical without a gcd: the Phi_d
-    are monic, irreducible and prime to v, so the positive exponents give a
-    numerator prime to the monic denominator that the negative ones give."""
-    total: dict[int, int] = {}
-    for d, e in exponents:
-        total[d] = total.get(d, 0) + e
-    num, den = Poly.monomial(sign, a), _UNIT
-    for d, e in total.items():
-        if e > 0:
-            num = num * _cyclotomic(d) ** e
-        elif e < 0:
-            den = den * _cyclotomic(d) ** -e
-    return RatFn._of(num, den)
+def _side(exponents: dict[int, int]) -> list[int]:
+    """The coefficients of prod Phi_d^e over ``exponents``, every e > 0.
+
+    Phi_2^b and Phi_3^c are the dense rows of (1+v)^b, one recurrence step
+    per entry, and of (1+v+v^2)^c.  Every other Phi_d is peeled, from the
+    largest d down, into a block (1 - v^d)^e that also carries Phi_q^e for
+    each proper divisor q of d; a Phi_2 or Phi_3 exponent driven below 0
+    becomes a block too.  Blocks that multiply come first, one pass each, so
+    each division by a block is exact: a prefix sum with stride k.
+    """
+    left, rows, blocks = dict(exponents), {2: 0, 3: 0}, []
+    while left:
+        d = max(left)
+        e = left.pop(d)
+        if e > 0 and d in rows:
+            rows[d] = e
+        elif e:
+            blocks.append((d, e))
+            for q in _divisors(d)[:-1]:
+                left[q] = left.get(q, 0) - e
+    b, c = rows[2], rows[3]
+    p = list(accumulate(range(b), lambda x, j: x * (b - j) // (j + 1), initial=1))
+    p = _convolve(p, _compute_row(c), b + 2 * c)
+    for k, e in sorted(blocks, key=lambda block: block[1] < 0):
+        for _ in range(abs(e)):
+            if e > 0:
+                p = [x - y for x, y in zip(p + [0] * k, [0] * k + p)]
+            else:
+                for r in range(k):
+                    p[r::k] = accumulate(p[r::k])
+                if any(p[-k:]):
+                    raise ArithmeticError(f"1 - v^{k} leaves a remainder: exponents miscounted")
+                del p[-k:]
+    return p
+
+
+def closed_form(sign: int, a: int, b: int, c: int, blocks=()) -> RatFn:
+    """sign * v^a * (1+v)^b * (1+v+v^2)^c * prod (1 - v^k)^e over the pairs
+    (k, e), k >= 1, of ``blocks``, canonical without a gcd.
+
+    With Phi_1 = 1 - v, 1+v = Phi_2, 1+v+v^2 = Phi_3 and 1 - v^k is the
+    product of Phi_d over the divisors d of k.  The Phi_d are irreducible
+    and prime to v, so once their exponents are summed the positive ones
+    give a numerator prime to the denominator that the negative ones give.
+    That denominator leads with (-1)^q, q its exponent of 1 - v: one sign
+    flip makes it monic.
+    """
+    total = {2: b, 3: c}
+    for k, e in blocks:
+        for d in _divisors(k):
+            total[d] = total.get(d, 0) + e
+    num = _side({d: e for d, e in total.items() if e > 0})
+    den = _side({d: -e for d, e in total.items() if e < 0})
+    lead = den[-1]  # (-1)^q, its own inverse
+    return RatFn._of(Poly([0] * a + [lead * sign * x for x in num]), Poly([lead * x for x in den]))
 
 
 class Series:

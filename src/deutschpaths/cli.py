@@ -212,13 +212,13 @@ _BATTERIES = {
     "det": (_on_call("matrices", "verify_determinant"), 12, 1, 90),
     "recursion": (_on_call("matrices", "verify_det_recursion"), 12, 3, 150),
     "cramer": (_on_call("matrices", "verify_cramer"), 8, 1, 34),
-    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 190),
+    "lu": (_on_call("matrices", "verify_lu"), 12, 1, 230),
     "oracle": (
         lambda n: _load("formulas", "oracle_check")(enum_max=min(8, n), dp_max=n, h_max=4),
         30, 1, 340,
     ),
     "bijection": (_on_call("bijection", "certify"), 8, 1, DEFAULT_ENUM_BOUND),
-    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 800),
+    "product": (_on_call("matrices", "adjudicate_det_product"), 3, 1, 4000),
 }
 _VERIFY_TARGETS = (*_BATTERIES, "all")
 

@@ -1,15 +1,14 @@
 """Closed-form generating functions for Deutsch-path counting.
 
 Every formula is expressed in the substitution variable v (recall
-z = v/(1+v+v^2)), each rational one as sign * v^a * prod Phi_d^e_d over
-cyclotomic polynomials (1+v+v^2 = Phi_3, 1+v = Phi_2, 1-v = -Phi_1 and
-1-v^k = -prod_{d | k} Phi_d), built already reduced by ``cyclotomic_product``
-with no gcd.  ``CATALOG`` is the one table of formulas: each record
-holds its parameter kinds ("h" a height bound, "i" an end level, "order" a
-series order), its constructor, and what its [z^n] counts, so the whole
-catalog can be checked against the brute-force and transfer-matrix oracles
-in ``paths``.  ``FormulaId``, ``formula``, ``z_series``, both oracles and
-the CLI read only that table.
+z = v/(1+v+v^2)), each rational one as its docstring writes it,
+sign * v^a * (1+v)^b * (1+v+v^2)^c * prod (1 - v^k)^e, and built already
+reduced by ``closed_form`` with no gcd.  ``CATALOG`` is the one table of
+formulas: each record holds its parameter kinds ("h" a height bound, "i"
+an end level, "order" a series order), its constructor, and what its
+[z^n] counts, so the whole catalog can be checked against the brute-force
+and transfer-matrix oracles in ``paths``.  ``FormulaId``, ``formula``,
+``z_series``, both oracles and the CLI read only that table.
 
 The two height sums are series, not rational functions: each sums a
 height >= h family over every h >= 1, which turns the factors
@@ -33,8 +32,8 @@ from typing import Callable, NamedTuple
 from .algebra import (
     RatFn,
     Series,
+    closed_form,
     compose_with_v,
-    cyclotomic_product,
     expand_in_v,
     expand_in_z,
     trinomial,
@@ -47,19 +46,12 @@ class BadParams(QueryError):
     """Formula parameters outside their valid range."""
 
 
-def _binomial(k: int, e: int = 1) -> list[tuple[int, int]]:
-    """The pairs (d, e) for the divisors d of k: (1 - v^k)^e = (-1)^e * prod Phi_d^e."""
-    if k < 1:
-        raise BadParams(f"exponent must be positive, got {k}")
-    return [(d, e) for d in range(1, k + 1) if k % d == 0]
-
-
 # --- the catalog ------------------------------------------------------------
 
 
 def motzkin_gf() -> RatFn:
     """Motzkin paths: M(v) = 1 + v + v^2 under z = v/(1+v+v^2)."""
-    return cyclotomic_product(1, 0, [(3, 1)])
+    return closed_form(1, 0, 0, 1)
 
 
 def phi(h: int, i: int) -> RatFn:
@@ -67,20 +59,19 @@ def phi(h: int, i: int) -> RatFn:
     v^i (1+v+v^2) (1-v^(h-i+2)) / ((1+v)^(i+1) (1-v^(h+3)))."""
     if not 0 <= i <= h:
         raise BadParams(f"phi needs 0 <= i <= h, got h={h}, i={i}")
-    exponents = [(3, 1), (2, -i - 1), *_binomial(h - i + 2), *_binomial(h + 3, -1)]
-    return cyclotomic_product(1, i, exponents)
+    return closed_form(1, i, -i - 1, 1, [(h - i + 2, 1), (h + 3, -1)])
 
 
 def phi0_bounded(h: int) -> RatFn:
     """Closed Deutsch paths of height <= h: phi(h, 0)."""
     if h < 0:
         raise BadParams(f"height bound must be nonnegative, got {h}")
-    return cyclotomic_product(1, 0, [(3, 1), (2, -1), *_binomial(h + 2), *_binomial(h + 3, -1)])
+    return closed_form(1, 0, -1, 1, [(h + 2, 1), (h + 3, -1)])
 
 
 def phi0_limit() -> RatFn:
     """Closed Deutsch paths, no height bound: (1+v+v^2)/(1+v)."""
-    return cyclotomic_product(1, 0, [(3, 1), (2, -1)])
+    return closed_form(1, 0, -1, 1)
 
 
 def closed_height_ge(h: int) -> RatFn:
@@ -88,7 +79,7 @@ def closed_height_ge(h: int) -> RatFn:
     v^(h+1) (1+v+v^2) (1-v) / ((1+v) (1-v^(h+2)))."""
     if h < 1:
         raise BadParams(f"closed_height_ge needs h >= 1, got {h}")
-    return cyclotomic_product(1, h + 1, [(3, 1), (1, 1), (2, -1), *_binomial(h + 2, -1)])
+    return closed_form(1, h + 1, -1, 1, [(1, 1), (h + 2, -1)])
 
 
 def open_sum(h: int) -> RatFn:
@@ -96,12 +87,7 @@ def open_sum(h: int) -> RatFn:
     (1+v+v^2) (1-v^(h+1)) / (1-v^(h+3))."""
     if h < 0:
         raise BadParams(f"height bound must be nonnegative, got {h}")
-    return cyclotomic_product(1, 0, [(3, 1), *_binomial(h + 1), *_binomial(h + 3, -1)])
-
-
-def open_sum_limit() -> RatFn:
-    """Deutsch paths with any end level, no bound: the Motzkin function."""
-    return motzkin_gf()
+    return closed_form(1, 0, 0, 1, [(h + 1, 1), (h + 3, -1)])
 
 
 def psi0(h: int) -> RatFn:
@@ -114,8 +100,7 @@ def psi(h: int, i: int) -> RatFn:
     v (1+v+v^2) (1+v)^(i-2) (1-v^(h+1-i)) / (1-v^(h+3)), with 1/(1+v) at i = 1."""
     if not 1 <= i <= h:
         raise BadParams(f"psi needs 1 <= i <= h, got h={h}, i={i}")
-    exponents = [(3, 1), (2, i - 2), *_binomial(h + 1 - i), *_binomial(h + 3, -1)]
-    return cyclotomic_product(1, 1, exponents)
+    return closed_form(1, 1, i - 2, 1, [(h + 1 - i, 1), (h + 3, -1)])
 
 
 def reversed_sum(h: int) -> RatFn:
@@ -123,17 +108,17 @@ def reversed_sum(h: int) -> RatFn:
     (1+v+v^2) (1+v)^h (1-v) / (1-v^(h+3))."""
     if h < 0:
         raise BadParams(f"height bound must be nonnegative, got {h}")
-    return cyclotomic_product(1, 0, [(3, 1), (2, h), (1, 1), *_binomial(h + 3, -1)])
+    return closed_form(1, 0, h, 1, [(1, 1), (h + 3, -1)])
 
 
 def reversed_limit_formal() -> RatFn:
     """Formal h -> infinity form of reversed_sum, (1+v+v^2)(1-v); not a counting series."""
-    return cyclotomic_product(-1, 0, [(3, 1), (1, 1)])
+    return closed_form(1, 0, 0, 1, [(1, 1)])
 
 
 def area_gf() -> RatFn:
     """Total area of closed Deutsch paths: A = v^2(1+v+v^2)^2 / ((1+v)^3 (1-v)^2)."""
-    return cyclotomic_product(1, 2, [(3, 2), (2, -3), (1, -2)])
+    return closed_form(1, 2, -3, 2, [(1, -2)])
 
 
 #: c[0..] with c[m] = #{d >= 3 : d divides m} (c[0] = 0): one sieve kept for
@@ -174,7 +159,7 @@ def height_sum_closed(order: int) -> Series:
     sum_m c_m v^m, with c_m the number of divisors d >= 3 of m+1 (d = h+2):
     the divisor-count form of de Bruijn, Knuth and Rice (1972).
     """
-    return _height_sum_series(order, cyclotomic_product(-1, 0, [(3, 1), (1, 1), (2, -1)]), 1)
+    return _height_sum_series(order, closed_form(1, 0, -1, 1, [(1, 1)]), 1)
 
 
 def height_sum_open(order: int) -> Series:
@@ -184,7 +169,7 @@ def height_sum_open(order: int) -> Series:
     sum over h >= 1 is (1+v+v^2)(1-v^2) times sum_m c_m v^m, with c_m the
     number of divisors d >= 3 of m+2.
     """
-    return _height_sum_series(order, cyclotomic_product(-1, 0, [(3, 1), (1, 1), (2, 1)]), 2)
+    return _height_sum_series(order, closed_form(1, 0, 0, 1, [(2, 1)]), 2)
 
 
 # --- the catalog table -------------------------------------------------------
@@ -222,7 +207,7 @@ CATALOG = {
         ("h",), closed_height_ge, lambda h: _Meaning("deutsch", 0, min_height=h)
     ),
     "open_sum": _Formula(("h",), open_sum, lambda h: _Meaning("deutsch", None, max_height=h)),
-    "open_sum_limit": _Formula((), open_sum_limit, lambda: _Meaning("deutsch", None)),
+    "open_sum_limit": _Formula((), motzkin_gf, lambda: _Meaning("deutsch", None)),
     "psi0": _Formula(("h",), psi0, lambda h: _Meaning("reversed", 0, max_height=h)),
     "psi": _Formula(("h", "i"), psi, lambda h, i: _Meaning("reversed", i, max_height=h)),
     "reversed_sum": _Formula(

@@ -17,7 +17,8 @@ so one fraction-free (Bareiss) Gauss-Jordan reduction of [A | e_0] over the
 integer polynomials in z yields every size's determinant ratios, mapped to
 v once each.  The product of U's diagonal retells the determinant; the
 adjudication helper pins down the one exponent in that product identity
-that the closed forms force.
+that the closed forms force.  D_n, each LU entry, that product and its
+two candidates are written as ``closed_form`` arguments, built reduced.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import KERNEL, Poly, RatFn, V, _convolve, cyclotomic_product
-from .formulas import _binomial, phi, psi, psi0
+from .algebra import KERNEL, Poly, RatFn, V, _convolve, closed_form
+from .formulas import phi, psi, psi0
 from .reporting import VerificationReport
 
 
@@ -35,9 +36,7 @@ class SingularMatrix(ZeroDivisionError):
 
 
 #: z expressed in the substitution variable.
-Z_OF_V = RatFn(V, KERNEL)
-
-ONE_PLUS_V = Poly((1, 1))
+Z_OF_V = closed_form(1, 1, 0, -1)
 
 _ZERO = RatFn(Poly())
 _ONE = RatFn(Poly((1,)))
@@ -166,7 +165,7 @@ def det_closed_form(n: int) -> RatFn:
     """D_n = (1+v)^(n-1) / (1+v+v^2)^n * (1-v^(n+2))/(1-v), built reduced."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return cyclotomic_product(1, 0, [(2, n - 1), (3, -n), *_binomial(n + 2), (1, -1)])
+    return closed_form(1, 0, n - 1, -n, [(n + 2, 1), (1, -1)])
 
 
 def verify_determinant(n_max: int = 12) -> VerificationReport:
@@ -212,7 +211,7 @@ def verify_det_recursion(
             "base case anchors elimination determinant", f"n={n}",
             d, determinant(build_matrix(n)), "closed form", "elimination",
         )
-    kern, wsq = RatFn(KERNEL), RatFn(ONE_PLUS_V**2)
+    kern, wsq = RatFn(KERNEL), RatFn(Poly((1, 2, 1)))
     kern2, kern_wsq, v_wsq = kern**2, kern * wsq, RatFn(V) * wsq
     for n in range(1, n_max - 1):
         d2 = closed_form(n + 2)
@@ -315,19 +314,17 @@ def verify_cramer(h_max: int = 8) -> VerificationReport:
     return report.raise_if_failed()
 
 
-def _u_exponents(i: int) -> list[tuple[int, int]]:
-    """The cyclotomic exponents of U_ii, the same in both orientations:
-    U_ii = (1+v)(1 + v + ... + v^(i+1)) / ((1+v+v^2)(1 + v + ... + v^i))
-    = Phi_2 prod_(d | i+2, d > 1) Phi_d / (Phi_3 prod_(d | i+1, d > 1) Phi_d)."""
-    # the Phi_1 of 1-v^(i+2) cancels that of 1-v^(i+1)
-    return [(2, 1), (3, -1), *_binomial(i + 2), *_binomial(i + 1, -1)]
+def _u_blocks(i: int) -> list[tuple[int, int]]:
+    """The blocks of U_ii = (1+v)/(1+v+v^2) * (1-v^(i+2))/(1-v^(i+1)), the
+    same in both orientations."""
+    return [(i + 2, 1), (i + 1, -1)]
 
 
 def _u_diagonal(n: int) -> list[RatFn]:
-    """U_11, ..., U_nn, each built reduced from ``_u_exponents``."""
+    """U_11, ..., U_nn, each built reduced from ``_u_blocks``."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return [cyclotomic_product(1, 0, _u_exponents(i)) for i in range(1, n + 1)]
+    return [closed_form(1, 0, 1, -1, _u_blocks(i)) for i in range(1, n + 1)]
 
 
 def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
@@ -340,21 +337,16 @@ def lu_formulas(n: int, transposed: bool = False) -> tuple[QvMatrix, QvMatrix]:
     """
     diag = _u_diagonal(n)  # diag[i-1] = U_ii
     if not transposed:
-        # below[j-1] = L_(j+1),j and right[i-1] = U_ij for every j > i
-        below = [
-            RatFn(-V * Poly.geometric(i), ONE_PLUS_V * Poly.geometric(i + 1))
-            for i in range(2, n + 1)
-        ]
-        right = [
-            RatFn(-V * ONE_PLUS_V * Poly.geometric(i), KERNEL * Poly.geometric(i + 1))
-            for i in range(1, n)
-        ]
+        # below[i-2] = L_i,(i-1) = -v(1-v^i)/((1+v)(1-v^(i+1))) and
+        # right[i-1] = U_ij = -v(1+v)(1-v^i)/((1+v+v^2)(1-v^(i+1))) for every j > i
+        below = [closed_form(-1, 1, -1, 0, [(i, 1), (i + 1, -1)]) for i in range(2, n + 1)]
+        right = [closed_form(-1, 1, 1, -1, [(i, 1), (i + 1, -1)]) for i in range(1, n)]
         L = [[below[j] if j == i - 1 else _ZERO for j in range(n)] for i in range(n)]
         U = [[right[i] if j > i else _ZERO for j in range(n)] for i in range(n)]
     else:
-        # below[j-1] = L_ij for every i > j; U_i,(i+1) is one value
-        below = [RatFn(-V * Poly.geometric(j), Poly.geometric(j + 2)) for j in range(1, n)]
-        above = RatFn(-V, KERNEL)
+        # below[j-1] = L_ij = -v(1-v^j)/(1-v^(j+2)) for every i > j; U_i,(i+1) = -v/(1+v+v^2)
+        below = [closed_form(-1, 1, 0, 0, [(j, 1), (j + 2, -1)]) for j in range(1, n)]
+        above = closed_form(-1, 1, 0, -1)
         L = [[below[j] if j < i else _ZERO for j in range(n)] for i in range(n)]
         U = [[above if j == i + 1 else _ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -366,20 +358,18 @@ def u_diagonal_product(n: int) -> RatFn:
     """The telescoping product U_11 * ... * U_nn, in either orientation:
     U's diagonal is the same in both.
 
-    Neither the diagonal nor L and U is built: the ``_u_exponents`` maps of
-    U_11, ..., U_nn, which ``lu_formulas`` builds U's diagonal from, are
-    summed, and the product is built once, reduced, with no gcd.
+    Neither the diagonal nor L and U is built: the ``_u_blocks`` of U_11,
+    ..., U_nn, which ``lu_formulas`` builds U's diagonal from, are
+    concatenated, and the product is built once, reduced, with no gcd.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return cyclotomic_product(1, 0, [p for i in range(1, n + 1) for p in _u_exponents(i)])
+    return closed_form(1, 0, n, -n, [p for i in range(1, n + 1) for p in _u_blocks(i)])
 
 
 def det_product_candidate(n: int, exponent_offset: int) -> RatFn:
     """((1+v)/(1+v+v^2))^n * (1-v^(n+offset))/(1-v^2) for offset 1 or 2."""
-    return cyclotomic_product(
-        1, 0, [(2, n), (3, -n), *_binomial(n + exponent_offset), *_binomial(2, -1)]
-    )
+    return closed_form(1, 0, n, -n, [(n + exponent_offset, 1), (2, -1)])
 
 
 def verify_lu(n_max: int = 12) -> VerificationReport:
@@ -433,8 +423,8 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
     """Decide which exponent makes prod U_ii = ((1+v)/(1+v+v^2))^n (1-v^(n+e))/(1-v^2).
 
     The two candidate exponents are e = 1 and e = 2; the closed forms force
-    exactly one of them.  The report records the verified exponent with the
-    witness dimension and both candidates' canonical forms.
+    exactly one of them.  The report records the verified exponent and the
+    witness dimension; a failing row carries the product and both candidates.
     """
     report = VerificationReport("determinant-product exponent adjudication")
     prod = u_diagonal_product(n)
@@ -451,9 +441,6 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
     verified = "n+2" if match2 else ("n+1" if match1 else "neither")
     report.data["verified_exponent"] = verified
     report.data["witness_n"] = n
-    report.data["product_canonical"] = repr(prod)
-    report.data["candidate_n_plus_1"] = repr(cand1)
-    report.data["candidate_n_plus_2"] = repr(cand2)
     report.data["statement"] = (
         f"prod U_ii for n={n} equals ((1+v)/(1+v+v^2))^n * (1-v^({verified}))/(1-v^2); "
         f"the (1-v^(n+{1 if verified == 'n+2' else 2})) variant does not match"

@@ -7,6 +7,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deutschpaths import algebra
+from deutschpaths import matrices as mat
 from deutschpaths.algebra import (
     KERNEL,
     V,
@@ -24,8 +26,8 @@ from deutschpaths.algebra import (
     RatFn,
     Series,
     coeff_of_z,
+    closed_form,
     compose_with_v,
-    cyclotomic_product,
     expand_in_v,
     expand_in_z,
     load_cache,
@@ -35,7 +37,7 @@ from deutschpaths.algebra import (
     trinomial_row,
     v_of_z,
 )
-from deutschpaths.formulas import combinatorial_ids, formula
+from deutschpaths.formulas import CATALOG, FormulaId, combinatorial_ids, formula
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
 
 MOTZKIN = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188)
@@ -134,8 +136,7 @@ class TestPoly:
         assert p * q == Poly((1, 0, -1))
         assert p + q == Poly((2,))
         assert p - p == Poly()
-        assert (1 - Poly.monomial(1, 3)) == Poly((1, 0, 0, -1))
-        assert Poly.geometric(3) == Poly((1, 1, 1))
+        assert (1 - V**3) == Poly((1, 0, 0, -1))
 
     def test_divmod_exact(self):
         num = Poly((1, 0, 0, 0, 0, 0, -1))  # 1 - v^6
@@ -221,7 +222,7 @@ class TestGcd:
     def test_kernel_gcd_of_binomial_against_one_minus_power(self, h):
         # (1+v)^h against 1 - v^(h+3): the gcd is 1+v when h+3 is even, else 1.
         # The PRS reference is checked up to h = 120, where it takes about 0.2 s.
-        a, b = primitive(ONE_PLUS_V**h), primitive(1 - Poly.monomial(1, h + 3))
+        a, b = primitive(ONE_PLUS_V**h), primitive(1 - V**(h + 3))
         g = up_to_sign(algebra._gcd_primitive(a, b))
         assert g == ([1, 1] if h % 2 else [1])
         if h <= 120:
@@ -230,7 +231,7 @@ class TestGcd:
     def test_prs_answers_when_no_point_proves_a_candidate(self, monkeypatch):
         pairs = [
             (Poly((1, 0, 0, 0, -1)), Poly((1, 0, 0, 0, 0, 0, -1))),
-            (ONE_PLUS_V**7, 1 - Poly.monomial(1, 10)),
+            (ONE_PLUS_V**7, 1 - V**10),
             (Poly((2, -3, 1)) * KERNEL, Poly((1, 4)) * KERNEL**2),
             (Poly((1, 1)), Poly((1, -1))),
         ]
@@ -278,16 +279,167 @@ class TestGcd:
             assert (a % g).is_zero() and (b % g).is_zero()
 
 
+# --- the cyclotomic route: the closed-form construction before ``closed_form`` ---
+
+
+@cache
+def cyclotomic(d: int) -> Poly:
+    """Phi_d, built once per process: v^d - 1 over the Phi_k of its proper divisors k."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for k in range(1, d // 2 + 1):
+        if d % k == 0:
+            p = algebra._exact_quo(p, cyclotomic(k).coeffs)
+    return Poly(p)
+
+
+@cache
+def _cyclotomic_reduced(sign: int, a: int, total: tuple[tuple[int, int], ...]) -> RatFn:
+    num, den = Poly((0,) * a + (sign,)), Poly((1,))
+    for d, e in total:
+        if e > 0:
+            num = num * cyclotomic(d) ** e
+        else:
+            den = den * cyclotomic(d) ** -e
+    return RatFn._of(num, den)
+
+
+def cyclotomic_product(sign: int, a: int, exponents) -> RatFn:
+    """sign * v^a * prod Phi_d^e over the pairs (d, e) of ``exponents``, d >= 1
+    (a d given twice adds its exponents), canonical without a gcd: the Phi_d
+    are monic, irreducible and prime to v, so the positive exponents give a
+    numerator prime to the monic denominator that the negative ones give.
+    Each summed exponent map is built once per process."""
+    total: dict[int, int] = {}
+    for d, e in exponents:
+        total[d] = total.get(d, 0) + e
+    return _cyclotomic_reduced(sign, a, tuple(sorted((d, e) for d, e in total.items() if e)))
+
+
+def divisor_pairs(k: int, e: int = 1) -> list[tuple[int, int]]:
+    """The pairs (d, e) for the divisors d of k: (1 - v^k)^e = (-1)^e * prod Phi_d^e."""
+    return [(d, e) for d in range(1, k + 1) if k % d == 0]
+
+
+#: (sign, a, Phi_d exponent pairs) of each rational catalog formula, by hand
+#: from its docstring, with Phi_1 = v - 1: the route the catalog took before
+#: ``closed_form``, kept as the oracle.
+CYCLOTOMIC_CATALOG = {
+    "motzkin_M": lambda: (1, 0, [(3, 1)]),
+    "phi": lambda h, i: (
+        1, i, [(3, 1), (2, -i - 1), *divisor_pairs(h - i + 2), *divisor_pairs(h + 3, -1)]
+    ),
+    "phi0_bounded": lambda h: (
+        1, 0, [(3, 1), (2, -1), *divisor_pairs(h + 2), *divisor_pairs(h + 3, -1)]
+    ),
+    "phi0_limit": lambda: (1, 0, [(3, 1), (2, -1)]),
+    "closed_height_ge": lambda h: (1, h + 1, [(3, 1), (1, 1), (2, -1), *divisor_pairs(h + 2, -1)]),
+    "open_sum": lambda h: (1, 0, [(3, 1), *divisor_pairs(h + 1), *divisor_pairs(h + 3, -1)]),
+    "open_sum_limit": lambda: (1, 0, [(3, 1)]),
+    "psi0": lambda h: CYCLOTOMIC_CATALOG["phi0_bounded"](h),
+    "psi": lambda h, i: (
+        1, 1, [(3, 1), (2, i - 2), *divisor_pairs(h + 1 - i), *divisor_pairs(h + 3, -1)]
+    ),
+    "reversed_sum": lambda h: (1, 0, [(3, 1), (2, h), (1, 1), *divisor_pairs(h + 3, -1)]),
+    "reversed_limit_formal": lambda: (-1, 0, [(3, 1), (1, 1)]),
+    "area_A": lambda: (1, 2, [(3, 2), (2, -3), (1, -2)]),
+}
+
+
+def u_pairs(i: int) -> list[tuple[int, int]]:
+    """U_ii = (1+v)(1-v^(i+2)) / ((1+v+v^2)(1-v^(i+1))); the Phi_1 factors cancel."""
+    return [(2, 1), (3, -1), *divisor_pairs(i + 2), *divisor_pairs(i + 1, -1)]
+
+
+def candidate_pairs(n: int, offset: int) -> list[tuple[int, int]]:
+    return [(2, n), (3, -n), *divisor_pairs(n + offset), *divisor_pairs(2, -1)]
+
+
+#: Each closed form of ``matrices`` at size n: its builder, and its
+#: (sign, a, pairs) by the cyclotomic route.
+MATRIX_FORMS = {
+    "D_n": (
+        mat.det_closed_form,
+        lambda n: (1, 0, [(2, n - 1), (3, -n), *divisor_pairs(n + 2), (1, -1)]),
+    ),
+    "prod U_ii": (
+        mat.u_diagonal_product,
+        lambda n: (1, 0, [p for i in range(1, n + 1) for p in u_pairs(i)]),
+    ),
+    "candidate n+1": (
+        lambda n: mat.det_product_candidate(n, 1), lambda n: (1, 0, candidate_pairs(n, 1))
+    ),
+    "candidate n+2": (
+        lambda n: mat.det_product_candidate(n, 2), lambda n: (1, 0, candidate_pairs(n, 2))
+    ),
+}
+
+#: The sizes at which the two routes are compared.
+SIZES = (*range(1, 201), 401, 800)
+
+
+def lu_pairs(n: int, transposed: bool) -> tuple[list[list], list[list]]:
+    """The LU pair of ``lu_formulas`` as (sign, a, pairs) entries, None for 0
+    and () for 1; 0-based, so row i0 is the formula's row i = i0 + 1."""
+    if transposed:
+        # L_ij = -v(1-v^j)/(1-v^(j+2)) for i > j; U_i,(i+1) = -v/(1+v+v^2)
+        below = lambda i0, j0: (-1, 1, [*divisor_pairs(j0 + 1), *divisor_pairs(j0 + 3, -1)])
+        above = lambda i0, j0: (-1, 1, [(3, -1)])
+        lower, upper = (lambda i0, j0: j0 < i0), (lambda i0, j0: j0 == i0 + 1)
+    else:
+        # L_i,(i-1) = -v(1-v^i)/((1+v)(1-v^(i+1)));
+        # U_ij = -v(1+v)(1-v^i)/((1+v+v^2)(1-v^(i+1))) for j > i
+        below = lambda i0, j0: (
+            -1, 1, [(2, -1), *divisor_pairs(i0 + 1), *divisor_pairs(i0 + 2, -1)]
+        )
+        above = lambda i0, j0: (
+            -1, 1, [(2, 1), (3, -1), *divisor_pairs(i0 + 1), *divisor_pairs(i0 + 2, -1)]
+        )
+        lower, upper = (lambda i0, j0: j0 == i0 - 1), (lambda i0, j0: j0 > i0)
+    L = [
+        [() if i == j else below(i, j) if lower(i, j) else None for j in range(n)]
+        for i in range(n)
+    ]
+    U = [
+        [(1, 0, u_pairs(i + 1)) if i == j else above(i, j) if upper(i, j) else None
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return L, U
+
+
+def oracle_entry(form) -> RatFn:
+    if form is None:
+        return RatFn(0)
+    return RatFn(1) if form == () else cyclotomic_product(*form)
+
+
+def catalog_mismatches(h_max: int) -> set[str]:
+    """The rational catalog ids with h <= h_max where the two routes differ."""
+    ids = [fid for fid in combinatorial_ids(h_max, 0) if fid.name in CYCLOTOMIC_CATALOG]
+    ids.append(FormulaId("reversed_limit_formal"))
+    assert {fid.name for fid in ids} == set(CYCLOTOMIC_CATALOG)
+    return {
+        str(fid) for fid in ids
+        if typed_pair(formula(fid))
+        != typed_pair(cyclotomic_product(*CYCLOTOMIC_CATALOG[fid.name](*fid.args)))
+    }
+
+
+def matrix_mismatches(name: str, sizes=SIZES) -> set[int]:
+    build, pairs = MATRIX_FORMS[name]
+    return {n for n in sizes if typed_pair(build(n)) != typed_pair(cyclotomic_product(*pairs(n)))}
+
+
 class TestCyclotomic:
     def test_divisors_multiply_to_v_pow_minus_one(self):
         for n in range(1, 61):
             prod = Poly((1,))
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = prod * algebra._cyclotomic(d)
-            assert prod == Poly.monomial(1, n) - 1
+                    prod = prod * cyclotomic(d)
+            assert prod == V**n - 1
             totient = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-            assert algebra._cyclotomic(n).degree == totient
+            assert cyclotomic(n).degree == totient
 
     def test_product_is_the_generic_reduction(self):
         # -v^2 (1-v)^2 / ((1+v) (v^6-1)) = -v^2 Phi_1 / (Phi_2^2 Phi_3 Phi_6):
@@ -295,9 +447,70 @@ class TestCyclotomic:
         f = cyclotomic_product(
             -1, 2, [(1, 1), (1, 1), (2, -1), (3, 1), (3, -1), (1, -1), (2, -1), (3, -1), (6, -1)]
         )
-        g = RatFn(-Poly.monomial(1, 2) * Poly((1, -1)) ** 2, ONE_PLUS_V * (Poly.monomial(1, 6) - 1))
+        g = RatFn(-V**2 * Poly((1, -1)) ** 2, ONE_PLUS_V * (V**6 - 1))
         assert typed_pair(f) == typed_pair(g)
         assert typed_pair(cyclotomic_product(1, 0, [])) == typed_pair(RatFn(1))
+
+
+class TestClosedForm:
+    """``closed_form`` against the cyclotomic route, by typed equality of the
+    reduced numerator and denominator."""
+
+    def test_is_the_generic_reduction(self):
+        # -v^2 (1+v)^-2 (1+v+v^2)^3 (1-v)^2 (1-v^6)^-1 (1-v^4)^2, a block given twice
+        f = closed_form(-1, 2, -2, 3, [(1, 2), (6, -1), (4, 1), (4, 1)])
+        num = -V**2 * KERNEL**3 * Poly((1, -1)) ** 2 * (1 - V**4) ** 2
+        assert typed_pair(f) == typed_pair(RatFn(num, ONE_PLUS_V**2 * (1 - V**6)))
+        assert typed_pair(closed_form(1, 0, 0, 0)) == typed_pair(RatFn(1))
+
+    def test_builds_no_gcd_and_keeps_no_row(self, monkeypatch, fresh_rows):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("closed_form ran a gcd")
+
+        monkeypatch.setattr(algebra, "poly_gcd", forbidden)
+        closed_form(1, 0, 30, -40, [(42, 1), (1, -1)])
+        assert fresh_rows == {0: (1,)}
+
+    def test_catalog_matches_the_cyclotomic_route(self):
+        assert catalog_mismatches(40) == set()
+
+    @pytest.mark.parametrize("name", list(MATRIX_FORMS))
+    def test_matrix_forms_match_the_cyclotomic_route(self, name):
+        assert matrix_mismatches(name) == set()
+
+    def test_u_diagonal_matches_the_cyclotomic_route(self):
+        diagonal = mat._u_diagonal(SIZES[-1])
+        for i in SIZES:
+            want = cyclotomic_product(1, 0, u_pairs(i))
+            assert typed_pair(diagonal[i - 1]) == typed_pair(want), i
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_lu_entries_match_the_cyclotomic_route(self, transposed):
+        n = 60
+        for got, forms in zip(mat.lu_formulas(n, transposed), lu_pairs(n, transposed)):
+            for i in range(n):
+                for j in range(n):
+                    want = oracle_entry(forms[i][j])
+                    assert typed_pair(got.entry(i, j)) == typed_pair(want), (i, j)
+
+    def test_an_exponent_off_by_one_fails_the_catalog_check(self, monkeypatch):
+        # negative control: phi's 1 - v^(h+3) written as 1 - v^(h+4)
+        def wrong(h, i):
+            return closed_form(1, i, -i - 1, 1, [(h - i + 2, 1), (h + 4, -1)])
+
+        monkeypatch.setitem(CATALOG, "phi", CATALOG["phi"]._replace(build=wrong))
+        phis = {str(fid) for fid in combinatorial_ids(12, 0) if fid.name == "phi"}
+        assert catalog_mismatches(12) == phis
+
+    def test_a_missed_phi3_cancellation_fails_the_determinant_check(self, monkeypatch):
+        # negative control: a builder blind to the Phi_3 inside 1 - v^k leaves
+        # (1+v+v^2) in both the numerator and the denominator of D_n when 3
+        # divides n + 2; the value is unchanged, only the reduced form shows it
+        divisors = algebra._divisors
+        monkeypatch.setattr(algebra, "_divisors", lambda k: [d for d in divisors(k) if d != 3])
+        sizes = range(1, 61)
+        assert matrix_mismatches("D_n", sizes) == {n for n in sizes if n % 3 == 1}
+        assert mat.det_closed_form(4)(2) == cyclotomic_product(*MATRIX_FORMS["D_n"][1](4))(2)
 
 
 class TestRatFn:

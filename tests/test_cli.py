@@ -479,6 +479,14 @@ class TestVerify:
         assert code == 0
         assert env["payload"]["ok"] is True
 
+    def test_product_envelope_stays_small(self):
+        # the report names the verified exponent; it carries no canonical form
+        code, text = run(["verify", "product", "--max-n", "800", "--json"])
+        assert code == 0
+        assert len(text.encode()) < 4096
+        data = json.loads(text)["payload"]["data"]
+        assert sorted(data) == ["statement", "verified_exponent", "witness_n"]
+
     def test_help_states_every_battery_bound(self, capsys):
         with pytest.raises(SystemExit):
             run(["verify", "--help"])

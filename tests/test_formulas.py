@@ -98,7 +98,7 @@ class TestCatalogValues:
 
 def _open_height_ge(h):
     """Open Deutsch paths of height >= h: (1+v+v^2)(1-v^2) v^h / (1-v^(h+2))."""
-    return RatFn(KERNEL * Poly((1, 0, -1)) * Poly.monomial(1, h), 1 - Poly.monomial(1, h + 2))
+    return RatFn(KERNEL * Poly((1, 0, -1)) * V**h, 1 - V**(h + 2))
 
 
 def _per_h_height_sum(order, summand):
@@ -308,7 +308,7 @@ ONE_PLUS_V, ONE_MINUS_V = Poly((1, 1)), Poly((1, -1))
 
 
 def one_minus_v_pow(k: int) -> Poly:
-    return 1 - Poly.monomial(1, k)
+    return 1 - V**k
 
 
 def psi_generic(h: int, i: int) -> tuple[Poly, Poly]:
@@ -318,17 +318,17 @@ def psi_generic(h: int, i: int) -> tuple[Poly, Poly]:
 
 #: (num, den) of each rational catalog formula as products of polynomials,
 #: for the generic reduction RatFn(num, den): the route the catalog took
-#: before it was built from cyclotomic exponent maps, kept as the oracle.
+#: before it was built reduced without a gcd, kept as the oracle.
 GENERIC = {
     "motzkin_M": lambda: (KERNEL, 1),
     "phi": lambda h, i: (
-        Poly.monomial(1, i) * KERNEL * one_minus_v_pow(h - i + 2),
+        V**i * KERNEL * one_minus_v_pow(h - i + 2),
         ONE_PLUS_V ** (i + 1) * one_minus_v_pow(h + 3),
     ),
     "phi0_bounded": lambda h: (KERNEL * one_minus_v_pow(h + 2), ONE_PLUS_V * one_minus_v_pow(h + 3)),
     "phi0_limit": lambda: (KERNEL, ONE_PLUS_V),
     "closed_height_ge": lambda h: (
-        KERNEL * Poly.monomial(1, h + 1) * ONE_MINUS_V, ONE_PLUS_V * one_minus_v_pow(h + 2)
+        KERNEL * V**(h + 1) * ONE_MINUS_V, ONE_PLUS_V * one_minus_v_pow(h + 2)
     ),
     "open_sum": lambda h: (KERNEL * one_minus_v_pow(h + 1), one_minus_v_pow(h + 3)),
     "open_sum_limit": lambda: (KERNEL, 1),
@@ -336,7 +336,7 @@ GENERIC = {
     "psi": psi_generic,
     "reversed_sum": lambda h: (KERNEL * ONE_PLUS_V**h * ONE_MINUS_V, one_minus_v_pow(h + 3)),
     "reversed_limit_formal": lambda: (KERNEL * ONE_MINUS_V, 1),
-    "area_A": lambda: (Poly.monomial(1, 2) * KERNEL**2, ONE_PLUS_V**3 * ONE_MINUS_V**2),
+    "area_A": lambda: (V**2 * KERNEL**2, ONE_PLUS_V**3 * ONE_MINUS_V**2),
 }
 
 

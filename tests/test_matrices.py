@@ -449,24 +449,25 @@ class TestLU:
     def test_diagonal_is_the_geometric_formula(self):
         # U_ii = (1+v)(1 + ... + v^(i+1)) / ((1+v+v^2)(1 + ... + v^i)), reduced by gcd
         for i, got in enumerate(mat._u_diagonal(40), 1):
-            want = RatFn(Poly((1, 1)) * Poly.geometric(i + 2), KERNEL * Poly.geometric(i + 1))
+            want = RatFn(Poly((1, 1)) * Poly((1,) * (i + 2)), KERNEL * Poly((1,) * (i + 1)))
             assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den)), i
 
     def test_perturbed_exponent_map_fails_the_product_and_the_factors(self, monkeypatch):
-        # U_22 given U_33's exponents: the adjudication and verify_lu both read the map
-        exponents = mat._u_exponents
-        monkeypatch.setattr(mat, "_u_exponents", lambda i: exponents(i + 1 if i == 2 else i))
+        # U_22 given U_33's blocks: the adjudication and verify_lu both read them
+        blocks = mat._u_blocks
+        monkeypatch.setattr(mat, "_u_blocks", lambda i: blocks(i + 1 if i == 2 else i))
         report = report_of(adjudicate_det_product, 3)
         assert {c.name for c in report.failures} == {
             "exactly one candidate matches", "product equals determinant closed form",
         }
         assert report.data["verified_exponent"] == "neither"
         # the failing row, and only it, carries the product and both candidates
-        witness = report.failures[0].witness
-        assert witness == (
-            f"product {report.data['product_canonical']}; "
-            f"(1-v^(n+1)) candidate {report.data['candidate_n_plus_1']}; "
-            f"(1-v^(n+2)) candidate {report.data['candidate_n_plus_2']}"
+        prod, cand1, cand2 = (
+            u_diagonal_product(3), det_product_candidate(3, 1), det_product_candidate(3, 2)
+        )
+        assert prod not in (cand1, cand2)
+        assert report.failures[0].witness == (
+            f"product {prod!r}; (1-v^(n+1)) candidate {cand1!r}; (1-v^(n+2)) candidate {cand2!r}"
         )
         lu = report_of(verify_lu, 4)
         assert failing_sizes(lu, "L*U = A") == failing_sizes(lu, "prod U_ii") == {2, 3, 4}
@@ -722,14 +723,14 @@ class TestReducedDeterminant:
     def test_closed_form_matches_the_generic_reduction(self):
         for n in range(1, 61):
             got = det_closed_form(n)
-            want = RatFn(Poly((1, 1)) ** (n - 1) * Poly.geometric(n + 2), KERNEL**n)
+            want = RatFn(Poly((1, 1)) ** (n - 1) * Poly((1,) * (n + 2)), KERNEL**n)
             assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den)), n
 
     def test_product_candidates_match_the_generic_reduction(self):
         for n in range(1, 31):
             for offset in (1, 2):
                 got = det_product_candidate(n, offset)
-                num = Poly((1, 1)) ** n * (1 - Poly.monomial(1, n + offset))
+                num = Poly((1, 1)) ** n * (1 - V**(n + offset))
                 want = RatFn(num, KERNEL**n * Poly((1, 0, -1)))
                 assert (typed(got.num), typed(got.den)) == (typed(want.num), typed(want.den))
 
