@@ -7,6 +7,9 @@ on both sides of the change and compare:
 
     PYTHONPATH=src python scripts/canonical_hash.py
 
+``tests/test_formulas.py`` pins the value in the test suite; a change that
+moves it on purpose updates the constant there.
+
 Each value enters as its typed coefficients (``int`` or ``Fraction``), the
 numerator and then the denominator of a ``RatFn``, so a coefficient that
 changes only from ``int`` to an equal ``Fraction`` changes the hash too.
@@ -152,13 +155,19 @@ def items():
                     yield label, ";".join(_typed(p.steps) for p in paths)
 
 
-def main() -> None:
-    digest = hashlib.sha256()
+def digest() -> tuple[str, int]:
+    """The SHA-256 hex digest over every ``label=text`` line, and their number."""
+    sha = hashlib.sha256()
     count = 0
     for label, text in items():
-        digest.update(f"{label}={text}\n".encode())
+        sha.update(f"{label}={text}\n".encode())
         count += 1
-    print(f"{digest.hexdigest()}  ({count} values)")
+    return sha.hexdigest(), count
+
+
+def main() -> None:
+    value, count = digest()
+    print(f"{value}  ({count} values)")
 
 
 if __name__ == "__main__":

@@ -100,9 +100,7 @@ _EXPORTS = {
         "avg_area",
         "avg_elevation",
         "avg_height",
-        "closed_count",
         "height_total",
-        "open_count",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -45,16 +45,16 @@ middle of the palindromic row and mirrored, and cached in memory;
 ``save_cache`` and ``load_cache`` persist the rows, but no command calls them.
 
 The canonical form of a RatFn (numerator and denominator coprime,
-denominator monic) is computed with integers only.  Each polynomial is split
+denominator monic) is computed with integers only.  ``poly_gcd(a, b)``, for
+nonzero a and b, returns (g, a/g, b/g) with g monic.  It splits each operand
 once into a positive rational content and a primitive integer part (integer
-coefficients with gcd 1); ``poly_gcd`` takes the gcd of the primitive parts
-by the heuristic GCDHEU (Char, Geddes and Gonnet, 1989): one integer gcd of
-their values at a large integer point, read back in that base and accepted
-only when it divides both exactly.  The quotients of that proof are the
-cofactors, which ``poly_gcd(a, b, cofactors=True)`` hands back with the gcd;
-when no point gives a proof, the primitive pseudo-remainder sequence (Knuth,
-TAOCP vol. 2, 4.6.1) finds the gcd and divides once each.  One rational
-scale, content(num) / (content(den) * lead(den / gcd)), is applied at the end.
+coefficients with gcd 1) and takes the gcd of the primitive parts by the
+heuristic GCDHEU (Char, Geddes and Gonnet, 1989): one integer gcd of their
+values at a large integer point, read back in that base and accepted only
+when it divides both exactly.  The quotients of that proof are the
+cofactors; when no point gives a proof, the primitive pseudo-remainder
+sequence (Knuth, TAOCP vol. 2, 4.6.1) finds the gcd and divides once each.
+RatFn then scales both cofactors by the leading coefficient of b/g, once.
 
 The public constructor ``RatFn(num, den)`` runs that whole reduction.  The
 operators keep canonical operands canonical with smaller gcds, by Henrici's
@@ -78,6 +78,8 @@ import threading
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+
+from .reporting import _num_str
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -227,15 +229,15 @@ def _at(p: list[int], x: int) -> int:
     return acc
 
 
-def _gcd_primitive(a: list[int], b: list[int], cofactors: bool = False):
-    """gcd of two nonzero primitive integer polynomials, up to sign, or with
-    ``cofactors`` (g, a/g, b/g): GCDHEU first, the primitive PRS when it
-    fails, which then divides once each for the cofactors."""
+def _gcd_primitive(a: list[int], b: list[int]) -> tuple[list[int], ...]:
+    """(g, a/g, b/g), g the gcd of two nonzero primitive integer polynomials
+    up to sign: GCDHEU first, the primitive PRS when it fails, which then
+    divides once each for the cofactors."""
     found = _gcd_heuristic(a, b)
     if found is None:
         g = _gcd_prs(a, b)
-        found = (g, _exact_quo(a, g), _exact_quo(b, g)) if cofactors else (g,)
-    return found if cofactors else found[0]
+        found = g, _exact_quo(a, g), _exact_quo(b, g)
+    return found
 
 
 def _convolve(a, b, top: int) -> list:
@@ -413,7 +415,8 @@ class Poly:
         for k, c in enumerate(self.coeffs):
             if c:
                 mono = "v" if k == 1 else f"v^{k}"
-                terms.append(f"{c}" if k == 0 else {1: mono, -1: f"-{mono}"}.get(c, f"{c}*{mono}"))
+                text = _num_str(c)
+                terms.append(text if k == 0 else {1: mono, -1: f"-{mono}"}.get(c, f"{text}*{mono}"))
         return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
@@ -426,43 +429,41 @@ KERNEL = Poly((1, 1, 1))
 _UNIT = Poly((1,))
 
 
-def poly_gcd(a: Poly, b: Poly, *, cofactors: bool = False):
-    """gcd over Q[v], normalized to primitive integer coefficients with the
-    lowest-order nonzero coefficient positive (so gcd(1-v^4, 1-v^6) = 1-v^2).
-
-    Computed with integers only, on the primitive parts of a and b: GCDHEU,
-    else a primitive pseudo-remainder sequence.  gcd(0, 0) is 0.  With
-    ``cofactors=True``, for nonzero a and b, it is (g, a/g, b/g) with g made
-    monic instead, the quotients those of GCDHEU's proof (the PRS divides).
-    """
-    if cofactors:
-        if not (a and b):
-            raise ValueError("cofactors need two nonzero polynomials")
-        (gn, dn, p), (hn, hd, q) = _split(a.coeffs), _split(b.coeffs)
-        g, p, q = _gcd_primitive(p, q, cofactors=True)
-        if len(g) == 1:
-            return _UNIT, a, b
-        s = g[-1]  # the monic gcd is g/s
-        return Poly(_scaled(1, s, g)), Poly(_scaled(gn * s, dn, p)), Poly(_scaled(hn * s, hd, q))
-    parts = [_split(p.coeffs)[2] for p in (a, b) if p]
-    if not parts:
-        return Poly()
-    g = _gcd_primitive(*parts) if len(parts) == 2 else parts[0]
-    if next(c for c in g if c) < 0:
-        g = [-c for c in g]
-    return Poly(g)
+def poly_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, a/g, b/g) for nonzero a and b, g their monic gcd over Q[v], so
+    gcd(1-v^4, 1-v^6) = v^2 - 1; ValueError for a zero operand.  Integers
+    only: GCDHEU on the primitive parts, its proof giving the cofactors, else
+    the primitive pseudo-remainder sequence, which divides once each."""
+    if not (a and b):
+        raise ValueError("the gcd needs two nonzero polynomials")
+    (gn, dn, p), (hn, hd, q) = _split(a.coeffs), _split(b.coeffs)
+    g, p, q = _gcd_primitive(p, q)
+    if len(g) == 1:
+        return _UNIT, a, b
+    s = g[-1]  # the monic gcd is g/s
+    return Poly(_scaled(1, s, g)), Poly(_scaled(gn * s, dn, p)), Poly(_scaled(hn * s, hd, q))
 
 
 def _cancel(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """(g, a/g, b/g) with g the monic gcd; no gcd is run for a constant."""
-    return (_UNIT, a, b) if a.degree < 1 or b.degree < 1 else poly_gcd(a, b, cofactors=True)
+    return (_UNIT, a, b) if a.degree < 1 or b.degree < 1 else poly_gcd(a, b)
+
+
+def _monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num and den, both divided by the leading coefficient of the nonzero den."""
+    lead = den.coeffs[-1]
+    if lead == 1:
+        return num, den
+    s = Fraction(1) / lead
+    return num * s, den * s
 
 
 class RatFn:
     """Rational function in v, kept in canonical form.
 
     Canonical form: gcd(num, den) = 1 and den monic (leading coefficient
-    1).  Construction from a zero denominator raises DivisionByZero.
+    1): both divided by their monic gcd, then by the new den's leading
+    coefficient.  A zero denominator raises DivisionByZero; 0/d gives 0/1.
     """
 
     __slots__ = ("num", "den")
@@ -477,13 +478,7 @@ class RatFn:
         if num.is_zero():
             num, den = Poly(), _UNIT
         else:
-            # num/den = (gn/dn)/(hn/hd) * p/q with p, q primitive integer
-            # parts; divide both by their gcd, then make q monic
-            (gn, dn, p), (hn, hd, q) = _split(num.coeffs), _split(den.coeffs)
-            _, p, q = _cancel(Poly(p), Poly(q))
-            lead = q.coeffs[-1]
-            num = Poly(_scaled(gn * hd, dn * hn * lead, p.coeffs))
-            den = Poly(_scaled(1, lead, q.coeffs))
+            num, den = _monic(*_cancel(num, den)[1:])
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -524,11 +519,7 @@ class RatFn:
 
     def _inverse(self) -> "RatFn":
         # den/num, scaled so that num, the new denominator, is monic
-        lead = self.num.leading()
-        if lead == 1:
-            return self._of(self.den, self.num)
-        s = Fraction(1) / lead
-        return self._of(self.den * s, self.num * s)
+        return self._of(*_monic(self.den, self.num))
 
     @staticmethod
     def _coerce(x):
@@ -780,7 +771,7 @@ class Series:
         return all(isinstance(c, int) for c in self.coeffs)
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
+        shown = ", ".join(_num_str(c) for c in self.coeffs[:8])
         more = ", ..." if self.order >= 8 else ""
         return f"Series(order={self.order}: [{shown}{more}])"
 

@@ -36,7 +36,7 @@ from .paths import (
     enumerate_paths,
     validate_path,
 )
-from .reporting import MismatchFound, VerificationReport
+from .reporting import MismatchFound, VerificationReport, _num_str
 
 # algebra, formulas, bijection, matrices, selftest and stats are imported by
 # the code that runs them: count with --max-height, enumerate and biject load
@@ -63,24 +63,6 @@ def _in_range(flag: str, value: int, least: int, most: int, default: int | None 
         hint += f", or omit it for the default {default}"
     side = f">= {least}" if value < least else f"<= {most}"
     raise UsageError(f"{flag} must be {side}, got {value}", hint)
-
-
-def _int_str(i: int) -> str:
-    """str(i), or past the int-to-str digit limit (4300 by default) str(Decimal(i)):
-    exact, plain digits, and held to no limit."""
-    try:
-        return str(i)
-    except ValueError:
-        from decimal import Decimal
-
-        return str(Decimal(i))
-
-
-def _num_str(x) -> str:
-    """Exact decimal text of an int or Fraction ("p/q") of any length."""
-    if x.denominator == 1:
-        return _int_str(x.numerator)
-    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 # --- subcommand handlers (return JSON-safe payloads) -------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .algebra import KERNEL, Poly, RatFn, V, _convolve, closed_form
+from .algebra import KERNEL, Poly, RatFn, V, closed_form, trinomial_row
 from .formulas import phi, psi, psi0
 from .reporting import VerificationReport
 
@@ -252,10 +252,8 @@ def _bareiss(rows: list[list[Poly]]):
 
 def _in_v(polys: list[Poly], d: int) -> list[Poly]:
     """(1+v+v^2)^d * p(v/(1+v+v^2)) for each polynomial p in z of degree <= d:
-    the sum of p_k * v^k * (1+v+v^2)^(d-k), over one list of the kernel's powers."""
-    powers = [(1,)]
-    for e in range(1, d + 1):
-        powers.append(_convolve(powers[-1], KERNEL.coeffs, 2 * e))
+    the sum of p_k * v^k * (1+v+v^2)^(d-k), the kernel's powers read as trinomial rows."""
+    powers = [trinomial_row(e) for e in range(d + 1)]
     out = []
     for p in polys:
         acc = [0] * (2 * d + 1)

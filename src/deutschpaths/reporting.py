@@ -4,11 +4,31 @@ Every identity checker returns a VerificationReport: a list of CheckResult
 rows, one per (identity, size) pair, each carrying a witness string when
 the check failed (``expect`` writes it for an equality).  Callers inspect
 ``report.ok``, or call ``raise_if_failed`` to raise MismatchFound on failure.
+``_num_str`` writes an exact number of any length, as the CLI and the
+reprs behind every witness need.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+
+def _int_str(i: int) -> str:
+    """str(i), or past the int-to-str digit limit (4300 by default) str(Decimal(i)):
+    exact, plain digits, and held to no limit."""
+    try:
+        return str(i)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(i))
+
+
+def _num_str(x) -> str:
+    """Exact decimal text of an int or Fraction ("p/q") of any length."""
+    if x.denominator == 1:
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
 
 
 class MismatchFound(AssertionError):

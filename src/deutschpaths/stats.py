@@ -53,10 +53,6 @@ class ZeroCount(ZeroDivisionError):
     """No paths to average over (e.g. closed paths of length 1)."""
 
 
-#: Closed Deutsch paths of length n, and open ones (the Motzkin numbers).
-closed_count, open_count = coeff_closed, coeff_open
-
-
 def height_total(n: int, family: str = "closed") -> int:
     """Sum of heights over all closed or open Deutsch paths of length n.
 
@@ -100,7 +96,7 @@ def avg_height(n: int, family: str = "closed") -> Fraction:
     """Average height of length-n paths; exact."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    count = closed_count(n) if family == "closed" else open_count(n)
+    count = coeff_closed(n) if family == "closed" else coeff_open(n)
     if count == 0:
         raise ZeroCount(f"no {family} paths of length {n}")
     return Fraction(height_total(n, family), count)
@@ -110,7 +106,7 @@ def avg_area(n: int) -> Fraction:
     """Average area of closed length-n paths; exact."""
     if n < 1:
         raise ValueError("length must be at least 1")
-    count = closed_count(n)
+    count = coeff_closed(n)
     if count == 0:
         raise ZeroCount(f"no closed paths of length {n}")
     return Fraction(area_total(n), count)
@@ -179,9 +175,9 @@ LAWS: dict[str, AsymptoticLaw] = {
          "average height of open paths ~ 2*sqrt(pi*n/3)"),
         ("closed_height_vs_motzkin_height", lambda n: avg_height(n, "closed"), _SQRT_PI_3, 1, 0.5,
          "closed average height over the Motzkin height law sqrt(pi*n/3); ratio -> 2"),
-        ("motzkin_count", lambda n: Fraction(open_count(n)), 9 / (2 * _SQRT_3PI), 3, -1.5,
+        ("motzkin_count", lambda n: Fraction(coeff_open(n)), 9 / (2 * _SQRT_3PI), 3, -1.5,
          "Motzkin numbers ~ 9/(2*sqrt(3*pi)) * 3^n * n^(-3/2)"),
-        ("closed_count", lambda n: Fraction(closed_count(n)), 9 / (8 * _SQRT_3PI), 3, -1.5,
+        ("closed_count", lambda n: Fraction(coeff_closed(n)), 9 / (8 * _SQRT_3PI), 3, -1.5,
          "closed-path counts ~ 9/(8*sqrt(3*pi)) * 3^n * n^(-3/2)"),
         ("area_total", lambda n: Fraction(area_total(n)), 0.375, 3, 0,
          "total area of closed paths ~ (3/8) * 3^n"),

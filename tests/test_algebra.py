@@ -39,6 +39,7 @@ from deutschpaths.algebra import (
 )
 from deutschpaths.formulas import CATALOG, FormulaId, combinatorial_ids, formula
 from deutschpaths.paths import PathFamilyQuery, _prefix, count_dp
+from deutschpaths.reporting import VerificationReport
 
 MOTZKIN = (1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188)
 
@@ -101,6 +102,10 @@ def typed(p: Poly) -> list:
     return [(type(c), c) for c in p.coeffs]
 
 
+def monic(p: Poly) -> Poly:
+    return p * Fraction(1, p.leading())
+
+
 class TestPoly:
     def test_canonical_trailing_zeros(self):
         assert Poly((1, 2, 0, 0)).coeffs == (1, 2)
@@ -130,6 +135,18 @@ class TestPoly:
         assert len({RatFn(3), 3, Poly((3,))}) == 1
         assert RatFn(V) == V and hash(RatFn(V)) == hash(V)
         assert len({RatFn(KERNEL, Poly((2,))), KERNEL / 2}) == 1
+
+    def test_repr_holds_coefficients_past_the_digit_limit(self):
+        # str() of an int past 4300 digits raises ValueError, and a failing
+        # check writes its witness with repr
+        big = 10**4400 + 7
+        d = str(Decimal(big))
+        assert repr(Poly((Fraction(-1, big), 0, -big))) == f"-1/{d} - {d}*v^2"
+        assert repr(RatFn(Poly((1, big)), KERNEL)) == f"(1 + {d}*v) / (1 + v + v^2)"
+        assert repr(Series((big, Fraction(1, big)))) == f"Series(order=1: [{d}, 1/{d}])"
+        report = VerificationReport("digits")
+        report.expect("big", 1, Poly((big,)), Poly((big + 1,)), "got", "want")
+        assert report.failures[0].witness == f"got {d} vs want {d[:-1]}8"
 
     def test_arithmetic(self):
         p, q = Poly((1, 1)), Poly((1, -1))
@@ -180,12 +197,14 @@ class TestPoly:
 
 class TestGcd:
     def test_cyclotomic_example(self):
-        g = poly_gcd(Poly((1, 0, 0, 0, -1)), Poly((1, 0, 0, 0, 0, 0, -1)))
-        assert g == Poly((1, 0, -1))  # 1 - v^2
+        got = poly_gcd(Poly((1, 0, 0, 0, -1)), Poly((1, 0, 0, 0, 0, 0, -1)))
+        want = Poly((-1, 0, 1)), -Poly((1, 0, 1)), -Poly((1, 0, 1, 0, 1))  # v^2 - 1 and its cofactors
+        assert [typed(p) for p in got] == [typed(p) for p in want]
 
-    def test_normalization_is_primitive_with_positive_low_coeff(self):
-        g = poly_gcd(Poly((-2, 0, 2)), Poly((-4, 4)))
-        assert g == Poly((1, -1))  # content stripped, low coefficient positive
+    def test_normalization_is_monic(self):
+        g, a1, b1 = poly_gcd(Poly((-2, 0, 2)), Poly((-4, 4)))
+        assert typed(g) == typed(Poly((-1, 1)))  # v - 1: content stripped, leading coefficient 1
+        assert (a1, b1) == (Poly((2, 2)), Poly((4,)))
 
     @given(rational_polys, rational_polys, rational_polys)
     @example(Poly(), Poly(), Poly((1,)))  # zero operands
@@ -196,7 +215,8 @@ class TestGcd:
     @settings(max_examples=200, deadline=None)
     def test_integer_kernel_matches_reference(self, a, b, c):
         num, den = a * c, b * c
-        assert typed(poly_gcd(num, den)) == typed(reference_gcd(num, den))
+        if num and den:
+            assert typed(poly_gcd(num, den)[0]) == typed(monic(reference_gcd(num, den)))
         if not den.is_zero():
             f = RatFn(num, den)
             ref_num, ref_den = reference_canonical(num, den)
@@ -213,7 +233,7 @@ class TestGcd:
     @settings(max_examples=200, deadline=None)
     def test_kernel_gcd_matches_prs(self, a, b, c):
         pa, pb = primitive(Poly(a) * Poly(c)), primitive(Poly(b) * Poly(c))
-        assert up_to_sign(algebra._gcd_primitive(pa, pb)) == up_to_sign(algebra._gcd_prs(pa, pb))
+        assert up_to_sign(algebra._gcd_primitive(pa, pb)[0]) == up_to_sign(algebra._gcd_prs(pa, pb))
 
     @given(st.integers(0, 200))
     @example(200)
@@ -223,7 +243,7 @@ class TestGcd:
         # (1+v)^h against 1 - v^(h+3): the gcd is 1+v when h+3 is even, else 1.
         # The PRS reference is checked up to h = 120, where it takes about 0.2 s.
         a, b = primitive(ONE_PLUS_V**h), primitive(1 - V**(h + 3))
-        g = up_to_sign(algebra._gcd_primitive(a, b))
+        g = up_to_sign(algebra._gcd_primitive(a, b)[0])
         assert g == ([1, 1] if h % 2 else [1])
         if h <= 120:
             assert g == up_to_sign(algebra._gcd_prs(a, b))
@@ -236,17 +256,26 @@ class TestGcd:
             (Poly((1, 1)), Poly((1, -1))),
         ]
         want = [poly_gcd(a, b) for a, b in pairs]
-        proofs = []
+        proofs, quo, heuristic = [], algebra._exact_quo, algebra._gcd_heuristic
 
         def refuse(a, b):
             proofs.append((a, b))
             raise ValueError("not divisible")
 
-        monkeypatch.setattr(algebra, "_exact_quo", refuse)
+        def refused(a, b):
+            # every proof the heuristic tries is refused; the PRS after it divides as usual
+            monkeypatch.setattr(algebra, "_exact_quo", refuse)
+            try:
+                return heuristic(a, b)
+            finally:
+                monkeypatch.setattr(algebra, "_exact_quo", quo)
+
         a, b = (primitive(p) for p in pairs[0])
-        assert algebra._gcd_heuristic(a, b) is None
+        assert refused(a, b) is None
         assert len(proofs) > 1  # every point was tried, and refused
-        assert [poly_gcd(a, b) for a, b in pairs] == want
+        monkeypatch.setattr(algebra, "_gcd_heuristic", refused)
+        got = [poly_gcd(a, b) for a, b in pairs]
+        assert [[typed(p) for p in t] for t in got] == [[typed(p) for p in t] for t in want]
 
     @pytest.mark.parametrize("route", ["heuristic", "prs"])
     @given(nonzero_rational_polys, nonzero_rational_polys, nonzero_rational_polys)
@@ -258,25 +287,26 @@ class TestGcd:
         a, b = a * c, b * c
         heuristic = (lambda a, b: None) if route == "prs" else algebra._gcd_heuristic
         with mock.patch.object(algebra, "_gcd_heuristic", heuristic):
-            g, a1, b1 = poly_gcd(a, b, cofactors=True)
+            g, a1, b1 = poly_gcd(a, b)
+            assert poly_gcd(a1, b1)[0] == 1
         assert g * a1 == a and g * b1 == b
-        assert g.leading() == 1 and poly_gcd(a1, b1).degree == 0
-        plain = poly_gcd(a, b)
-        assert g == plain * Fraction(1, plain.leading())
+        assert g.leading() == 1
+        assert typed(g) == typed(monic(reference_gcd(a, b)))
 
     def test_cofactors_refuse_a_zero_operand(self):
         for a, b in ((Poly(), KERNEL), (KERNEL, Poly()), (Poly(), Poly())):
             with pytest.raises(ValueError, match="nonzero"):
-                poly_gcd(a, b, cofactors=True)
+                poly_gcd(a, b)
 
     @given(small_polys, small_polys)
     @settings(max_examples=100, deadline=None)
     def test_gcd_divides_both(self, a, b):
-        g = poly_gcd(a, b)
-        if g.is_zero():
-            assert a.is_zero() and b.is_zero()
-        else:
-            assert (a % g).is_zero() and (b % g).is_zero()
+        if a.is_zero() or b.is_zero():
+            with pytest.raises(ValueError, match="nonzero"):
+                poly_gcd(a, b)
+            return
+        g = poly_gcd(a, b)[0]
+        assert (a % g).is_zero() and (b % g).is_zero()
 
 
 # --- the cyclotomic route: the closed-form construction before ``closed_form`` ---

@@ -45,6 +45,8 @@ from deutschpaths.stats import height_total
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_series.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
+#: The output of ``scripts/canonical_hash.py``: its digest and the number of values hashed.
+CANONICAL_HASH = ("a5db2c16d95b102b8de6b15b35c4c057e25bc0e6c89661aa1a8cf8c668b21e41", 2148)
 
 
 class TestCatalogValues:
@@ -289,6 +291,15 @@ class TestGoldenSeries:
         regen = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(regen)
         assert regen.render().encode() == GOLDEN_PATH.read_bytes()
+
+    def test_canonical_hash_is_pinned(self):
+        # every canonical form and verification report the hash script covers;
+        # a change that moves one on purpose updates CANONICAL_HASH
+        script = Path(__file__).parent.parent / "scripts" / "canonical_hash.py"
+        spec = importlib.util.spec_from_file_location("canonical_hash", script)
+        canonical = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(canonical)
+        assert canonical.digest() == CANONICAL_HASH
 
     def test_golden_file_covers_every_formula_name(self):
         names = {FormulaId.parse(k).name for k in GOLDEN["series"]}

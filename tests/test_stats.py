@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from deutschpaths.algebra import _normal_form, trinomial_row
-from deutschpaths.formulas import formula
+from deutschpaths.formulas import coeff_closed, coeff_open, formula
 from deutschpaths.paths import PathFamilyQuery, count_dp, enumerate_paths, total_height_dp
 from deutschpaths.stats import (
     LAWS,
@@ -19,9 +19,7 @@ from deutschpaths.stats import (
     avg_area,
     avg_elevation,
     avg_height,
-    closed_count,
     height_total,
-    open_count,
 )
 
 
@@ -64,13 +62,13 @@ def lacunary_height_total(n, family):
 
 class TestCounts:
     def test_sequences(self):
-        assert [closed_count(n) for n in range(10)] == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
-        assert [open_count(n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
+        assert [coeff_closed(n) for n in range(10)] == [1, 0, 1, 1, 3, 6, 15, 36, 91, 232]
+        assert [coeff_open(n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
 
     @pytest.mark.parametrize("n", [0, 1, 5, 40])
     def test_counts_match_dp(self, n):
-        assert closed_count(n) == count_dp(PathFamilyQuery("deutsch", n, end_level=0))
-        assert open_count(n) == count_dp(PathFamilyQuery("deutsch", n))
+        assert coeff_closed(n) == count_dp(PathFamilyQuery("deutsch", n, end_level=0))
+        assert coeff_open(n) == count_dp(PathFamilyQuery("deutsch", n))
 
 
 class TestTotals:
@@ -129,11 +127,11 @@ class TestAverages:
 
     def test_avg_elevation_is_area_per_step(self):
         for n in range(2, 9):
-            if closed_count(n) == 0:
+            if coeff_closed(n) == 0:
                 continue
             assert avg_elevation(n) == avg_area(n) / n
             _, ac, _ = brute_totals(n, "closed")
-            assert avg_elevation(n) == Fraction(ac, n * closed_count(n))
+            assert avg_elevation(n) == Fraction(ac, n * coeff_closed(n))
 
     def test_rejects_n_below_one(self):
         for fn in (lambda: avg_height(0), lambda: avg_area(-1), lambda: avg_elevation(0)):
