@@ -38,10 +38,13 @@ for n in range(9):
         assert from_motzkin(to_motzkin(p)).steps == p.steps
     print(f"n={n}: {len(deutsch)} paths on both sides, round trip exact")
 
-# the map trades axis returns for up-steps: every return of the Deutsch
-# path becomes one up-step of its Motzkin partner
+# the image has one up-step per down-step of the Deutsch path: each
+# down-step is the first return of exactly one split U w~ D x, and that split
+# maps to U map(w~) D map(x).  Returns to the axis are not the statistic:
+# "U U D1 D1" returns once, yet it has two splits and its image two up-steps
+print(f"U U D1 D1  ->  {to_motzkin('U U D1 D1').tokens()}")
 for p in enumerate_paths(PathFamilyQuery("deutsch", 6)):
     image = to_motzkin(p)
     ups = sum(1 for s in image.steps if s == 1)
-    assert ups == returns_count(p)
-print("returns map to up-steps at n = 6")
+    assert ups == returns_count(p) == sum(1 for s in p.steps if s < 0)
+print("down-steps map to up-steps at n = 6")

@@ -18,6 +18,12 @@ Hashed, in this order:
 - ``formula(id)`` for every catalog id whose parameters are at most
   ``MAX_H`` (end levels 0..h); an id the catalog refuses enters as the
   name of its exception;
+- for k = 1..``MAX_OPERATOR_K``, with a = 1/((1+2v)(1+kv)),
+  b = (k+v)/((1+2v)(3+v)) and c = (1+2v)/(1+v), the ``RatFn`` values a + b,
+  a*c, a/b and a - b.  Every catalog denominator is a monic integer
+  polynomial, and the primitive gcd of two of those is already monic;
+  these denominators' monic forms have non-integer coefficients, so a gcd
+  that returned the primitive g in place of the monic one changes them;
 - ``determinant(build_matrix(n, t))`` and ``cramer_solve(n, t)`` for
   n <= ``MAX_CRAMER``, and every entry of ``L @ U`` from
   ``lu_formulas(n, t)`` for n <= ``MAX_LU``, each for t = False and True;
@@ -46,7 +52,7 @@ import hashlib
 import json
 
 from deutschpaths import cli
-from deutschpaths.algebra import RatFn
+from deutschpaths.algebra import Poly, RatFn
 from deutschpaths.bijection import certify
 from deutschpaths.formulas import CATALOG, FormulaId, formula, oracle_check
 from deutschpaths.matrices import (
@@ -64,6 +70,7 @@ from deutschpaths.selftest import run_selftest
 from deutschpaths.stats import LAWS
 
 MAX_H = 20
+MAX_OPERATOR_K = 7
 MAX_CRAMER = 8
 MAX_LU = 10
 MAX_VERIFY = 30
@@ -108,6 +115,12 @@ def items():
             yield str(fid), _canonical(formula(fid))
         except ValueError as exc:
             yield str(fid), type(exc).__name__
+    c = RatFn(Poly((1, 2)), Poly((1, 1)))
+    for k in range(1, MAX_OPERATOR_K + 1):
+        a = RatFn(1, Poly((1, 2)) * Poly((1, k)))
+        b = RatFn(Poly((k, 1)), Poly((1, 2)) * Poly((3, 1)))
+        for name, value in (("a+b", a + b), ("a*c", a * c), ("a/b", a / b), ("a-b", a - b)):
+            yield f"operators k={k} {name}", _canonical(value)
     for t in (False, True):
         for n in range(1, MAX_CRAMER + 1):
             yield f"det({n},{t})", _canonical(determinant(build_matrix(n, t)))

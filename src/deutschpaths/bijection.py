@@ -12,7 +12,10 @@ level d-1).  The image is
     U w~ D x  -> U  map(w~)  D  map(x)
 
 and the inverse recomputes the down-step size as d = 1 + end level of the
-recovered inner path, which is the only place level arithmetic enters.
+recovered inner path, which is the only place level arithmetic enters.  The
+image has one up-step per down-step: each down-step is the first return of
+exactly one split, since by induction U w~ D_d x has 1 + downs(w~) + downs(x)
+= downs(w) splits, U w~ has downs(w~) and the empty path none.
 
 Both directions unroll the recursion into one left-to-right scan.  An
 up-step from level b is matched by the first later down-step that lands on
@@ -24,7 +27,6 @@ Motzkin U and turns each D into a down-step to that base.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
 from typing import NamedTuple
 
 from .paths import DeutschPath, MotzkinPath, PathError, PathFamilyQuery, _walk, validate_path
@@ -64,10 +66,9 @@ def decompose(w) -> FirstReturnDecomposition:
     first_return = next((t for t in range(1, len(w) + 1) if w.levels[t] == 0), None)
     if first_return is None:
         return FirstReturnDecomposition("no_return", tail=DeutschPath(w.steps[1:]))
-    inner = DeutschPath(w.steps[1 : first_return - 1])
     return FirstReturnDecomposition(
         "returns",
-        inner=inner,
+        inner=DeutschPath(w.steps[1 : first_return - 1]),
         down_size=-w.steps[first_return - 1],
         remainder=DeutschPath(w.steps[first_return:]),
     )
@@ -117,36 +118,13 @@ def _from_motzkin_steps(steps: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def returns_count(w) -> int:
-    """Number of returns-decompositions in w's recursion tree."""
-    return _returns(_ensure(w, DeutschPath, "deutsch").levels)
+    """Number of returns-splits in w's recursion tree, which is its down-steps.
 
-
-def _returns(levels: tuple[int, ...]) -> int:
-    """``returns_count`` on a level profile.
-
-    The recursion of ``decompose`` on index ranges of the profile: the
-    subpath of steps a..b-1 starts at levels[a] and never dips below it, so
-    its first return is the next time the profile is back at levels[a], if
-    that is at most b.  One backward pass finds every such next time.
+    By induction on ``decompose``: the empty path has none, U w~ has downs(w~),
+    and U w~ D_d x has 1 + downs(w~) + downs(x) = downs(w).
     """
-    n = len(levels) - 1
-    next_same, seen = [0] * (n + 1), [n + 1] * (n + 1)  # seen by level: a level is at most n
-    for t in range(n, -1, -1):
-        next_same[t] = seen[levels[t]]
-        seen[levels[t]] = t
-    total = 0
-    work = [(0, n)]
-    while work:
-        a, b = work.pop()
-        if a == b:  # empty
-            continue
-        r = next_same[a]
-        if r > b:  # U tail
-            work.append((a + 1, b))
-        else:  # U inner D remainder
-            total += 1
-            work += [(a + 1, r - 1), (r, b)]
-    return total
+    w = _ensure(w, DeutschPath, "deutsch")
+    return len(w) - w.steps.count(1)
 
 
 def certify(n_max: int = 10) -> VerificationReport:
@@ -155,9 +133,9 @@ def certify(n_max: int = 10) -> VerificationReport:
     Each family is walked once, and each path mapped once, as a step tuple;
     both round trips read those maps through tables keyed by path.  One
     path per n also takes the typed round trip through the public
-    ``to_motzkin`` and ``from_motzkin``.  Also records (without asserting any
-    correspondence) the joint distribution of the Deutsch path's end level
-    against the image's flat count, since the matching Motzkin statistic is open.
+    ``to_motzkin`` and ``from_motzkin``.  Also records, asserting nothing, w's end
+    level against the image's flat count n - 2 downs(w), itself a Deutsch statistic;
+    the end level's candidate partner is the image's level-0 flats (ROADMAP.md item 4).
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
@@ -189,9 +167,7 @@ def certify(n_max: int = 10) -> VerificationReport:
             "|open Deutsch| = |Motzkin|", dim, counts_ok,
             "" if counts_ok else f"{len(domain)} vs {len(codomain)}",
         )
-        ups_ok = all(
-            img.count(1) == _returns((0, *accumulate(w))) for img, w in zip(images, domain)
-        )
+        ups_ok = all(img.count(1) == len(w) - w.count(1) for img, w in zip(images, domain))
         report.add("image up-steps = returns in recursion tree", dim, ups_ok)
         counts.append(len(domain))
         joint.update((sum(w), img.count(0)) for w, img in zip(domain, images))

@@ -132,6 +132,8 @@ class TestStatistics:
 
     def test_returns_count_examples(self):
         assert returns_count(validate_path("U D1 U U D2", "deutsch")) == 2
+        # one axis return, but two splits: U (U D1) D1
+        assert returns_count(validate_path("U U D1 D1", "deutsch")) == 2
         assert returns_count(validate_path("U U U", "deutsch")) == 0
         assert returns_count(validate_path("", "deutsch")) == 0
 
@@ -152,7 +154,8 @@ def decompose_returns_count(w):
 
 class TestReturnsCount:
     def test_matches_decompose_on_every_short_path(self):
-        for n in range(11):
+        # the theorem, down-steps = returns-splits, against the decompose recursion
+        for n in range(13):
             for w in deutsch_paths(n):
                 assert returns_count(w) == decompose_returns_count(w), w
 
