@@ -32,9 +32,9 @@ Hashed, in this order:
   every entry of ``lu_formulas(MAX_LU, t)``, L and then U, for t = False and
   True;
 - ``to_dict()`` of every ``verify`` battery at its default size, of the
-  ``det`` and ``lu`` batteries at ``MAX_VERIFY``, of the ``cramer`` battery
-  at ``MAX_VERIFY_CRAMER``, of ``verify_lu(MAX_VERIFY_LU)``, of
-  ``oracle_check`` at ``ORACLE_SIZES``, and of ``run_selftest()``, as
+  ``det``, ``recursion`` and ``lu`` batteries at ``MAX_VERIFY``, of the
+  ``cramer`` battery at ``MAX_VERIFY_CRAMER``, of ``verify_lu(MAX_VERIFY_LU)``,
+  of ``oracle_check`` at ``ORACLE_SIZES``, and of ``run_selftest()``, as
   sorted-key JSON;
 - the exact side of every ``stats.LAWS`` entry at each n in ``LAW_NS``, as
   its name, n and exact value.  The law's float and the ratio are left out:
@@ -143,7 +143,8 @@ def items():
                     yield f"{name}({MAX_LU},{t})[{i},{j}]", _canonical(e)
     for target, (battery, default, *_) in cli._BATTERIES.items():
         yield f"verify {target}", json.dumps(battery(default).to_dict(), sort_keys=True)
-    for target, size in (("det", MAX_VERIFY), ("lu", MAX_VERIFY), ("cramer", MAX_VERIFY_CRAMER)):
+    sized = (("det", MAX_VERIFY), ("recursion", MAX_VERIFY), ("lu", MAX_VERIFY))
+    for target, size in (*sized, ("cramer", MAX_VERIFY_CRAMER)):
         report = cli._BATTERIES[target][0](size)
         yield f"verify {target} {size}", json.dumps(report.to_dict(), sort_keys=True)
     yield f"verify_lu {MAX_VERIFY_LU}", json.dumps(verify_lu(MAX_VERIFY_LU).to_dict(), sort_keys=True)

@@ -135,7 +135,7 @@ def certify(n_max: int = 10) -> VerificationReport:
     path per n also takes the typed round trip through the public
     ``to_motzkin`` and ``from_motzkin``.  Also records, asserting nothing, w's end
     level against the image's flat count n - 2 downs(w), itself a Deutsch statistic;
-    the end level's candidate partner is the image's level-0 flats (ROADMAP.md item 4).
+    the end level's candidate partner, open in ROADMAP.md, is the image's level-0 flats.
     """
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")

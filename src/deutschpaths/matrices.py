@@ -7,13 +7,14 @@ up-step from directly below); the reversed family transposes it.  All
 entries are exact rational functions in v via z = v/(1+v+v^2).
 
 This module builds both matrices and verifies the closed forms: the
-determinant D_n, its three-term recursion, the Cramer solutions (which
-must reproduce the phi/psi formula catalog), and the entrywise LU
-factorizations.  Entries depend on (i, j) alone, so A_n and its LU factors
-are leading blocks of those at the largest n: each battery eliminates or
-multiplies once per orientation and reads each n from a block.  The Cramer
-solutions take a second, independent route: the entries are 1, -z and 0,
-so one fraction-free (Bareiss) Gauss-Jordan reduction of [A | e_0] over the
+determinant D_n, its three-term recursion (in Z[v] once (1+v+v^2)^n is
+cleared, with no gcd), the Cramer solutions (which must reproduce the
+phi/psi formula catalog), and the entrywise LU factorizations.  Entries
+depend on (i, j) alone, so A_n and its LU factors are leading blocks of
+those at the largest n: each battery eliminates or multiplies once per
+orientation and reads each n from a block.  The Cramer solutions take a
+second, independent route: the entries are 1, -z and 0, so one
+fraction-free (Bareiss) Gauss-Jordan reduction of [A | e_0] over the
 integer polynomials in z yields every size's determinant ratios, mapped to
 v once each.  The product of U's diagonal retells the determinant; the
 adjudication helper pins down the one exponent in that product identity
@@ -194,33 +195,36 @@ def verify_determinant(n_max: int = 12) -> VerificationReport:
 def verify_det_recursion(
     n_max: int = 12, closed_form: Callable[[int], RatFn] = det_closed_form
 ) -> VerificationReport:
-    """(1+v+v^2)^2 D_(n+2) - (1+v+v^2)(1+v)^2 D_(n+1) + v(1+v)^2 D_n = 0.
+    """(1+v+v^2)^2 D_(n+2) - (1+v+v^2)(1+v)^2 D_(n+1) + v(1+v)^2 D_n = 0, in Z[v]:
+    P_(n+2) = (1+v)^2 (P_(n+1) - v P_n) for the polynomials P_n = (1+v+v^2)^n D_n.
 
-    The recursion is homogeneous, so it cannot see a perturbation that
-    scales every D_n by the same function of v; the base cases are anchored
-    against the elimination determinant to close that hole.  ``closed_form``
-    is injectable so a deliberately perturbed D_n can be shown to fail
-    (negative control).
+    Each D_n's denominator is compared with a running power of 1+v+v^2, so no
+    gcd clears it; one that is neither (1+v+v^2)^n nor (1+v+v^2)^(n-1) fails
+    every row that reads that D_n.  The recursion is homogeneous, so it cannot
+    see a rescaling of every D_n by one function of v: the base cases are
+    anchored against the elimination determinant.  ``closed_form`` is
+    injectable so a deliberately perturbed D_n can be shown to fail.
     """
     if n_max < 3:
         raise ValueError("need n_max >= 3 to exercise the recursion")
     report = VerificationReport("determinant three-term recursion")
-    d0, d1 = closed_form(1), closed_form(2)  # a window of D_n, D_(n+1), D_(n+2): each built once
-    for n, d in ((1, d0), (2, d1)):
-        report.expect(
-            "base case anchors elimination determinant", f"n={n}",
-            d, determinant(build_matrix(n)), "closed form", "elimination",
-        )
-    kern, wsq = RatFn(KERNEL), RatFn(Poly((1, 2, 1)))
-    kern2, kern_wsq, v_wsq = kern**2, kern * wsq, RatFn(V) * wsq
-    for n in range(1, n_max - 1):
-        d2 = closed_form(n + 2)
-        lhs = kern2 * d2 - kern_wsq * d1 + v_wsq * d0
-        report.add(
-            "recursion", f"n={n}", lhs.is_zero(),
-            "" if lhs.is_zero() else f"residual {lhs!r}",
-        )
-        d0, d1 = d1, d2
+    wsq, power, window = Poly((1, 2, 1)), Poly((1,)), []
+    for n in range(1, n_max + 1):
+        d, lower, power = closed_form(n), power, KERNEL * power  # D_n; (1+v+v^2)^(n-1), ^n
+        if n <= 2:
+            report.expect("base case anchors elimination determinant", f"n={n}",
+                          d, determinant(build_matrix(n)), "closed form", "elimination")
+        # P_n for the last three n, or where D_n has no P_n, the witness naming it
+        window = window[-2:] + [
+            d.num if d.den == power else KERNEL * d.num if d.den == lower
+            else f"D_{n} has denominator {d.den!r}, not (1+v+v^2)^{n} or (1+v+v^2)^{n - 1}"
+        ]
+        if n > 2:
+            faults = [w for w in window if isinstance(w, str)]
+            if not faults:
+                residual = window[2] - wsq * (window[1] - V * window[0])
+                faults = [f"residual {residual!r}"] if residual else []
+            report.add("recursion", f"n={n - 2}", not faults, "; ".join(faults))
     return report.raise_if_failed()
 
 
@@ -425,10 +429,8 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
     witness dimension; a failing row carries the product and both candidates.
     """
     report = VerificationReport("determinant-product exponent adjudication")
-    prod = u_diagonal_product(n)
-    det = det_closed_form(n)
-    cand1 = det_product_candidate(n, 1)
-    cand2 = det_product_candidate(n, 2)
+    prod, det = u_diagonal_product(n), det_closed_form(n)
+    cand1, cand2 = det_product_candidate(n, 1), det_product_candidate(n, 2)
     match1, match2 = prod == cand1, prod == cand2
     one_matches = match1 != match2
     witness = "" if one_matches else (
@@ -437,12 +439,10 @@ def adjudicate_det_product(n: int = 3) -> VerificationReport:
     report.add("exactly one candidate matches", f"n={n}", one_matches, witness)
     report.add("product equals determinant closed form", f"n={n}", prod == det)
     verified = "n+2" if match2 else ("n+1" if match1 else "neither")
-    report.data["verified_exponent"] = verified
-    report.data["witness_n"] = n
-    report.data["statement"] = (
+    report.data.update(verified_exponent=verified, witness_n=n, statement=(
         f"prod U_ii for n={n} equals ((1+v)/(1+v+v^2))^n * (1-v^({verified}))/(1-v^2); "
         f"the (1-v^(n+{1 if verified == 'n+2' else 2})) variant does not match"
-    )
+    ))
     return report.raise_if_failed()
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -122,6 +124,48 @@ class TestDeterminant:
             cramer_solve(2)
 
 
+def field_recursion(n_max: int, closed_form=det_closed_form) -> VerificationReport:
+    """verify_det_recursion in the rational-function field: each row's
+    left-hand side is three RatFn products and two sums, each reduced by its
+    gcds, with no denominator rule.  The reference route."""
+    report = VerificationReport("determinant three-term recursion")
+    d0, d1 = closed_form(1), closed_form(2)
+    for n, d in ((1, d0), (2, d1)):
+        report.expect(
+            "base case anchors elimination determinant", f"n={n}",
+            d, determinant(build_matrix(n)), "closed form", "elimination",
+        )
+    kern, wsq = RatFn(KERNEL), RatFn(Poly((1, 2, 1)))
+    kern2, kern_wsq, v_wsq = kern**2, kern * wsq, RatFn(V) * wsq
+    for n in range(1, n_max - 1):
+        d2 = closed_form(n + 2)
+        lhs = kern2 * d2 - kern_wsq * d1 + v_wsq * d0
+        report.add("recursion", f"n={n}", lhs.is_zero(), "" if lhs.is_zero() else f"residual {lhs!r}")
+        d0, d1 = d1, d2
+    return report
+
+
+def over_one_plus_two_v(k: int):
+    """D_n, with D_k divided by 1 + 2v: a denominator that is no power of 1+v+v^2."""
+    return lambda n: det_closed_form(n) / RatFn(Poly((1, 2))) if n == k else det_closed_form(n)
+
+
+def over_the_kernel(k: int):
+    """D_n, with D_k divided by 1+v+v^2: where 3 does not divide k + 2 its
+    denominator is (1+v+v^2)^(k+1), a kernel power above k."""
+    return lambda n: det_closed_form(n) / RatFn(KERNEL) if n == k else det_closed_form(n)
+
+
+#: The forms the battery and the reference route are compared on, by name.
+RECURSION_FORMS = {
+    "D_n": det_closed_form,
+    "(1-v) D_n": lambda n: det_closed_form(n) * RatFn(Poly((1, -1))),
+    "D_n + v^n": lambda n: det_closed_form(n) + RatFn(V) ** n,
+    "D_5 / (1+2v)": over_one_plus_two_v(5),
+    "D_5 / (1+v+v^2)": over_the_kernel(5),
+}
+
+
 class TestRecursion:
     def test_battery(self):
         report = verify_det_recursion(10)
@@ -130,22 +174,63 @@ class TestRecursion:
     def test_detects_uniform_rescaling(self):
         # A homogeneous recursion alone cannot see a constant rescale;
         # the base-case anchoring must catch it.
-        one_minus_v = Poly((1, -1))
-
-        def scaled(n):
-            return det_closed_form(n) * RatFn(one_minus_v)
-
         with pytest.raises(MismatchFound) as exc:
-            verify_det_recursion(8, closed_form=scaled)
+            verify_det_recursion(8, closed_form=RECURSION_FORMS["(1-v) D_n"])
         names = [c.name for c in exc.value.report.failures]
         assert any("base" in name for name in names)
 
     def test_detects_genuinely_wrong_form(self):
-        def wrong(n):
-            return det_closed_form(n) + RatFn(Poly((0, 1))) ** n
-
         with pytest.raises(MismatchFound):
-            verify_det_recursion(8, closed_form=wrong)
+            verify_det_recursion(8, closed_form=RECURSION_FORMS["D_n + v^n"])
+
+    @pytest.mark.parametrize("form", list(RECURSION_FORMS))
+    def test_rows_match_the_field_route(self, form):
+        # the cleared residual is (1+v+v^2)^n times the field's, so only the
+        # witness text of a failing row may differ
+        closed = cache(RECURSION_FORMS[form])
+        for m in range(3, 41):
+            got = report_of(lambda n: verify_det_recursion(n, closed_form=closed), m)
+            want = field_recursion(m, closed)
+            assert [c[:3] for c in got.checks] == [c[:3] for c in want.checks], m
+
+    def test_runs_no_gcd_past_the_base_cases(self, monkeypatch):
+        calls = []
+        gcd = algebra.poly_gcd
+        monkeypatch.setattr(algebra, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        counts = []
+        for m in (3, 40):
+            calls.clear()
+            assert verify_det_recursion(m).ok
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("k", [3, 5, 12])
+    @pytest.mark.parametrize("control", [over_one_plus_two_v, over_the_kernel])
+    def test_denominator_control_fails_the_rows_reading_it(self, control, k):
+        closed = control(k)
+        den = closed(k).den
+        if control is over_the_kernel:
+            assert den == KERNEL ** (k + 1)
+        else:
+            assert all(den != KERNEL**e for e in range(2 * k + 2))
+        with pytest.raises(MismatchFound) as exc:
+            verify_det_recursion(12, closed_form=closed)
+        report = exc.value.report
+        assert failing_sizes(report) == {k - 2, k - 1, k} & set(range(1, 11))
+        assert all(c.name == "recursion" for c in report.failures)
+        assert all(f"D_{k} has denominator" in c.witness for c in report.failures)
+
+    @pytest.mark.parametrize("control", [over_one_plus_two_v, over_the_kernel])
+    def test_denominator_control_exits_1(self, control, monkeypatch):
+        from deutschpaths.cli import main
+
+        battery = mat.verify_det_recursion
+        monkeypatch.setattr(
+            mat, "verify_det_recursion", lambda n: battery(n, closed_form=control(5))
+        )
+        out = io.StringIO()
+        assert main(["verify", "recursion", "--max-n", "12"], out=out) == 1
+        assert "D_5 has denominator" in out.getvalue()
 
 
 class TestCramer:
